@@ -31,11 +31,11 @@ def grassmann_dot(spec: GrassmannianSpec) -> str:
     for i, s in enumerate(spec.subspaces):
         lines.append(f'  {i} [label="{i}" tooltip="{_rows_label(s)}"];')
     dmat = spec.distance_matrix()
-    for i in range(len(spec)):
-        row = dmat[i]
-        for j in range(i + 1, len(spec)):
-            if row[j] == 1:
-                lines.append(f"  {i} -- {j};")
+    for i, row in enumerate(dmat):
+        j = row.find(1, i + 1)
+        while j >= 0:
+            lines.append(f"  {i} -- {j};")
+            j = row.find(1, j + 1)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -17,8 +17,6 @@ instances so field identity checks are cheap.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .config import caps
 from .errors import ValidationError
 
@@ -95,6 +93,9 @@ def canonical_modulus(p: int, e: int) -> tuple[int, ...]:
     raise ValidationError(f"no irreducible polynomial of degree {e} over GF({p})")
 
 
+_instances: dict[tuple[int, int], "GF"] = {}
+
+
 class GF:
     """The field GF(p^e) with int-encoded elements.
 
@@ -103,13 +104,18 @@ class GF:
     """
 
     def __init__(self, p: int, e: int = 1):
+        cap = caps().q_max
+        # compare with the cap before trial division or p ** e, which take
+        # unbounded time on hostile input
+        if p > cap:
+            raise ValidationError(f"characteristic {p} exceeds the field order cap {cap}")
         if not is_prime(p):
             raise ValidationError(f"characteristic {p} is not prime")
         if e < 1:
             raise ValidationError(f"extension degree {e} must be >= 1")
+        if e >= cap.bit_length() or p ** e > cap:  # p ** e >= 2 ** e > cap
+            raise ValidationError(f"field order {p}^{e} exceeds cap {cap}")
         q = p ** e
-        if q > caps().q_max:
-            raise ValidationError(f"field order {q} exceeds cap {caps().q_max}")
         self.p = p
         self.e = e
         self.q = q
@@ -141,9 +147,13 @@ class GF:
         self._frob = tuple(frob)
 
     @staticmethod
-    @lru_cache(maxsize=None)
     def get(p: int, e: int = 1) -> "GF":
-        return GF(p, e)
+        field = _instances.get((p, e))
+        if field is None:
+            field = _instances[(p, e)] = GF(p, e)
+        elif field.q > caps().q_max:  # the cap may have been lowered since
+            raise ValidationError(f"field order {field.q} exceeds cap {caps().q_max}")
+        return field
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"

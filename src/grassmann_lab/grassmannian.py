@@ -99,7 +99,7 @@ class GrassmannianSpec:
                 f"enumerated {len(self.subspaces)} subspaces, expected {expected}")
         self.index: dict[Subspace, int] = {s: i for i, s in enumerate(self.subspaces)}
         self._dist: list[bytes] | None = None
-        self._dist_sets: list[tuple[frozenset[int], ...]] | None = None
+        self._dist_sets: list[tuple[int, ...]] | None = None
 
     def __len__(self):
         return len(self.subspaces)
@@ -113,43 +113,60 @@ class GrassmannianSpec:
     def by_id(self, i: int) -> Subspace:
         return self.subspaces[i]
 
+    def _point_masks(self) -> list[int]:
+        """_point_masks()[i] has one bit set for each projective point of
+        vertex i, numbered in :func:`pg_points` order.
+
+        A coefficient vector c whose first nonzero entry is 1 gives the
+        span vector c·rows whose first nonzero entry is 1 too, because the
+        rows are in RREF; so each point is built once, already normalized.
+        """
+        F = self.field
+        bit = {p.rows[0]: b for b, p in enumerate(pg_points(F, self.n))}
+        coeffs = [p.rows[0] for p in pg_points(F, self.k)]
+        return [sum(1 << bit[linalg.vecmat(F, c, s.rows)] for c in coeffs)
+                for s in self.subspaces]
+
     def distance_matrix(self) -> list[bytes]:
         """Row i is a bytes object with the distance from vertex i to every
-        vertex; computed once, algebraically."""
+        vertex; computed once, by point incidence.
+
+        A d-dimensional subspace holds (q^d - 1)/(q - 1) projective points,
+        so the number of points two vertices share gives the dimension d of
+        their meet, and their distance is k - d (Brouwer, Cohen & Neumaier,
+        *Distance-Regular Graphs*, 1989, section 9.3).  Each entry is one
+        popcount of two point masks; no elimination, one path for every q.
+        """
         if self._dist is None:
-            F, k = self.field, self.k
-            rows_of = [s.rows for s in self.subspaces]
-            count = len(self.subspaces)
-            mat: list[bytes] = []
-            for i in range(count):
-                ri = rows_of[i]
-                row = bytearray(count)
-                for j in range(count):
-                    if j < i:
-                        row[j] = mat[j][i]
-                    elif j > i:
-                        row[j] = linalg.rank(F, ri + rows_of[j]) - k
-                mat.append(bytes(row))
-            self._dist = mat
+            if len(self.subspaces) == 1:
+                # k == 0 or k == n: one vertex, and listing the points of
+                # F_q^n could cost far more than any cap allows
+                self._dist = [bytes(1)]
+                return self._dist
+            q, k = self.field.q, self.k
+            lut = bytearray((q ** k - 1) // (q - 1) + 1)
+            for d in range(k + 1):
+                lut[(q ** d - 1) // (q - 1)] = k - d
+            masks = self._point_masks()
+            self._dist = [bytes([lut[(mi & mj).bit_count()] for mj in masks])
+                          for mi in masks]
         return self._dist
 
     def distance_by_id(self, i: int, j: int) -> int:
         return self.distance_matrix()[i][j]
 
-    def distance_sets(self) -> list[tuple[frozenset[int], ...]]:
-        """distance_sets()[i][d] is the frozenset of vertex ids at distance
-        d from vertex i; the oracle prunes with these."""
+    def distance_sets(self) -> list[tuple[int, ...]]:
+        """distance_sets()[i][d] is the int bitset of vertex ids at distance
+        d from vertex i (bit j set for vertex j); the oracle prunes with
+        these."""
         if self._dist_sets is None:
-            dmat = self.distance_matrix()
             diam = min(self.k, self.n - self.k)
-            out = []
-            for i in range(len(self.subspaces)):
-                buckets: list[set[int]] = [set() for _ in range(diam + 1)]
-                row = dmat[i]
-                for j, d in enumerate(row):
-                    buckets[d].add(j)
-                out.append(tuple(frozenset(b) for b in buckets))
-            self._dist_sets = out
+            # row.translate(digits[d]) has "1" where the row holds d and "0"
+            # elsewhere; reversed, it is that bitset written in binary
+            digits = [bytes(49 if x == d else 48 for x in range(256))
+                      for d in range(diam + 1)]
+            self._dist_sets = [tuple(int(row.translate(t)[::-1], 2) for t in digits)
+                               for row in self.distance_matrix()]
         return self._dist_sets
 
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 from . import linalg
+from .config import caps, set_caps
 from .embeddings import classify
 from .errors import ValidationError
 from .fields import GF
@@ -114,14 +116,23 @@ def _search(spec: GrassmannianSpec, l: int, m: int, budget: int,
             if not cands:
                 break
         if cands:
-            stack.append(iter(sorted(cands)))
+            stack.append(_iter_bits(cands))
         else:
             t -= 1
     return images, nodes, complete
 
 
+def _iter_bits(bits: int):
+    """Indices of the set bits, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 def _search_worker(args) -> tuple[set[tuple[int, ...]], int, bool]:
-    p, e, n, k, l, m, chunk, budget, dedupe = args
+    worker_caps, p, e, n, k, l, m, chunk, budget, dedupe = args
+    set_caps(**asdict(worker_caps))
     spec = GrassmannianSpec(GF.get(p, e), n, k)
     return _search(spec, l, m, budget, chunk, dedupe)
 
@@ -145,12 +156,15 @@ def enumerate_embeddings(cfg: SearchConfig) -> OracleResult:
         return OracleResult(set(), 0, False, spec)
     if cfg.jobs > 1 and len(initial) > 1:
         chunks = [initial[i::cfg.jobs] for i in range(cfg.jobs)]
-        args = [(cfg.p, cfg.e, cfg.n, cfg.k, cfg.l, cfg.m, chunk, cfg.budget, cfg.dedupe)
+        args = [(caps(), cfg.p, cfg.e, cfg.n, cfg.k, cfg.l, cfg.m, chunk, cfg.budget,
+                 cfg.dedupe)
                 for chunk in chunks if chunk]
         images: set[tuple[int, ...]] = set()
         nodes = 0
         complete = True
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # spawn on every platform, so workers see only what args carry
+        with ProcessPoolExecutor(max_workers=cfg.jobs,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
             for part_images, part_nodes, part_complete in pool.map(_search_worker, args):
                 images |= part_images
                 nodes += part_nodes
@@ -329,6 +343,10 @@ def cross_validate(cfg: SearchConfig,
     apartment_match = None
     if classifiable and cfg.n == 2 * cfg.k and cfg.l == cfg.n and cfg.m == cfg.k:
         apartments = enumerate_apartments(spec.field, cfg.n, cfg.k)
+        if cfg.symmetry_reduction:
+            # the reduced search pins its first vertex to vertex 0, so it
+            # finds exactly the images through vertex 0
+            apartments = {a for a in apartments if spec.by_id(0) in a}
         apartment_match = result.image_subspace_sets() == apartments
     parabolic_ok = None
     if classifiable and cfg.l == 2 * cfg.m:

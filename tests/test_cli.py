@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import grassmann_lab
 from grassmann_lab.cli import main
 
 
@@ -108,6 +114,35 @@ def test_oracle_budget_exit_code(tmp_path, capsys):
                 "--budget", 50])
     capsys.readouterr()
     assert code == 3
+
+
+def test_oracle_symmetry_reduction_at_n_equal_2k(capsys):
+    assert run(["oracle", "--l", 4, "--m", 2, "--n", 4, "--k", 2, "--p", 2,
+                "--symmetry-reduction"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["ok"] is True
+    assert summary["image_count"] == 144
+    assert summary["apartment_match"] is True
+
+
+def test_huge_characteristic_in_a_document_exits_2_at_once(tmp_path):
+    emb = tmp_path / "apartment.json"
+    assert run(["build", "apartment", "--n", 4, "--k", 2, "--p", 2, "--output", emb]) == 0
+    doc = json.loads(emb.read_text())
+    doc["params"]["p"] = 1000000016000000063  # prime: trial division takes hours
+    emb.write_text(json.dumps(doc))
+    # a child process, so a regression fails at the timeout instead of hanging
+    env = dict(os.environ, PYTHONPATH=str(Path(grassmann_lab.__file__).parents[1]),
+               GRASSMANN_LAB_CAPS="")
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "grassmann_lab.cli", "classify",
+                           "--input", str(emb)],
+                          capture_output=True, text=True, env=env, timeout=10)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 2
+    assert proc.stderr.strip().splitlines() == [
+        "error: characteristic 1000000016000000063 exceeds the field order cap 16"]
+    assert elapsed < 1.0
 
 
 def test_export_johnson_and_grassmann_stable(capsys):

@@ -107,5 +107,25 @@ def test_order_cap_enforced():
         set_caps(q_max=16)
 
 
+def test_cap_is_checked_before_primality():
+    # a prime, so only the cap can reject it; trial division takes 0.1 s
+    with pytest.raises(ValidationError, match="exceeds the field order cap"):
+        GF(1_000_000_000_039, 1)
+    with pytest.raises(ValidationError, match="exceeds cap"):
+        GF(2, 1000)
+
+
+def test_get_rechecks_a_lowered_cap():
+    assert GF.get(2, 4).q == 16
+    set_caps(q_max=4)
+    try:
+        with pytest.raises(ValidationError):
+            GF.get(2, 4)
+        assert GF.get(2, 2).q == 4
+    finally:
+        set_caps(q_max=16)
+    assert GF.get(2, 4).q == 16
+
+
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]

@@ -86,6 +86,35 @@ def test_distance_formula_equals_bfs(n, k, q):
             assert lengths[dst] == dmat[src][dst]
 
 
+@pytest.mark.parametrize("n,k,p,e", [(4, 2, 2, 1), (5, 2, 2, 1), (4, 2, 3, 1), (4, 2, 2, 2)])
+def test_point_incidence_table_equals_rank_distance(n, k, p, e):
+    spec = GrassmannianSpec(GF.get(p, e), n, k)
+    dmat = spec.distance_matrix()
+    assert all(isinstance(row, bytes) for row in dmat)
+    for i, a in enumerate(spec.subspaces):
+        assert list(dmat[i]) == [distance(a, b) for b in spec.subspaces]
+
+
+@pytest.mark.parametrize("n,k,p,e", [(4, 2, 2, 1), (5, 2, 2, 1), (4, 2, 3, 1), (4, 2, 2, 2),
+                                     (5, 1, 2, 1), (5, 4, 3, 1)])
+def test_distance_sets_are_the_matrix_buckets(n, k, p, e):
+    spec = GrassmannianSpec(GF.get(p, e), n, k)
+    dmat = spec.distance_matrix()
+    diam = min(k, n - k)
+    for i, classes in enumerate(spec.distance_sets()):
+        assert len(classes) == diam + 1
+        for d, bits in enumerate(classes):
+            assert isinstance(bits, int)
+            assert bits == sum(1 << j for j, x in enumerate(dmat[i]) if x == d)
+
+
+@pytest.mark.parametrize("n,k", [(4, 0), (4, 4)])
+def test_one_vertex_grassmannians(n, k):
+    spec = GrassmannianSpec(F3, n, k)
+    assert spec.distance_matrix() == [b"\0"]
+    assert spec.distance_sets() == [(1,)]
+
+
 def test_star_and_top_sizes():
     m = Subspace.line(F2, unit(0, 4))
     st = star(m)

@@ -1,6 +1,9 @@
 import itertools
 import math
 
+import pytest
+
+from grassmann_lab.config import caps, set_caps
 from grassmann_lab.embeddings import build_sum_construction, classify
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import pg_points
@@ -154,3 +157,34 @@ def test_larger_configuration_parabolic_shape():
         cls = classify(members)
         assert cls.case == "parabolic-apartment"
         assert cls.m_space.dim == 0 and cls.n_space.dim == 4
+
+
+@pytest.mark.parametrize("l,reduced,nodes,images", [
+    (4, False, 107_135, 840),
+    (5, False, 454_895, 336),
+    (4, True, 3_061, 144),
+])
+def test_search_effort_is_pinned(l, reduced, nodes, images):
+    # node counts are part of the search's behaviour: a change in them is
+    # a change in candidate order or pruning, not noise
+    result = enumerate_embeddings(SearchConfig(l=l, m=2, n=4, k=2, p=2, jobs=1,
+                                               symmetry_reduction=reduced))
+    assert result.complete
+    assert (result.nodes, len(result.images)) == (nodes, images)
+
+
+def test_workers_inherit_caps():
+    # n = 9 is above the default cap; spawned workers must get the override
+    saved = caps()
+    try:
+        set_caps(n_max=9)
+        runs = [enumerate_embeddings(SearchConfig(l=2, m=1, n=9, k=1, p=2, jobs=jobs))
+                for jobs in (1, 2)]
+    finally:
+        set_caps(q_max=saved.q_max, n_max=saved.n_max,
+                 graph_vertex_max=saved.graph_vertex_max)
+    seq, par = runs
+    assert seq.complete and par.complete
+    assert par.images == seq.images
+    assert par.nodes == seq.nodes
+    assert len(seq.images) == 511 * 510 // 2
