@@ -1,0 +1,134 @@
+"""Byte-level pins on CLI output.
+
+The sha256 of every document written by ``build``, ``classify`` and
+``rigidity --dump-certificates`` is pinned for a fixed set of requests, so
+a refactor of the construction, classification or rigidity code must
+reproduce the old output exactly.  Rigidity runs twice per image, once on
+the embedding and once on the classification document, and both runs must
+write the same bytes.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from grassmann_lab.cli import main
+from grassmann_lab.fields import GF
+
+# name -> (build arguments, apply the Frobenius x -> x^p to every entry
+# of the built document before classifying it)
+REQUESTS = {
+    "sum-q2-n5-k2-l6": (["sum", "--p", 2, "--n", 5, "--k", 2, "--l", 6], False),
+    "dual-q2-n4-k2-l5": (["dual", "--p", 2, "--n", 4, "--k", 2, "--l", 5], False),
+    "sum-q3-n4-k2-l5": (["sum", "--p", 3, "--n", 4, "--k", 2, "--l", 5], False),
+    "dual-q3-n5-k3-l6": (["dual", "--p", 3, "--n", 5, "--k", 3, "--l", 6], False),
+    "sum-q4-n5-k2-l6": (["sum", "--p", 2, "--e", 2, "--n", 5, "--k", 2, "--l", 6], False),
+    "sum-q4-n5-k2-l6-frobenius": (
+        ["sum", "--p", 2, "--e", 2, "--n", 5, "--k", 2, "--l", 6], True),
+    "dual-q4-n4-k2-l5": (["dual", "--p", 2, "--e", 2, "--n", 4, "--k", 2, "--l", 5], False),
+    # l = 2m, n != 2k
+    "sum-q2-n5-k2-l4": (["sum", "--p", 2, "--n", 5, "--k", 2, "--l", 4], False),
+    # l = 2m and n = 2k: the complement automorphism needs a duality
+    "apartment-q2-n4-k2": (["apartment", "--p", 2, "--n", 4, "--k", 2], False),
+    # the presets on both sides of 2k <= n
+    "apartment-q3-n5-k2": (["apartment", "--p", 3, "--n", 5, "--k", 2], False),
+    "apartment-q2-n5-k3": (["apartment", "--p", 2, "--n", 5, "--k", 3], False),
+    "simplex-faces-q2-n4-k2": (["simplex-faces", "--p", 2, "--n", 4, "--k", 2], False),
+    "simplex-faces-q4-n5-k3": (
+        ["simplex-faces", "--p", 2, "--e", 2, "--n", 5, "--k", 3], False),
+}
+
+DIGESTS = {
+    "sum-q2-n5-k2-l6": (
+        "9d3c2a4edb49e96d103cda9c82ba2c9ae868dc9739d87b604b05f812fd89b717",
+        "9e22f134d9c816031d8aa13498604e680477d947133d2a28867b4f7b1a3865db",
+        "923b52ef325d984b85dd60eb2244b3af8634d336d104a82bfb6627d35ecb2396"),
+    "dual-q2-n4-k2-l5": (
+        "81d95138d9d934901743136a6b6972b93f3d6e8233c2daa52ae826185c549e0a",
+        "4eddd8037a6302d24a71419293b336e92c95487e0aad75ad74fe6ce05ca62046",
+        "250fd3b90774a1dbabd549546949dd6c0cc3837d5410896e1f487aee7f8b8163"),
+    "sum-q3-n4-k2-l5": (
+        "45083d2fc606879821c181cb9cb9c3be43bebcb26788fa2594709e5ae39ede4d",
+        "bf18d1ac6adcd5017c3b8f36d26560fc1e3d7da5e8a3a844db152494c85fa64a",
+        "fdb7a5857f93b699b09b085115da8d291789a5aaa31da400675476b83a06d41d"),
+    "dual-q3-n5-k3-l6": (
+        "9d8af551815e2723542c66a1edd968d4c3d09038b39ba3c1a7652d9be1f840cd",
+        "1ed6e46889f91f97689f2e17c6eaab07423b6f33a85810a8338ab03904732ac4",
+        "2ead998700eeccd88dce3d21d60ad4b9e73a4dfa454af2eab68b9dcbd406dc3c"),
+    "sum-q4-n5-k2-l6": (
+        "1f6165224f3417f67bdeeb93b10280555547e480ea5740a946c3a976895bf646",
+        "e30acbcc7591dd1c80a9c44cac2bd2811f9c271a377ba33841701715183a649d",
+        "2807f4f940ce5c9901c3150f7b27fc5d34391c690b549b4df70dc21e7bd26a94"),
+    "sum-q4-n5-k2-l6-frobenius": (
+        "1f6165224f3417f67bdeeb93b10280555547e480ea5740a946c3a976895bf646",
+        "c705b62067a4ce5124bb87ee227c396e1b840002210f81f3cda702b1daea04c8",
+        "4c7c89e6faad32a88277fdd809a71c1402971e0d7d3a0f4391b0587023a8c41e"),
+    "dual-q4-n4-k2-l5": (
+        "71d69f0d0bed6c0e158568ecdc6c6ca0f5a71bab4f47d2145625091a53f15bc4",
+        "807dd32cc197fa1988a66fedd625fae30fb170d4ec37241613a452a09a14f3ef",
+        "455ec3936608bef98d396b739df14ec75275d184bc39bdb187fac76d279b587b"),
+    "sum-q2-n5-k2-l4": (
+        "6c369db523b0bd01704cb1a7544f31cc60178d047c8bb802515c51eaea3316fd",
+        "57e011afbf0eecfc8704ab5e886d7209809724072780faa4617a217342f496b5",
+        "8faa348a1df8f078a48d732bf6a019faaf334234d2a2d1dc5510b168ff472f0f"),
+    "apartment-q2-n4-k2": (
+        "51e8106074c788dfacac7ca82e4631228050d39348a90b5856667bc8c6d43898",
+        "29a18d3b1e2f5d012a9504771d5f5a78be3f8dae09ff95ebcd2dd0ab582c8129",
+        "261c6af7da6fa334d4f57d7a1925be02d052226d0bd419fbabfcec9607303545"),
+    "apartment-q3-n5-k2": (
+        "0f5ff8b8fae1a582d690790e1d6945a3e4f8668aa27d0a3c4d3c0c26e0cef01d",
+        "abaeed8436e20fb23228833b7bb7283abb66cac130601ff0fddc7380b85163e9",
+        "0ceb7477378dd66e2fd13c5c1d908da58030c9b3a9456f64f6e4f41c04d8e9de"),
+    "apartment-q2-n5-k3": (
+        "f248aee71aa5229a99143f518bdd93324f232f5b06c274d13bef80eb7839a55a",
+        "857a9f5c1152ba6c1e4a88ee9de3ea3d1c9d6632507c1c56c2d8051ec163a0a7",
+        "d9d07fac5a3e43e8e02e1af380c4e0bac8a3c16211263f71f04b26c083b52258"),
+    "simplex-faces-q2-n4-k2": (
+        "fc30f499cb0e1cc2d976a1466a37fecdd4c3bb1cbcd777809330a9f9bacf073b",
+        "e08fca3e334251f44f2ed2480881ef3654aecb3729cfe41b4ae8e1e26a4e9154",
+        "57a029dde6ac1c825a3e30ba240082b8fe5efa5f51359c9e53989f106ee39479"),
+    "simplex-faces-q4-n5-k3": (
+        "09acf1053b411e3b17766034f547a87bb0f7c61e9e711dda535cc4b53c56cfe0",
+        "a7c9e7486b88181c0fe4975a7a84e09104834e7fb90b33e4befa5122b47ebabd",
+        "7841e079051b1a29b6820cda2b5b89f7a1f58989a0612bd554dedd2219d17ded"),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _twist(path, field: GF):
+    doc = json.loads(path.read_text())
+    for entry in doc["map"]:
+        entry["subspace"] = [[field.frobenius(x, 1) for x in row]
+                             for row in entry["subspace"]]
+    path.write_text(json.dumps(doc))
+
+
+def cli_digests(name: str, workdir) -> tuple[str, str, str]:
+    """(build, classify, rigidity) digests for one request; asserts that
+    rigidity on the classification document matches rigidity on the
+    embedding byte for byte."""
+    argv, twist = REQUESTS[name]
+    argv = [str(a) for a in argv]
+    emb, cls, rig, rig_cls = (workdir / f"{name}.{s}.json"
+                              for s in ("build", "cls", "rig", "rig-cls"))
+    assert main(["build", *argv, "--output", str(emb)]) == 0
+    build_digest = _sha256(emb)
+    if twist:
+        p, e = int(argv[argv.index("--p") + 1]), int(argv[argv.index("--e") + 1])
+        _twist(emb, GF.get(p, e))
+    assert main(["classify", "--input", str(emb), "--output", str(cls)]) == 0
+    assert main(["rigidity", "--input", str(emb), "--dump-certificates",
+                 "--output", str(rig)]) == 0
+    assert main(["rigidity", "--input", str(cls), "--dump-certificates",
+                 "--output", str(rig_cls)]) == 0
+    assert rig.read_bytes() == rig_cls.read_bytes()
+    return build_digest, _sha256(cls), _sha256(rig)
+
+
+@pytest.mark.parametrize("name", sorted(REQUESTS))
+def test_cli_output_is_pinned(name, tmp_path):
+    assert cli_digests(name, tmp_path) == DIGESTS[name]
