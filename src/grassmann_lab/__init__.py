@@ -8,8 +8,8 @@ over GF(q) at desk scale.
 from .config import Caps, caps, caps_from_env, set_caps
 from .embeddings import (Classification, EmbeddingInstance, IsometryDefect,
                          build_dual_construction, build_sum_construction, classify,
-                         clique_independence, clique_types, descend, rebuild,
-                         verify_assignment, verify_isometric)
+                         clique_independence, clique_types, rebuild, verify_assignment,
+                         verify_isometric)
 from .errors import (BudgetExhaustedError, CapExceededError, ClassificationError,
                      GrassmannLabError, InternalInvariantError, NotIsometricError,
                      SchemaError, ValidationError)

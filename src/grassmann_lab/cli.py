@@ -41,10 +41,6 @@ def _field(args) -> GF:
     return GF.get(args.p, args.e)
 
 
-def _basis_line(field: GF, n: int, i: int) -> Subspace:
-    return Subspace.line(field, tuple(1 if j == i else 0 for j in range(n)))
-
-
 def _span_of_first(field: GF, n: int, count: int) -> Subspace:
     return Subspace.from_rows(field, n, identity(n)[:count])
 
@@ -76,22 +72,17 @@ def _load_pointset_rows(path: str, field: GF, dim: int):
 def cmd_build(args) -> int:
     field = _field(args)
     n, k = args.n, args.k
-    if args.kind == "apartment":
-        frame = [_basis_line(field, n, i) for i in range(n)]
-        if 2 * k <= n:
-            inst = build_sum_construction(Subspace.zero(field, n), frame, k)
+    if args.kind in ("apartment", "simplex-faces"):
+        # presets choose the points; sum over them, or meet their annihilators
+        if args.kind == "apartment":
+            points = [Subspace.line(field, row) for row in identity(n)]
         else:
-            hyperplanes = [annihilator(p) for p in frame]
-            inst = build_dual_construction(Subspace.full(field, n), hyperplanes, k)
-    elif args.kind == "simplex-faces":
+            points = list(canonical_simplex(field, n, n).points)
         if 2 * k <= n:
-            pts = canonical_simplex(field, n, n).points
-            gens = [Subspace(field, n, p.rows) for p in pts]
-            inst = build_sum_construction(Subspace.zero(field, n), gens, k)
+            inst = build_sum_construction(Subspace.zero(field, n), points, k)
         else:
-            pts = canonical_simplex(field, n, n).points
-            hyperplanes = [annihilator(Subspace(field, n, p.rows)) for p in pts]
-            inst = build_dual_construction(Subspace.full(field, n), hyperplanes, k)
+            inst = build_dual_construction(Subspace.full(field, n),
+                                           [annihilator(p) for p in points], k)
     elif args.kind == "sum":
         m = args.m if args.m is not None else k
         if not 1 < m <= k:

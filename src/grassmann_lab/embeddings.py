@@ -6,8 +6,16 @@ Two constructions generate every image: sums of m-element subsets of a
 annihilator-dual intersections of (k+m-1)-spaces under a fixed
 (k+m)-space.  The classifier inverts either construction by descending
 through the star cliques of the image, recovers the generating family,
-and certifies the answer by rebuilding the image through the public
-constructor and comparing sets exactly.
+and certifies the answer by rebuilding the image from it and comparing
+sets exactly.
+
+The pairwise isometry check (verify_assignment) runs once per trust
+boundary: on a labeled input to classify or clique_types, on the labeled
+map rebuilt for a bare input to classify, and on the output of
+build_sum_construction.  Annihilation maps the Grassmann graph of
+k-spaces onto that of (n-k)-spaces preserving every distance, so the dual
+construction and the top-type classification, both carried across by
+annihilators, are not checked again.
 """
 
 from __future__ import annotations
@@ -101,6 +109,19 @@ def verify_isometric(inst: EmbeddingInstance) -> IsometryDefect | None:
     return verify_assignment(inst.m, inst.assignment)
 
 
+def _require_isometric(m: int, assignment: dict[int, Subspace]):
+    defect = verify_assignment(m, assignment)
+    if defect is not None:
+        raise NotIsometricError(defect)
+
+
+def _subset_sums(generators, m: int) -> dict[int, Subspace]:
+    """Map each m-subset of the generators, as a Johnson vertex, to its sum."""
+    field, n = generators[0].field, generators[0].ambient_dim
+    return {vertex_from_indices(combo): sum_many(field, n, (generators[i] for i in combo))
+            for combo in itertools.combinations(range(len(generators)), m)}
+
+
 def _quotient_point_set(m_space: Subspace, generators) -> PointSet:
     F = m_space.field
     dim = m_space.ambient_dim - m_space.dim
@@ -120,7 +141,6 @@ def build_sum_construction(m_space: Subspace, generators, k: int) -> EmbeddingIn
     quotient are 2m-independent, with m = k - dim(m_space) > 1 and
     m + k <= n.  The result is isometry-verified before it is returned.
     """
-    F = m_space.field
     n = m_space.ambient_dim
     m = k - m_space.dim
     generators = tuple(generators)
@@ -142,14 +162,8 @@ def build_sum_construction(m_space: Subspace, generators, k: int) -> EmbeddingIn
         raise ValidationError(
             f"generators are not {need}-independent over the base; "
             f"dependent subset at indices {witness}")
-    assignment = {}
-    for combo in itertools.combinations(range(l), m):
-        rows = tuple(itertools.chain.from_iterable(generators[i].rows for i in combo))
-        assignment[vertex_from_indices(combo)] = Subspace.from_rows(F, n, rows)
-    inst = EmbeddingInstance(l, m, assignment)
-    defect = verify_isometric(inst)
-    if defect is not None:
-        raise NotIsometricError(defect)
+    inst = EmbeddingInstance(l, m, _subset_sums(generators, m))
+    _require_isometric(m, inst.assignment)
     return inst
 
 
@@ -159,9 +173,9 @@ def build_dual_construction(n_space: Subspace, generators, k: int) -> EmbeddingI
     generators must be hyperplanes of n_space (dimension k+m-1) forming a
     2m-independent family of the dual space of n_space, with
     m = dim(n_space) - k satisfying 1 < m <= k.  Computed by annihilator
-    transport of the sum construction, then isometry-verified.
+    transport of the sum construction, whose isometry check covers the
+    result: annihilation preserves every distance.
     """
-    F = n_space.field
     n = n_space.ambient_dim
     m = n_space.dim - k
     generators = tuple(generators)
@@ -175,15 +189,11 @@ def build_dual_construction(n_space: Subspace, generators, k: int) -> EmbeddingI
     dual_base = annihilator(n_space)
     dual_generators = tuple(annihilator(g) for g in generators)
     primal = build_sum_construction(dual_base, dual_generators, n - k)
-    assignment = {v: annihilator(s) for v, s in primal.assignment.items()}
-    inst = EmbeddingInstance(primal.l, m, assignment)
-    defect = verify_isometric(inst)
-    if defect is not None:
-        raise NotIsometricError(defect)
-    return inst
+    return EmbeddingInstance(primal.l, m,
+                             {v: annihilator(s) for v, s in primal.assignment.items()})
 
 
-# clique typing and descent ---------------------------------------------
+# clique typing ---------------------------------------------------------
 
 
 def _type_clique(members) -> CliqueKind:
@@ -203,10 +213,12 @@ def clique_types(inst: EmbeddingInstance) -> tuple[dict[frozenset[Subspace], Cli
     The instance is verified and complement-normalized first; requires
     1 < m < l-1 so that both clique families have at least three members.
     """
-    defect = verify_isometric(inst)
-    if defect is not None:
-        raise NotIsometricError(defect)
-    inst = inst.normalized()
+    _require_isometric(inst.m, inst.assignment)
+    return _clique_types(inst.normalized())
+
+
+def _clique_types(inst: EmbeddingInstance) -> tuple[dict[frozenset[Subspace], CliqueKind], str]:
+    """clique_types on an instance already verified and normalized."""
     l, m = inst.l, inst.m
     if not 1 < m < l - 1:
         raise ValidationError(f"clique typing needs 1 < m < l-1, got l={l}, m={m}")
@@ -230,30 +242,6 @@ def clique_types(inst: EmbeddingInstance) -> tuple[dict[frozenset[Subspace], Cli
     if len(star_kinds) != 1 or len(top_kinds) != 1 or star_kinds == top_kinds:
         raise ClassificationError("inconsistent clique typing across the image")
     return assignment, ("A" if star_kinds == {"star"} else "B")
-
-
-def descend(inst: EmbeddingInstance) -> EmbeddingInstance:
-    """One descent step: send each (m-1)-subset to the common intersection
-    of its star's images, yielding an isometric embedding of J(l, m-1)
-    one Grassmann level down.  Requires case A at the current level."""
-    l, m, k = inst.l, inst.m, inst.k
-    if m < 2:
-        raise ValidationError("cannot descend below m = 1")
-    assignment = {}
-    for core in itertools.combinations(range(l), m - 1):
-        rest = [i for i in range(l) if i not in core]
-        members = [inst.assignment[vertex_from_indices(core + (i,))] for i in rest]
-        meet = intersect_many(inst.field, inst.n, members)
-        if meet.dim != k - 1:
-            raise ClassificationError(
-                f"star over {core} does not share a (k-1)-space; "
-                "descent requires case A and an isometric input")
-        assignment[vertex_from_indices(core)] = meet
-    out = EmbeddingInstance(l, m - 1, assignment)
-    defect = verify_isometric(out)
-    if defect is not None:
-        raise NotIsometricError(defect)
-    return out
 
 
 # classification ---------------------------------------------------------
@@ -302,15 +290,17 @@ class Classification:
                         points.points)
 
 
-def rebuild(cls: Classification) -> frozenset[Subspace]:
-    """Reconstruct the image from the recovered generators."""
+def rebuild(cls: Classification) -> dict[int, Subspace]:
+    """Reconstruct the labeled map from the recovered generators: each
+    m-subset goes to the sum of its star points or, on a top-type
+    classification, to the meet of its top points (the annihilator of the
+    sum of their annihilators).  Its values are exactly cls.image; the map
+    is not re-verified, since classify already checked it or its input.
+    """
     if cls.star_points is not None:
-        return frozenset(
-            sum_many(cls.field, cls.n, (cls.star_points[i] for i in combo))
-            for combo in itertools.combinations(range(cls.l), cls.m))
-    return frozenset(
-        intersect_many(cls.field, cls.n, (cls.top_points[i] for i in combo))
-        for combo in itertools.combinations(range(cls.l), cls.m))
+        return _subset_sums(cls.star_points, cls.m)
+    sums = _subset_sums(tuple(annihilator(t) for t in cls.top_points), cls.m)
+    return {v: annihilator(s) for v, s in sums.items()}
 
 
 def _check_classification_params(l: int, m: int, k: int, n: int):
@@ -330,17 +320,17 @@ def classify(obj) -> Classification:
     """Classify an embedding instance or a bare image set.
 
     Labeled instances are isometry-verified and complement-normalized
-    first.  Bare sets get their Johnson parameters inferred from the
-    maximal-clique structure of the induced graph.  Either way the
-    returned description is certified by an exact rebuild of the image.
+    first; that is their only isometry check.  Bare sets get their Johnson
+    parameters inferred from the maximal-clique structure of the induced
+    graph, and the labeled map rebuilt from the recovered generators is
+    checked instead.  Either way the returned description is certified by
+    an exact rebuild of the image.
     """
     if isinstance(obj, EmbeddingInstance):
-        defect = verify_isometric(obj)
-        if defect is not None:
-            raise NotIsometricError(defect)
+        _require_isometric(obj.m, obj.assignment)
         norm = obj.normalized()
         _check_classification_params(norm.l, norm.m, norm.k, norm.n)
-        _, case = clique_types(norm)
+        _, case = _clique_types(norm)
         if case == "A":
             ordered = _labeled_generators_primal(norm)
             return _assemble_primal(norm.image, ordered, norm.l, norm.m, norm.k)
@@ -453,7 +443,9 @@ def _classify_bare(image: frozenset[Subspace], field: GF, n: int, k: int) -> Cla
         return _transport_to_top(dual_cls)
 
     generators = _descend_bare(image, field, n, k, l, m, typed)
-    return _assemble_primal(image, generators, l, m, k)
+    cls = _assemble_primal(image, generators, l, m, k)
+    _require_isometric(m, rebuild(cls))
+    return cls
 
 
 def _descend_bare(image, field, n, k, l, m, typed_cliques) -> tuple[Subspace, ...]:
@@ -496,19 +488,16 @@ def _assemble_primal(image, generators: tuple[Subspace, ...], l: int, m: int,
         raise ClassificationError(
             f"span of generators has dimension {n_space.dim}, "
             f"outside [{k + m}, {k - m + l}]")
-    verified = build_sum_construction(m_space, generators, k)
-    if verified.image != frozenset(image):
+    trace = tuple(frozenset(_subset_sums(generators, level).values())
+                  for level in range(1, m + 1))
+    if trace[-1] != image:
         raise ClassificationError("rebuilt image differs from the input image")
-    trace = tuple(
-        frozenset(sum_many(field, n, (generators[i] for i in combo))
-                  for combo in itertools.combinations(range(l), level))
-        for level in range(1, m + 1))
     if l == 2 * m:
         if n_space.dim != k + m:
             raise InternalInvariantError("apartment span has the wrong dimension")
-        top_points = tuple(
-            sum_many(field, n, (generators[i] for i in range(l) if i != j))
-            for j in range(l))
+        cofaces = _subset_sums(generators, l - 1)
+        full_set = (1 << l) - 1
+        top_points = tuple(cofaces[full_set ^ (1 << j)] for j in range(l))
         case = "parabolic-apartment"
     else:
         top_points = None
@@ -520,17 +509,16 @@ def _assemble_primal(image, generators: tuple[Subspace, ...], l: int, m: int,
 
 def _transport_to_top(dual_cls: Classification) -> Classification:
     """Carry a star-type description of the annihilated image back to the
-    primal side, where it becomes a top-type description."""
+    primal side, where it becomes a top-type description.  The annihilator
+    is an exact involution, so the certified dual rebuild certifies this
+    one too."""
     field, n = dual_cls.field, dual_cls.n
     k = n - dual_cls.k
     l, m = dual_cls.l, dual_cls.m
     n_space = annihilator(dual_cls.m_space)
     m_space = annihilator(dual_cls.n_space)
     top_points = tuple(annihilator(t) for t in dual_cls.star_points)
-    verified = build_dual_construction(n_space, top_points, k)
     image = frozenset(annihilator(s) for s in dual_cls.image)
-    if verified.image != image:
-        raise ClassificationError("rebuilt dual image differs from the input image")
     star_points = (tuple(annihilator(t) for t in dual_cls.top_points)
                    if dual_cls.top_points is not None else None)
     trace = tuple(frozenset(annihilator(s) for s in level)

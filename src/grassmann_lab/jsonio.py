@@ -1,10 +1,11 @@
 """Versioned JSON schemas for every value that crosses the CLI boundary.
 
-All documents carry schema_version 1.  Field elements serialize as their
-int encodings (base-p digits of the polynomial residue).  Deserializers
-validate eagerly and name the offending field in their errors; derived
-data (classifications) is never trusted from a file but reconstructed
-through the verifying constructors.
+All documents carry schema_version 1; embedding, classification and
+point-set documents are refused without it.  Field elements serialize as
+their int encodings (base-p digits of the polynomial residue).
+Deserializers validate eagerly and name the offending field in their
+errors; derived data (classifications) is never trusted from a file but
+reconstructed through the verifying constructors.
 """
 
 from __future__ import annotations
@@ -33,11 +34,20 @@ def _need(obj: dict, key: str, context: str) -> Any:
     return obj[key]
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int_field(obj: dict, key: str, context: str) -> int:
     value = _need(obj, key, context)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise SchemaError(f"{context}: field {key!r} must be an integer")
     return value
+
+
+def _check_schema_version(obj: dict, context: str):
+    if _int_field(obj, "schema_version", context) != SCHEMA_VERSION:
+        raise SchemaError(f"{context}: unsupported schema_version, expected {SCHEMA_VERSION}")
 
 
 def _field_from_json(obj: dict, context: str) -> GF:
@@ -51,11 +61,17 @@ def _rows_from_json(rows, context: str) -> tuple[tuple[int, ...], ...]:
         raise SchemaError(f"{context}: expected a list of rows")
     out = []
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in row):
+        if not isinstance(row, list) or not all(_is_int(x) for x in row):
             raise SchemaError(f"{context}[{i}]: rows must be lists of integers")
         out.append(tuple(row))
     return tuple(out)
+
+
+def _subspaces_from_json(raw, field: GF, n: int, context: str) -> list[Subspace]:
+    if not isinstance(raw, list):
+        raise SchemaError(f"{context}: expected a list of subspaces")
+    return [Subspace.from_rows(field, n, _rows_from_json(rows, f"{context}[{i}]"))
+            for i, rows in enumerate(raw)]
 
 
 # subspaces ---------------------------------------------------------------
@@ -85,6 +101,7 @@ def pointset_to_json(ps: PointSet) -> dict:
 
 
 def pointset_from_json(obj: dict) -> PointSet:
+    _check_schema_version(obj, "pointset")
     amb = _need(obj, "ambient", "pointset")
     kind = _need(amb, "kind", "pointset.ambient")
     if kind not in ("primal", "dual"):
@@ -119,6 +136,7 @@ def embedding_to_json(inst: EmbeddingInstance) -> dict:
 
 
 def embedding_from_json(obj: dict) -> EmbeddingInstance:
+    _check_schema_version(obj, "embedding")
     params = _need(obj, "params", "embedding")
     l = _int_field(params, "l", "embedding.params")
     m = _int_field(params, "m", "embedding.params")
@@ -132,7 +150,7 @@ def embedding_from_json(obj: dict) -> EmbeddingInstance:
     for i, entry in enumerate(raw_map):
         vertex_list = _need(entry, "vertex", f"embedding.map[{i}]")
         if (not isinstance(vertex_list, list)
-                or not all(isinstance(x, int) and 0 <= x < l for x in vertex_list)):
+                or not all(_is_int(x) and 0 <= x < l for x in vertex_list)):
             raise SchemaError(f"embedding.map[{i}].vertex: expected indices in [0, {l})")
         if len(set(vertex_list)) != m:
             raise SchemaError(f"embedding.map[{i}].vertex: expected {m} distinct indices")
@@ -171,6 +189,7 @@ def classification_from_json(obj: dict) -> Classification:
     re-classified, so corrupt or inconsistent files are rejected rather
     than trusted.
     """
+    _check_schema_version(obj, "classification")
     params = _need(obj, "params", "classification")
     n = _int_field(params, "n", "classification.params")
     k = _int_field(params, "k", "classification.params")
@@ -181,15 +200,13 @@ def classification_from_json(obj: dict) -> Classification:
         m_rows = _rows_from_json(_need(obj, "m_space", "classification"),
                                  "classification.m_space")
         base = Subspace.from_rows(field, n, m_rows)
-        gens = [Subspace.from_rows(field, n, _rows_from_json(rows, "classification.star_points"))
-                for rows in star_raw]
+        gens = _subspaces_from_json(star_raw, field, n, "classification.star_points")
         inst = build_sum_construction(base, gens, k)
     elif top_raw is not None:
         n_rows = _rows_from_json(_need(obj, "n_space", "classification"),
                                  "classification.n_space")
         cover = Subspace.from_rows(field, n, n_rows)
-        gens = [Subspace.from_rows(field, n, _rows_from_json(rows, "classification.top_points"))
-                for rows in top_raw]
+        gens = _subspaces_from_json(top_raw, field, n, "classification.top_points")
         inst = build_dual_construction(cover, gens, k)
     else:
         raise SchemaError("classification: needs star_points or top_points")
@@ -258,11 +275,19 @@ def index_table_to_json(spec) -> dict:
 
 
 def load_json(path: str) -> dict:
+    """Read a JSON document whose top-level value is an object."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except json.JSONDecodeError as exc:
+            obj = json.load(handle)
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read ({exc.strerror})") from exc
+    except ValueError as exc:  # malformed JSON or undecodable bytes
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: JSON nested too deeply") from exc
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{path}: expected a JSON object at the top level")
+    return obj
 
 
 def dump_json(obj: dict, path: str | None) -> str:

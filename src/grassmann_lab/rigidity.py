@@ -19,15 +19,14 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .embeddings import Classification, classify
+from .embeddings import Classification, classify, rebuild
 from .errors import InternalInvariantError, ValidationError
 from .fields import GF
-from .independence import Ambient, PointSet, is_independent, simplex_rank
-from .johnson import JohnsonAut, johnson_aut_group, vertex_from_indices
+from .independence import PointSet, is_independent, simplex_rank
+from .johnson import JohnsonAut, johnson_aut_group
 from .linalg import frobenius_vec
 from .subspaces import (SemilinearMap, Subspace, annihilator, complement_columns,
-                        contragredient, coords_in, intersect_many, lift_vector,
-                        quotient_coords, sum_many)
+                        contragredient, coords_in, lift_vector, sum_many)
 
 EXHAUSTIVE_CAP = 1 << 20
 UNIT_SAMPLES = 4096
@@ -246,20 +245,8 @@ def induced_by_semilinear(points, perm, seed: int = 0
 # embedding-level extension -------------------------------------------------
 
 
-def _canonical_assignment(cls: Classification) -> dict[int, Subspace]:
-    if cls.star_points is not None:
-        return {
-            vertex_from_indices(combo): sum_many(cls.field, cls.n,
-                                                 (cls.star_points[i] for i in combo))
-            for combo in itertools.combinations(range(cls.l), cls.m)}
-    return {
-        vertex_from_indices(combo): intersect_many(cls.field, cls.n,
-                                                   (cls.top_points[i] for i in combo))
-        for combo in itertools.combinations(range(cls.l), cls.m)}
-
-
 def _verify_on_image(cls: Classification, aut: JohnsonAut, action) -> tuple[tuple[int, bool], ...]:
-    assignment = _canonical_assignment(cls)
+    assignment = rebuild(cls)
     certificate = []
     for vertex, space in assignment.items():
         ok = action(space) == assignment[aut.apply(vertex)]
@@ -310,16 +297,10 @@ def extend_automorphism(subject, aut: JohnsonAut, seed: int = 0
         return ExtensionWitness("semilinear", full, certificate)
 
     # top type: solve on the annihilator side, pull back contragrediently
-    dual_base = annihilator(cls.n_space)
-    dual_points = [annihilator(y) for y in cls.top_points]
-    qpoints = [Subspace(cls.field, cls.n - dual_base.dim, quotient_coords(dual_base, p))
-               for p in dual_points]
-    outcome = induced_by_semilinear(
-        PointSet(Ambient("dual", cls.field, cls.n - dual_base.dim), tuple(qpoints)),
-        aut.perm, seed)
+    outcome = induced_by_semilinear(cls.top_point_set(), aut.perm, seed)
     if not isinstance(outcome, ExtensionWitness):
         return outcome
-    dual_full = extend_from_quotient(dual_base, outcome.map)
+    dual_full = extend_from_quotient(annihilator(cls.n_space), outcome.map)
     primal = contragredient(dual_full)
     certificate = _verify_on_image(cls, aut, primal.apply)
     return ExtensionWitness("semilinear", primal, certificate)

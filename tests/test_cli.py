@@ -5,6 +5,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import grassmann_lab
 from grassmann_lab.cli import main
 
@@ -208,3 +210,53 @@ def test_caps_env_variable(tmp_path, capsys, monkeypatch):
         assert code == 0
     finally:
         set_caps(q_max=16)
+
+
+def _malformed(tmp_path, case):
+    """Write one malformed input document; returns the subcommand to run."""
+    path = tmp_path / "input.json"
+    if case == "missing-file":
+        return ["classify", "--input", path]
+    if case == "top-level-number":
+        path.write_text("5")
+        return ["classify", "--input", path]
+    if case == "deeply-nested":
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        return ["classify", "--input", path]
+    if case == "pointset-version":
+        path.write_text(json.dumps(
+            {"schema_version": 99, "ambient": {"kind": "primal", "dim": 4, "p": 2, "e": 1},
+             "points": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                        [1, 1, 1, 1]]}))
+        return ["build", "sum", "--n", 4, "--k", 2, "--p", 2, "--points", path]
+    emb = tmp_path / "emb.json"
+    assert run(["build", "apartment", "--n", 4, "--k", 2, "--p", 2, "--output", emb]) == 0
+    doc = json.loads(emb.read_text())
+    if case == "vertex-true":
+        entry = next(e for e in doc["map"] if e["vertex"][0] == 1)
+        entry["vertex"][0] = True
+    elif case == "embedding-version":
+        doc["schema_version"] = 99
+    else:
+        cls_path = tmp_path / "cls.json"
+        assert run(["classify", "--input", emb, "--output", cls_path]) == 0
+        doc = json.loads(cls_path.read_text())
+        if case == "star-points-number":
+            doc["star_points"] = 5
+        else:
+            doc["schema_version"] = 99
+    path.write_text(json.dumps(doc))
+    return ["rigidity" if case.startswith("classification") else "classify", "--input", path]
+
+
+@pytest.mark.parametrize("case", ["missing-file", "top-level-number", "deeply-nested",
+                                  "star-points-number", "vertex-true", "embedding-version",
+                                  "classification-version", "pointset-version"])
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
+    argv = _malformed(tmp_path, case)
+    capsys.readouterr()
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -2,16 +2,18 @@ import itertools
 
 import pytest
 
+from grassmann_lab import embeddings, jsonio
 from grassmann_lab.embeddings import (EmbeddingInstance, build_dual_construction,
                                       build_sum_construction, classify,
-                                      clique_independence, clique_types, descend,
-                                      rebuild, verify_isometric)
+                                      clique_independence, clique_types, rebuild,
+                                      verify_isometric)
 from grassmann_lab.errors import (ClassificationError, NotIsometricError,
                                   ValidationError)
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import apartment_from_frame, star
 from grassmann_lab.independence import canonical_simplex
 from grassmann_lab.johnson import vertex_from_indices
+from grassmann_lab.rigidity import is_rigid
 from grassmann_lab.subspaces import (Subspace, annihilator, intersect_many,
                                      sum_many)
 
@@ -162,38 +164,12 @@ def test_clique_types_apartment_and_dual():
     assert len(star_cliques) == 5 and all(len(c) == 4 for c in star_cliques)
 
 
-def test_descend_apartment_recovers_frame():
-    inst = apartment_instance(F2, 4, 2)
-    down = descend(inst)
-    assert down.m == 1 and down.k == 1
-    assert down.image == frozenset(basis_lines(F2, 4))
-    assert verify_isometric(down) is None
-
-
-def test_descend_simplex_recovers_generators():
-    gens = simplex_lines(F2, 4)
-    inst = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
-    down = descend(inst)
-    assert down.image == frozenset(gens)
-    # ground labels survive: T_j = f_1({j})
-    for j in range(5):
-        assert down.assignment[1 << j] == gens[j]
-
-
-def test_descend_requires_star_side():
-    inst = apartment_instance(F2, 4, 2)
-    dual = EmbeddingInstance(4, 2, {v: annihilator(s)
-                                    for v, s in inst.assignment.items()})
-    with pytest.raises(ClassificationError):
-        descend(dual)
-
-
 def test_classify_apartment_full():
     cls = classify(apartment_instance(F2, 4, 2))
     assert cls.case == "parabolic-apartment"
     assert cls.is_full_apartment
     assert cls.m_space.dim == 0 and cls.n_space.dim == 4
-    assert rebuild(cls) == apartment_from_frame(basis_lines(F2, 4), 2)
+    assert frozenset(rebuild(cls).values()) == apartment_from_frame(basis_lines(F2, 4), 2)
     assert len(cls.descent_trace) == 2
     assert cls.descent_trace[0] == frozenset(basis_lines(F2, 4))
     assert cls.descent_trace[-1] == cls.image
@@ -205,9 +181,9 @@ def test_classify_star_type_round_trip():
     cls = classify(inst)
     assert cls.case == "star" and not cls.is_full_apartment
     assert frozenset(cls.star_points) == frozenset(gens)
-    assert rebuild(cls) == inst.image
-    # labeled recovery keeps ground order
+    # labeled recovery keeps ground order, so the rebuild keeps the labels
     assert list(cls.star_points) == gens
+    assert rebuild(cls) == inst.assignment
 
 
 def test_classify_dual_commutes_with_annihilator():
@@ -220,7 +196,7 @@ def test_classify_dual_commutes_with_annihilator():
     assert dual_cls.n_space == annihilator(cls.m_space)
     assert frozenset(dual_cls.top_points) == frozenset(annihilator(t)
                                                        for t in cls.star_points)
-    assert rebuild(dual_cls) == dual_image
+    assert frozenset(rebuild(dual_cls).values()) == dual_image
 
 
 def test_classify_bare_set_inference():
@@ -229,7 +205,7 @@ def test_classify_bare_set_inference():
     cls = classify(inst.image)
     assert (cls.l, cls.m) == (5, 2)
     assert cls.case == "star"
-    assert rebuild(cls) == inst.image
+    assert frozenset(rebuild(cls).values()) == inst.image
 
 
 def test_classify_normalizes_large_m():
@@ -244,7 +220,7 @@ def test_classify_normalizes_large_m():
     assert verify_isometric(big_m) is None
     cls = classify(big_m)
     assert cls.m == 2 and cls.l == 5
-    assert rebuild(cls) == inst.image
+    assert frozenset(rebuild(cls).values()) == inst.image
 
 
 def test_classify_rejects_non_isometric():
@@ -338,3 +314,46 @@ def test_classify_copes_with_gf3_and_gf4():
         assert cls.case == "parabolic-apartment" and cls.is_full_apartment
         bare = classify(inst.image)
         assert bare.case == "parabolic-apartment"
+
+
+def _count_requests():
+    """Each request with the number of pairwise isometry passes it makes:
+    one per trust boundary, two for rigidity on a stored classification
+    (the constructor's output, then classify's labeled input)."""
+    gens = simplex_lines(F2, 4)
+    hyperplanes = [annihilator(g) for g in gens]
+    star = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
+    top = build_dual_construction(Subspace.full(F2, 4), hyperplanes, 2)
+    docs = {inst: jsonio.classification_to_json(classify(inst)) for inst in (star, top)}
+    return {
+        "build sum": (lambda: build_sum_construction(Subspace.zero(F2, 4), gens, 2), 1),
+        "build dual": (lambda: build_dual_construction(Subspace.full(F2, 4), hyperplanes, 2), 1),
+        "classify labeled star": (lambda: classify(star), 1),
+        "classify labeled top": (lambda: classify(top), 1),
+        "classify bare star": (lambda: classify(star.image), 1),
+        "classify bare top": (lambda: classify(top.image), 1),
+        "rigidity embedding star": (lambda: is_rigid(star), 1),
+        "rigidity embedding top": (lambda: is_rigid(top), 1),
+        "rigidity document star": (
+            lambda: is_rigid(jsonio.classification_from_json(docs[star])), 2),
+        "rigidity document top": (
+            lambda: is_rigid(jsonio.classification_from_json(docs[top])), 2),
+    }
+
+
+def test_isometry_passes_per_request(monkeypatch):
+    requests = _count_requests()
+    real = embeddings.verify_assignment
+    calls = []
+
+    def counting(m, assignment):
+        calls.append(m)
+        return real(m, assignment)
+
+    monkeypatch.setattr(embeddings, "verify_assignment", counting)
+    counts = {}
+    for name, (request, _) in requests.items():
+        calls.clear()
+        request()
+        counts[name] = len(calls)
+    assert counts == {name: passes for name, (_, passes) in requests.items()}
