@@ -165,3 +165,25 @@ def test_pointset_from_subspaces_in_dual_kind():
     assert ps.ambient.kind == "dual"
     with pytest.raises(ValidationError):
         Ambient("sideways", F2, 3)
+
+
+# (p, e, dim, m, size, budget) -> (status, nodes, found point reps); the
+# node count is part of the search's behaviour, so it is pinned exactly
+SEARCH_PINS = [
+    ((2, 1, 3, 3, 5, 10**6), ("infeasible", 97, None)),
+    ((2, 1, 4, 4, 7, 10**6), ("infeasible", 4034, None)),
+    ((3, 1, 3, 3, 5, 10**6), ("infeasible", 1424, None)),
+    ((2, 2, 3, 3, 7, 10**6), ("infeasible", 18953, None)),
+    ((2, 2, 3, 3, 6, 10**6),
+     ("found", 20, [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (0, 1, 2), (0, 1, 3)])),
+    ((3, 1, 4, 4, 6, 1000), ("unknown", 1001, None)),
+    ((2, 1, 4, 4, 5, 3), ("unknown", 4, None)),
+]
+
+
+@pytest.mark.parametrize("case,expected", SEARCH_PINS, ids=[str(c) for c, _ in SEARCH_PINS])
+def test_search_status_nodes_and_points_are_pinned(case, expected):
+    p, e, d, m, size, budget = case
+    result = search_m_independent(Ambient("primal", GF.get(p, e), d), m, size, budget)
+    reps = None if result.points is None else list(result.points.representatives())
+    assert (result.status, result.nodes, reps) == expected
