@@ -20,6 +20,7 @@ annihilators, are not checked again.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -289,6 +290,14 @@ class Classification:
         return PointSet(Ambient("dual", points.ambient.field, points.ambient.dim),
                         points.points)
 
+    @functools.cached_property
+    def _labeled_map(self) -> dict[int, Subspace]:
+        """The map :func:`rebuild` returns, computed on first use."""
+        if self.star_points is not None:
+            return _subset_sums(self.star_points, self.m)
+        sums = _subset_sums(tuple(annihilator(t) for t in self.top_points), self.m)
+        return {v: annihilator(s) for v, s in sums.items()}
+
 
 def rebuild(cls: Classification) -> dict[int, Subspace]:
     """Reconstruct the labeled map from the recovered generators: each
@@ -296,11 +305,9 @@ def rebuild(cls: Classification) -> dict[int, Subspace]:
     classification, to the meet of its top points (the annihilator of the
     sum of their annihilators).  Its values are exactly cls.image; the map
     is not re-verified, since classify already checked it or its input.
+    It is computed once per classification and memoized on it.
     """
-    if cls.star_points is not None:
-        return _subset_sums(cls.star_points, cls.m)
-    sums = _subset_sums(tuple(annihilator(t) for t in cls.top_points), cls.m)
-    return {v: annihilator(s) for v, s in sums.items()}
+    return dict(cls._labeled_map)
 
 
 def _check_classification_params(l: int, m: int, k: int, n: int):

@@ -71,6 +71,34 @@ def pg_points(field: GF, dim: int) -> list[Subspace]:
     return points
 
 
+_lead_ones: dict[tuple[GF, int], tuple[tuple[linalg.Vector, ...], dict]] = {}
+
+
+def _lead_one_vectors(field: GF, dim: int) -> tuple[tuple[linalg.Vector, ...], dict]:
+    """The vectors of F_q^dim whose first nonzero entry is 1, in
+    :func:`pg_points` order, and the inverse map vector -> position;
+    memoized per (field, dim)."""
+    key = (field, dim)
+    if key not in _lead_ones:
+        vectors = tuple(p.rows[0] for p in pg_points(field, dim))
+        _lead_ones[key] = vectors, {v: b for b, v in enumerate(vectors)}
+    return _lead_ones[key]
+
+
+def point_mask(s: Subspace) -> int:
+    """The projective points of s as an int with one bit per point of
+    F_q^n, numbered in :func:`pg_points` order.
+
+    A coefficient vector c whose first nonzero entry is 1 gives the span
+    vector c·rows whose first nonzero entry is 1 too, because the rows are
+    in RREF; so each point is built once, already normalized.
+    """
+    F = s.field
+    coeffs = _lead_one_vectors(F, s.dim)[0]
+    bit = _lead_one_vectors(F, s.ambient_dim)[1]
+    return sum(1 << bit[linalg.vecmat(F, c, s.rows)] for c in coeffs)
+
+
 class GrassmannianSpec:
     """An enumerated Grassmannian with a dense, deterministic vertex index.
 
@@ -113,20 +141,6 @@ class GrassmannianSpec:
     def by_id(self, i: int) -> Subspace:
         return self.subspaces[i]
 
-    def _point_masks(self) -> list[int]:
-        """_point_masks()[i] has one bit set for each projective point of
-        vertex i, numbered in :func:`pg_points` order.
-
-        A coefficient vector c whose first nonzero entry is 1 gives the
-        span vector c·rows whose first nonzero entry is 1 too, because the
-        rows are in RREF; so each point is built once, already normalized.
-        """
-        F = self.field
-        bit = {p.rows[0]: b for b, p in enumerate(pg_points(F, self.n))}
-        coeffs = [p.rows[0] for p in pg_points(F, self.k)]
-        return [sum(1 << bit[linalg.vecmat(F, c, s.rows)] for c in coeffs)
-                for s in self.subspaces]
-
     def distance_matrix(self) -> list[bytes]:
         """Row i is a bytes object with the distance from vertex i to every
         vertex; computed once, by point incidence.
@@ -147,7 +161,7 @@ class GrassmannianSpec:
             lut = bytearray((q ** k - 1) // (q - 1) + 1)
             for d in range(k + 1):
                 lut[(q ** d - 1) // (q - 1)] = k - d
-            masks = self._point_masks()
+            masks = [point_mask(s) for s in self.subspaces]
             self._dist = [bytes([lut[(mi & mj).bit_count()] for mj in masks])
                           for mi in masks]
         return self._dist

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import ValidationError
 from .fields import GF
-from .grassmannian import pg_points
+from .grassmannian import pg_points, point_mask
 from .subspaces import Subspace
 
 
@@ -149,10 +149,11 @@ def search_m_independent(ambient: Ambient, m: int, target_size: int,
 
     Extends greedily by the next projective point avoiding every span of
     m-1 already-chosen points, backtracking when stuck.  The forbidden
-    point set is maintained incrementally per depth, so each candidate
-    test is a set lookup.  Exhausting the whole tree certifies
-    infeasibility; exhausting the node budget does not, and is reported
-    as "unknown".
+    points are kept per depth as a point bitset (bit i for the i-th point
+    of :func:`pg_points`, as in :func:`point_mask`), built incrementally
+    from memoized span masks, so each candidate test is one bit test.
+    Exhausting the whole tree certifies infeasibility; exhausting the node
+    budget does not, and is reported as "unknown".
     """
     if target_size < 1:
         raise ValidationError("target size must be positive")
@@ -160,54 +161,31 @@ def search_m_independent(ambient: Ambient, m: int, target_size: int,
         raise ValidationError("m must be positive")
     F, d = ambient.field, ambient.dim
     universe = pg_points(F, d)
-    reps = [p.rows[0] for p in universe]
-    index_of = {rep: i for i, rep in enumerate(reps)}
+    span_cache: dict[tuple[int, ...], int] = {}
 
-    def point_index(v) -> int:
-        lead = next(x for x in v if x)
-        if lead != 1:
-            inv = F.inv(lead)
-            v = tuple(F.mul(inv, x) for x in v)
-        return index_of[tuple(v)]
-
-    span_cache: dict[tuple[int, ...], frozenset[int]] = {}
-
-    def span_points(indices: tuple[int, ...]) -> frozenset[int]:
+    def span_points(indices: tuple[int, ...]) -> int:
         # memoized: the same index subsets recur all over the search tree
-        cached = span_cache.get(indices)
-        if cached is not None:
-            return cached
-        out = set()
-        rows = [reps[i] for i in indices]
-        for coeffs in itertools.product(F.elements(), repeat=len(rows)):
-            if not any(coeffs):
-                continue
-            v = [0] * d
-            for c, row in zip(coeffs, rows):
-                if c:
-                    for j, x in enumerate(row):
-                        if x:
-                            v[j] = F.add(v[j], F.mul(c, x))
-            out.add(point_index(v))
-        result = frozenset(out)
-        span_cache[indices] = result
-        return result
+        mask = span_cache.get(indices)
+        if mask is None:
+            rows = tuple(universe[i].rows[0] for i in indices)
+            mask = span_cache[indices] = point_mask(Subspace.from_rows(F, d, rows))
+        return mask
 
-    def forbidden_after(chosen: list[int], forbidden: set[int], cand: int) -> set[int]:
+    def forbidden_after(chosen: list[int], forbidden: int, cand: int) -> int:
         """Points unusable once cand joins chosen."""
         size = len(chosen) + 1
         if m == 1:
-            return forbidden | {cand}
+            return forbidden | 1 << cand
         if size <= m - 2:
-            return set(span_points(tuple(sorted(chosen + [cand]))))
-        extra: set[int] = set(forbidden)
+            return span_points(tuple(sorted(chosen + [cand])))
+        extra = forbidden
         for subset in itertools.combinations(chosen, m - 2):
             extra |= span_points(tuple(sorted(subset + (cand,))))
         return extra
 
     nodes = 0
     chosen: list[int] = []
-    forbidden_stack: list[set[int]] = [set()]
+    forbidden_stack: list[int] = [0]
     frontier = [0]
     while True:
         if len(chosen) == target_size:
@@ -220,7 +198,7 @@ def search_m_independent(ambient: Ambient, m: int, target_size: int,
             nodes += 1
             if nodes > budget:
                 return SearchResult("unknown", None, nodes)
-            if cand not in forbidden:
+            if not (forbidden >> cand) & 1:
                 frontier[-1] = cand + 1
                 forbidden_stack.append(forbidden_after(chosen, forbidden, cand))
                 chosen.append(cand)

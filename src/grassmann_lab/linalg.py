@@ -1,9 +1,13 @@
 """Dense exact linear algebra over a GF instance.
 
 Matrices are tuples of row tuples of int-encoded field elements; all
-functions are pure and return new tuples.  Reduced row echelon form is
-the canonical representative used for subspace identity throughout the
-package, so :func:`rref` must stay deterministic.
+functions are pure and return new tuples.  One routine, the forward
+elimination :func:`_forward`, does all row reduction for every q:
+:func:`rank` counts its pivots, and :func:`rref` (and through it
+:func:`nullspace`, :func:`inverse` and ``Subspace.from_rows``) adds
+back-substitution.  Reduced row echelon form is the canonical
+representative used for subspace identity throughout the package, so
+:func:`rref` must stay deterministic.
 """
 
 from __future__ import annotations
@@ -64,99 +68,65 @@ def matmul(F: GF, a: Matrix, b: Matrix) -> Matrix:
     return tuple(vecmat(F, row, b) for row in a)
 
 
+def _forward(F: GF, a: Matrix) -> tuple[list, list[int]]:
+    """Forward elimination, the one elimination loop of the package.
+
+    Returns the rows in echelon form, each pivot row scaled to lead with 1
+    and zero rows last, and the pivot columns.  Input rows are never
+    mutated: a changed row is a new list, an unchanged one is passed on.
+    """
+    add, mul, neg, inv = F._add, F._mul, F._neg, F._inv
+    rows = list(a)
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        prow = rows[i]
+        rows[i] = rows[r]
+        lead = prow[c]
+        if lead != 1:
+            scale = mul[inv[lead]]
+            prow = [scale[x] for x in prow]
+        rows[r] = prow
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            row = rows[i]
+            f = row[c]
+            if f:
+                scale = mul[neg[f]]
+                rows[i] = [add[x][scale[y]] for x, y in zip(row, prow)]
+    return rows, pivots
+
+
 def rref(F: GF, a: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Reduced row echelon form.
+    """Reduced row echelon form: :func:`_forward`, then back-substitution
+    above each pivot.
 
     Returns (R, rank, pivot_columns).  R has the same shape as the input
     with zero rows collected at the bottom, and is the unique RREF of the
     row space, so rref(rref(a)) == rref(a).
     """
-    rows = [list(r) for r in a]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
+    add, mul, neg = F._add, F._mul, F._neg
+    rows, pivots = _forward(F, a)
+    for r, c in enumerate(pivots):
+        prow = rows[r]
+        for i in range(r):
             if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = F.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in rows), r, tuple(pivots)
-
-
-def _rank_gf2(a: Matrix) -> int:
-    # Bit-packed elimination; rows become ints with column 0 as the high bit.
-    ncols = len(a[0])
-    packed = []
-    for row in a:
-        acc = 0
-        for x in row:
-            acc = (acc << 1) | x
-        if acc:
-            packed.append(acc)
-    rank = 0
-    for c in range(ncols - 1, -1, -1):
-        bit = 1 << c
-        pivot = None
-        for i in range(rank, len(packed)):
-            if packed[i] & bit:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        packed[rank], packed[pivot] = packed[pivot], packed[rank]
-        prow = packed[rank]
-        for i in range(rank + 1, len(packed)):
-            if packed[i] & bit:
-                packed[i] ^= prow
-        rank += 1
-        if rank == len(packed):
-            break
-    return rank
+                scale = mul[neg[rows[i][c]]]
+                rows[i] = [add[x][scale[y]] for x, y in zip(rows[i], prow)]
+    return tuple(map(tuple, rows)), len(pivots), tuple(pivots)
 
 
 def rank(F: GF, a: Matrix) -> int:
-    if not a:
-        return 0
-    if F.q == 2:
-        return _rank_gf2(a)
-    rows = [list(r) for r in a]
-    nrows, ncols = len(rows), len(rows[0])
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        factor = F.inv(rows[r][c])
-        prow = rows[r]
-        for i in range(r + 1, nrows):
-            if rows[i][c]:
-                scale = F.mul(rows[i][c], factor)
-                rows[i] = [F.sub(x, F.mul(scale, y)) for x, y in zip(rows[i], prow)]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return len(_forward(F, a)[1])
 
 
 def nullspace(F: GF, a: Matrix, ncols: int) -> Matrix:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import json
 import multiprocessing
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 
@@ -246,7 +245,6 @@ class CrossValidationReport:
     parabolic_dims_ok: bool | None
     tag_histogram: dict[str, int]
     failures: list[str]
-    wall_time: float
 
     @property
     def ok(self) -> bool:
@@ -270,7 +268,6 @@ class CrossValidationReport:
             "parabolic_dims_ok": self.parabolic_dims_ok,
             "tag_histogram": self.tag_histogram,
             "failures": self.failures,
-            "wall_time_seconds": round(self.wall_time, 3),
             "ok": self.ok,
         }
 
@@ -307,7 +304,6 @@ def cross_validate(cfg: SearchConfig,
     Classification checks are skipped (reported as None) at parameters
     outside the classifier's hypotheses, e.g. m == 1 probes.
     """
-    start = time.monotonic()
     if result is None:
         result = enumerate_embeddings(cfg)
     spec = result.spec
@@ -353,5 +349,4 @@ def cross_validate(cfg: SearchConfig,
         parabolic_ok = all_classified
     return CrossValidationReport(
         cfg, len(result.images), result.nodes, result.complete, bfs_ok,
-        all_classified, apartment_match, parabolic_ok, histogram, failures,
-        time.monotonic() - start)
+        all_classified, apartment_match, parabolic_ok, histogram, failures)

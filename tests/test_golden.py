@@ -132,3 +132,16 @@ def cli_digests(name: str, workdir) -> tuple[str, str, str]:
 @pytest.mark.parametrize("name", sorted(REQUESTS))
 def test_cli_output_is_pinned(name, tmp_path):
     assert cli_digests(name, tmp_path) == DIGESTS[name]
+
+
+# stdout of `oracle --l 4 --m 2 --n 4 --k 2 --p 2 --symmetry-reduction`:
+# 3,061 nodes, 144 images, and no field that changes from run to run
+ORACLE_ARGV = ["oracle", "--l", "4", "--m", "2", "--n", "4", "--k", "2", "--p", "2",
+               "--symmetry-reduction"]
+ORACLE_DIGEST = "43dd1770430be09ac8366a3daf46b5b5721876d8bb3d5d13fa29f567abc59aab"
+
+
+def test_oracle_stdout_is_pinned(capsys):
+    assert main(ORACLE_ARGV) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_DIGEST

@@ -303,3 +303,31 @@ def test_extend_from_quotient_shape():
     full = extend_from_quotient(base, inner)
     assert full.apply(base) == base
     assert full.dim == 4
+
+
+def test_is_rigid_rebuilds_each_classification_once(monkeypatch):
+    # every automorphism witness is checked on the rebuilt labeled map; it
+    # is built once per classification, not once per generator
+    from grassmann_lab import embeddings
+    simplex = [Subspace(F2, 4, p.rows) for p in canonical_simplex(F2, 4, 4).points]
+    images = {
+        "J(5,2) simplex faces in G(4,2,2)":
+            build_sum_construction(Subspace.zero(F2, 4), simplex, 2),
+        "J(6,3) frame apartment in G(6,3,2)":
+            build_sum_construction(Subspace.zero(F2, 6), basis_lines(F2, 6), 3),
+    }
+    real = embeddings._subset_sums
+    calls = []
+
+    def counting(generators, m):
+        calls.append(m)
+        return real(generators, m)
+
+    monkeypatch.setattr(embeddings, "_subset_sums", counting)
+    for name, inst in images.items():
+        cls = classify(inst)
+        calls.clear()
+        report = is_rigid(cls)
+        assert report.is_rigid is True, name
+        assert len(report.per_automorphism) > 1, name
+        assert len(calls) == 1, name
