@@ -9,6 +9,7 @@ apartments spanned by frames.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -71,18 +72,13 @@ def pg_points(field: GF, dim: int) -> list[Subspace]:
     return points
 
 
-_lead_ones: dict[tuple[GF, int], tuple[tuple[linalg.Vector, ...], dict]] = {}
-
-
+@functools.cache
 def _lead_one_vectors(field: GF, dim: int) -> tuple[tuple[linalg.Vector, ...], dict]:
     """The vectors of F_q^dim whose first nonzero entry is 1, in
     :func:`pg_points` order, and the inverse map vector -> position;
     memoized per (field, dim)."""
-    key = (field, dim)
-    if key not in _lead_ones:
-        vectors = tuple(p.rows[0] for p in pg_points(field, dim))
-        _lead_ones[key] = vectors, {v: b for b, v in enumerate(vectors)}
-    return _lead_ones[key]
+    vectors = tuple(p.rows[0] for p in pg_points(field, dim))
+    return vectors, {v: b for b, v in enumerate(vectors)}
 
 
 def point_mask(s: Subspace) -> int:
