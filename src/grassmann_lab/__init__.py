@@ -8,15 +8,14 @@ over GF(q) at desk scale.
 from .config import Caps, caps, caps_from_env, set_caps
 from .embeddings import (Classification, EmbeddingInstance, IsometryDefect,
                          build_dual_construction, build_sum_construction, classify,
-                         clique_independence, clique_types, rebuild, verify_assignment,
-                         verify_isometric)
+                         clique_independence, rebuild, verify_assignment)
 from .errors import (BudgetExhaustedError, CapExceededError, ClassificationError,
                      GrassmannLabError, InternalInvariantError, NotIsometricError,
                      SchemaError, ValidationError)
 from .fields import GF
-from .grassmannian import (CliqueKind, GrassmannianSpec, adjacent, apartment_from_frame,
-                           classify_max_cliques_containing, distance, gaussian_binomial,
-                           iter_rref_bases, parabolic_interval, pg_points, star, top)
+from .grassmannian import (GrassmannianSpec, adjacent, apartment_from_frame, distance,
+                           gaussian_binomial, iter_rref_bases, parabolic_interval,
+                           pg_points, star, top)
 from .independence import (Ambient, PointSet, SearchResult, canonical_simplex,
                            is_independent, is_m_independent, m_dependency_witness,
                            point_set, search_m_independent, simplex_rank)

@@ -9,13 +9,21 @@ through the star cliques of the image, recovers the generating family,
 and certifies the answer by rebuilding the image from it and comparing
 sets exactly.
 
+One routine, _clique_kind, types a clique of the image as a star or a
+top without re-testing adjacency.  A labeled input to classify types one
+clique, the Johnson star over the core {0..m-2}: by Theorem 4 of the
+source paper (PAPER.md) every Johnson star goes the same way, and the
+exact rebuild implies the type of every other clique.  A bare input
+types each clique that Bron-Kerbosch finds, at every level of the
+descent.
+
 The pairwise isometry check (verify_assignment) runs once per trust
-boundary: on a labeled input to classify or clique_types, on the labeled
-map rebuilt for a bare input to classify, and on the output of
-build_sum_construction.  Annihilation maps the Grassmann graph of
-k-spaces onto that of (n-k)-spaces preserving every distance, so the dual
-construction and the top-type classification, both carried across by
-annihilators, are not checked again.
+boundary: on a labeled input to classify, on the labeled map rebuilt for
+a bare input to classify, and on the output of build_sum_construction.
+Annihilation maps the Grassmann graph of k-spaces onto that of
+(n-k)-spaces preserving every distance, so the dual construction and the
+top-type classification, both carried across by annihilators, are not
+checked again.
 """
 
 from __future__ import annotations
@@ -25,15 +33,14 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import linalg
 from .errors import (ClassificationError, InternalInvariantError, NotIsometricError,
                      ValidationError)
 from .fields import GF
-from .grassmannian import CliqueKind, classify_max_cliques_containing, distance
+from .grassmannian import distance
 from .independence import Ambient, PointSet, m_dependency_witness
 from .johnson import johnson_distance, johnson_vertices, vertex_from_indices
-from .subspaces import (Subspace, annihilator, intersect_many, quotient_coords,
-                        sum_many)
+from .subspaces import (Subspace, annihilator, intersect_many, intersect_subspaces,
+                        quotient_coords, sum_many, sum_subspaces)
 
 
 class EmbeddingInstance:
@@ -103,11 +110,6 @@ def verify_assignment(m: int, assignment: dict[int, Subspace]) -> IsometryDefect
             if expected != actual:
                 return IsometryDefect(a, b, expected, actual)
     return None
-
-
-def verify_isometric(inst: EmbeddingInstance) -> IsometryDefect | None:
-    """Check every vertex pair; None means the map is isometric."""
-    return verify_assignment(inst.m, inst.assignment)
 
 
 def _require_isometric(m: int, assignment: dict[int, Subspace]):
@@ -197,52 +199,32 @@ def build_dual_construction(n_space: Subspace, generators, k: int) -> EmbeddingI
 # clique typing ---------------------------------------------------------
 
 
-def _type_clique(members) -> CliqueKind:
-    kinds = classify_max_cliques_containing(members)
-    if len(kinds) != 1:
+def _clique_kind(members) -> tuple[str, Subspace]:
+    """Type a clique of k-spaces the caller already knows to be pairwise
+    adjacent: ("star", center) when they share a (k-1)-space, ("top",
+    cover) when they span a (k+1)-space.  Both hold exactly when the
+    clique lies in a line, which no maximal clique of an isometric image of
+    J(l, m) with 1 < m < l-1 does; that raises ClassificationError.
+
+    Any two members meet in the only possible center and span the only
+    possible cover, so the rest are tested by containment alone; no
+    distance is computed.
+    """
+    if len(members) < 2:
+        raise ClassificationError("a maximal clique of the image has a single member")
+    a, b, *rest = members
+    center, cover = intersect_subspaces(a, b), sum_subspaces(a, b)
+    is_star = all(s.contains(center) for s in rest)
+    is_top = all(cover.contains(s) for s in rest)
+    if is_star and is_top:
         raise ClassificationError(
             "a maximal clique of the image lies in a line of the Grassmann graph; "
             "the input cannot be an isometric Johnson image")
-    return kinds[0]
-
-
-def clique_types(inst: EmbeddingInstance) -> tuple[dict[frozenset[Subspace], CliqueKind], str]:
-    """Type every maximal clique of the image graph and report the global
-    parity: case "A" when Johnson stars land in Grassmann stars, case "B"
-    when they land in tops.
-
-    The instance is verified and complement-normalized first; requires
-    1 < m < l-1 so that both clique families have at least three members.
-    """
-    _require_isometric(inst.m, inst.assignment)
-    return _clique_types(inst.normalized())
-
-
-def _clique_types(inst: EmbeddingInstance) -> tuple[dict[frozenset[Subspace], CliqueKind], str]:
-    """clique_types on an instance already verified and normalized."""
-    l, m = inst.l, inst.m
-    if not 1 < m < l - 1:
-        raise ValidationError(f"clique typing needs 1 < m < l-1, got l={l}, m={m}")
-    assignment: dict[frozenset[Subspace], CliqueKind] = {}
-    star_kinds = set()
-    top_kinds = set()
-    for core in itertools.combinations(range(l), m - 1):
-        rest = [i for i in range(l) if i not in core]
-        members = frozenset(
-            inst.assignment[vertex_from_indices(core + (i,))] for i in rest)
-        kind = _type_clique(members)
-        assignment[members] = kind
-        star_kinds.add(kind.kind)
-    for cover in itertools.combinations(range(l), m + 1):
-        members = frozenset(
-            inst.assignment[vertex_from_indices(tuple(c for c in cover if c != i))]
-            for i in cover)
-        kind = _type_clique(members)
-        assignment[members] = kind
-        top_kinds.add(kind.kind)
-    if len(star_kinds) != 1 or len(top_kinds) != 1 or star_kinds == top_kinds:
-        raise ClassificationError("inconsistent clique typing across the image")
-    return assignment, ("A" if star_kinds == {"star"} else "B")
+    if is_star:
+        return "star", center
+    if is_top:
+        return "top", cover
+    raise InternalInvariantError("adjacent family contained in no maximal clique")
 
 
 # classification ---------------------------------------------------------
@@ -260,6 +242,12 @@ class Classification:
     m_space and n_space are always the meet and join of the whole image.
     descent_trace[i] collects the recovered level sets, ending at the
     image itself.
+
+    For a labeled input the generators keep the ground order of its
+    complement-normalized instance (m <= l - m), with one exception: when
+    l == 2m and Johnson stars land in tops, star_points[j] lies in every
+    image of a vertex avoiding j.  A bare input has no labels to keep.
+    See rebuild.
     """
 
     case: str
@@ -306,6 +294,12 @@ def rebuild(cls: Classification) -> dict[int, Subspace]:
     sum of their annihilators).  Its values are exactly cls.image; the map
     is not re-verified, since classify already checked it or its input.
     It is computed once per classification and memoized on it.
+
+    For a labeled inst, rebuild(classify(inst)) equals the map of
+    inst.normalized() on star-type and top-type images and on a J(2m, m)
+    image whose Johnson stars land in stars.  On a J(2m, m) image whose
+    Johnson stars land in tops it is that map after complementation:
+    vertex v goes to the input's image of the complement of v.
     """
     return dict(cls._labeled_map)
 
@@ -337,8 +331,13 @@ def classify(obj) -> Classification:
         _require_isometric(obj.m, obj.assignment)
         norm = obj.normalized()
         _check_classification_params(norm.l, norm.m, norm.k, norm.n)
-        _, case = _clique_types(norm)
-        if case == "A":
+        # Theorem 4: Johnson stars all land in stars (case A) or all in tops
+        # (case B), so the star over the core {0..m-2} decides the case; the
+        # exact rebuild in _assemble_primal implies every other clique's type
+        core = (1 << (norm.m - 1)) - 1
+        kind, _ = _clique_kind([norm.assignment[core | (1 << i)]
+                                for i in range(norm.m - 1, norm.l)])
+        if kind == "star":
             ordered = _labeled_generators_primal(norm)
             return _assemble_primal(norm.image, ordered, norm.l, norm.m, norm.k)
         dual = EmbeddingInstance(
@@ -378,13 +377,15 @@ def _labeled_generators_primal(inst: EmbeddingInstance) -> tuple[Subspace, ...]:
 # -- bare path -----------------------------------------------------------
 
 
-def _maximal_cliques(items: list, adjacent_fn) -> list[frozenset]:
-    """Bron-Kerbosch with pivoting over an explicit adjacency predicate."""
+def _maximal_cliques(spaces) -> list[frozenset]:
+    """Bron-Kerbosch with pivoting over the Grassmann-graph adjacency of
+    the given spaces, taken in the order of their RREF rows."""
+    items = sorted(spaces, key=lambda s: s.rows)
     n = len(items)
     adj = [set() for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            if adjacent_fn(items[i], items[j]):
+            if distance(items[i], items[j]) == 1:
                 adj[i].add(j)
                 adj[j].add(i)
     cliques: list[frozenset] = []
@@ -426,14 +427,13 @@ def _infer_parameters(image: frozenset[Subspace], cliques: list[frozenset]) -> t
 
 
 def _classify_bare(image: frozenset[Subspace], field: GF, n: int, k: int) -> Classification:
-    cliques = _maximal_cliques(sorted(image, key=lambda s: s.rows),
-                               lambda a, b: distance(a, b) == 1)
+    cliques = _maximal_cliques(image)
     l, m = _infer_parameters(image, cliques)
     _check_classification_params(l, m, k, n)
-    typed = [(members, _type_clique(members)) for members in cliques]
+    typed = [(members, _clique_kind(members)) for members in cliques]
     big = max(len(c) for c, _ in typed)
-    big_kinds = {kind.kind for c, kind in typed if len(c) == big}
-    small_kinds = {kind.kind for c, kind in typed if len(c) < big}
+    big_kinds = {kind for c, (kind, _) in typed if len(c) == big}
+    small_kinds = {kind for c, (kind, _) in typed if len(c) < big}
     if l != 2 * m:
         if len(big_kinds) != 1 or len(small_kinds) > 1 or small_kinds == big_kinds:
             raise ClassificationError("inconsistent clique typing across the image")
@@ -462,7 +462,7 @@ def _descend_bare(image, field, n, k, l, m, typed_cliques) -> tuple[Subspace, ..
     level = m
     typed = typed_cliques
     while level > 1:
-        star_meets = {kind.subspace for _, kind in typed if kind.kind == "star"}
+        star_meets = {center for _, (kind, center) in typed if kind == "star"}
         if len(star_meets) != math.comb(l, level - 1):
             raise ClassificationError(
                 f"level {level} has {len(star_meets)} star cliques, "
@@ -471,9 +471,7 @@ def _descend_bare(image, field, n, k, l, m, typed_cliques) -> tuple[Subspace, ..
         cur_k -= 1
         level -= 1
         if level > 1:
-            cliques = _maximal_cliques(sorted(current, key=lambda s: s.rows),
-                                       lambda a, b: distance(a, b) == 1)
-            typed = [(members, _type_clique(members)) for members in cliques]
+            typed = [(members, _clique_kind(members)) for members in _maximal_cliques(current)]
     if len(current) != l:
         raise ClassificationError(f"recovered {len(current)} generators, expected {l}")
     return tuple(sorted(current, key=lambda s: s.rows))
@@ -548,21 +546,24 @@ def clique_independence(image) -> bool:
         raise ValidationError("empty image")
     field = members_list[0].field
     n = members_list[0].ambient_dim
-    cliques = _maximal_cliques(members_list, lambda a, b: distance(a, b) == 1)
-    for clique in cliques:
+    k = members_list[0].dim
+    for clique in _maximal_cliques(members_list):
         if len(clique) < 2:
             return False
-        kinds = classify_max_cliques_containing(clique)
-        ok = False
-        for kind in kinds:
-            if kind.kind == "star":
-                pts = tuple(quotient_coords(kind.subspace, s)[0] for s in clique)
-                ok = linalg.rank(field, pts) == len(clique)
-            else:
-                meet = intersect_many(field, n, clique)
-                ok = meet.dim == kind.subspace.dim - len(clique)
-            if ok:
-                break
+        if not 1 < k < n - 1:
+            raise ValidationError("maximal-clique structure requires 1 < k < n-1")
+        try:
+            kind, space = _clique_kind(clique)
+        except ClassificationError:
+            # a line, where both kinds agree: two members are independent
+            # points over their meet and hyperplanes of their join, three are not
+            if len(clique) > 2:
+                return False
+            continue
+        if kind == "star":
+            ok = sum_many(field, n, clique).dim == space.dim + len(clique)
+        else:
+            ok = intersect_many(field, n, clique).dim == space.dim - len(clique)
         if not ok:
             return False
     return True

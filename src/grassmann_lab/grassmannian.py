@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import linalg
 from .config import caps
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .fields import GF
-from .subspaces import (Subspace, from_coords_in, intersect_many,
-                        lift_from_quotient, quotient_coords, sum_many)
+from .subspaces import Subspace, from_coords_in, lift_from_quotient, quotient_coords
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -162,9 +160,6 @@ class GrassmannianSpec:
                           for mi in masks]
         return self._dist
 
-    def distance_by_id(self, i: int, j: int) -> int:
-        return self.distance_matrix()[i][j]
-
     def distance_sets(self) -> list[tuple[int, ...]]:
         """distance_sets()[i][d] is the int bitset of vertex ids at distance
         d from vertex i (bit j set for vertex j); the oracle prunes with
@@ -252,45 +247,3 @@ def apartment_from_frame(points, k: int) -> frozenset[Subspace]:
     return frozenset(
         Subspace.from_rows(F, n, tuple(points[i].rows[0] for i in combo))
         for combo in itertools.combinations(range(n), k))
-
-
-@dataclass(frozen=True)
-class CliqueKind:
-    """A maximal clique of the Grassmann graph: a star over its (k-1)-dim
-    center, or a top under its (k+1)-dim cover."""
-
-    kind: str  # "star" | "top"
-    subspace: Subspace
-
-    def members(self) -> frozenset[Subspace]:
-        return star(self.subspace) if self.kind == "star" else top(self.subspace)
-
-
-def classify_max_cliques_containing(clique) -> list[CliqueKind]:
-    """Every maximal clique of the Grassmann graph containing the given
-    mutually adjacent subspaces.
-
-    For three or more members not inside a single line the answer is a
-    single star or a single top; members of a common line belong to both.
-    """
-    members = list(clique)
-    if len(members) < 2:
-        raise ValidationError("need at least two subspaces")
-    F = members[0].field
-    n = members[0].ambient_dim
-    k = members[0].dim
-    if not 1 < k < n - 1:
-        raise ValidationError("maximal-clique structure requires 1 < k < n-1")
-    for a, b in itertools.combinations(members, 2):
-        if distance(a, b) != 1:
-            raise ValidationError("input subspaces are not pairwise adjacent")
-    meet = intersect_many(F, n, members)
-    join = sum_many(F, n, members)
-    out = []
-    if meet.dim == k - 1:
-        out.append(CliqueKind("star", meet))
-    if join.dim == k + 1:
-        out.append(CliqueKind("top", join))
-    if not out:
-        raise InternalInvariantError("adjacent family contained in no maximal clique")
-    return out

@@ -2,20 +2,21 @@ import itertools
 
 import pytest
 
-from grassmann_lab import embeddings, jsonio
-from grassmann_lab.embeddings import (EmbeddingInstance, build_dual_construction,
-                                      build_sum_construction, classify,
-                                      clique_independence, clique_types, rebuild,
-                                      verify_isometric)
+from grassmann_lab import embeddings, grassmannian, jsonio
+from grassmann_lab.embeddings import (EmbeddingInstance, _clique_kind,
+                                      build_dual_construction, build_sum_construction,
+                                      classify, clique_independence, rebuild,
+                                      verify_assignment)
 from grassmann_lab.errors import (ClassificationError, NotIsometricError,
                                   ValidationError)
 from grassmann_lab.fields import GF
-from grassmann_lab.grassmannian import apartment_from_frame, star
+from grassmann_lab.grassmannian import (apartment_from_frame, parabolic_interval, star,
+                                        top)
 from grassmann_lab.independence import canonical_simplex
 from grassmann_lab.johnson import vertex_from_indices
 from grassmann_lab.rigidity import is_rigid
 from grassmann_lab.subspaces import (Subspace, annihilator, intersect_many,
-                                     sum_many)
+                                     intersect_subspaces, sum_many, sum_subspaces)
 
 F2 = GF.get(2)
 F3 = GF.get(3)
@@ -41,7 +42,7 @@ def test_sum_construction_apartment():
     inst = apartment_instance(F2, 4, 2)
     assert inst.l == 4 and inst.m == 2 and inst.k == 2
     assert inst.image == apartment_from_frame(basis_lines(F2, 4), 2)
-    assert verify_isometric(inst) is None
+    assert verify_assignment(inst.m, inst.assignment) is None
 
 
 def test_sum_construction_simplex_faces():
@@ -49,7 +50,7 @@ def test_sum_construction_simplex_faces():
     inst = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
     assert inst.l == 5 and inst.m == 2
     assert len(inst.image) == 10
-    assert verify_isometric(inst) is None  # all 45 pairs
+    assert verify_assignment(inst.m, inst.assignment) is None  # all 45 pairs
 
 
 def test_sum_construction_dimension_identity():
@@ -101,7 +102,7 @@ def test_dual_construction_simplex():
     hyperplanes = [annihilator(s) for s in simplex_lines(F2, 4)]
     inst = build_dual_construction(Subspace.full(F2, 4), hyperplanes, 2)
     assert inst.l == 5 and inst.m == 2
-    assert verify_isometric(inst) is None
+    assert verify_assignment(inst.m, inst.assignment) is None
     # transport equals direct intersections, element by element
     for combo in itertools.combinations(range(5), 2):
         direct = intersect_many(F2, 4, (hyperplanes[i] for i in combo))
@@ -119,7 +120,6 @@ def test_dual_construction_guards():
 
 
 def test_verify_isometric_counterexamples():
-    from grassmann_lab.embeddings import verify_assignment
     inst = apartment_instance(F2, 4, 2)
     vs = list(inst.assignment)
     # swapping the images of two adjacent vertices breaks isometry
@@ -128,7 +128,7 @@ def test_verify_isometric_counterexamples():
     swapped = dict(inst.assignment)
     swapped[a], swapped[b] = swapped[b], swapped[a]
     bad = EmbeddingInstance(4, 2, swapped)
-    defect = verify_isometric(bad)
+    defect = verify_assignment(bad.m, bad.assignment)
     assert defect is not None
     assert {defect.vertex_a, defect.vertex_b} <= set(vs)
     assert defect.expected != defect.actual
@@ -144,24 +144,57 @@ def test_verify_isometric_counterexamples():
     c = vertex_from_indices((2, 3))
     anti = dict(inst.assignment)
     anti[a], anti[c] = anti[c], anti[a]
-    assert verify_isometric(EmbeddingInstance(4, 2, anti)) is None
+    assert verify_assignment(2, anti) is None
 
 
-def test_clique_types_apartment_and_dual():
-    inst = apartment_instance(F2, 4, 2)
-    assignment, case = clique_types(inst)
-    assert case == "A"
-    assert len(assignment) == 4 + 4  # C(4,1) stars and C(4,3) tops
-    dual = EmbeddingInstance(4, 2, {v: annihilator(s)
-                                    for v, s in inst.assignment.items()})
-    _, dual_case = clique_types(dual)
-    assert dual_case == "B"
+def test_clique_kind_star_top_and_line():
+    m = Subspace.line(F2, unit(0, 4))
+    through_m = sorted(star(m), key=lambda s: s.rows)
+    # three members of the star spanning more than k+1 dimensions
+    triple = [through_m[0], through_m[1], through_m[4]]
+    assert sum_subspaces(sum_subspaces(triple[0], triple[1]), triple[2]).dim > 3
+    assert _clique_kind(triple) == ("star", m)
+    # three members of a top with pairwise distinct intersections
+    n_space = Subspace.from_rows(F2, 4, (unit(0, 4), unit(1, 4), unit(2, 4)))
+    in_top = sorted(top(n_space), key=lambda s: s.rows)
+    for triple in itertools.combinations(in_top, 3):
+        meet = intersect_subspaces(intersect_subspaces(triple[0], triple[1]), triple[2])
+        if meet.dim < 1:
+            assert _clique_kind(triple) == ("top", n_space)
+            break
+    else:
+        pytest.fail("no generic triple found in the top")
+    # a line lies in both a star and a top, which no isometric image allows
+    line = sorted(parabolic_interval(m, n_space, 2), key=lambda s: s.rows)
+    with pytest.raises(ClassificationError):
+        _clique_kind(line)
+
+
+def test_classify_case_and_rebuild_labels():
+    # Johnson stars land in stars (case A) for the apartment and the J(5,2)
+    # simplex image, in tops (case B) for the annihilated apartment and the
+    # annihilated simplex image.  The rebuild keeps the input labels except
+    # at l = 2m in case B, where it complements them; at l = 2m both cases
+    # read "parabolic-apartment", so the labels are what tells them apart.
+    full = (1 << 4) - 1
+    apartment = apartment_instance(F2, 4, 2)
+    cls = classify(apartment)
+    assert cls.case == "parabolic-apartment"
+    assert rebuild(cls) == apartment.assignment
+    frame_hyperplanes = [annihilator(p) for p in basis_lines(F2, 4)]
+    dual = build_dual_construction(Subspace.full(F2, 4), frame_hyperplanes, 2)
+    assert dual.assignment == {v: annihilator(s) for v, s in apartment.assignment.items()}
+    dual_cls = classify(dual)
+    assert dual_cls.case == "parabolic-apartment"
+    assert rebuild(dual_cls) == {full ^ v: s for v, s in dual.assignment.items()}
     gens = simplex_lines(F2, 4)
-    inst5 = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
-    assignment5, case5 = clique_types(inst5)
-    assert case5 == "A"
-    star_cliques = [c for c, kind in assignment5.items() if kind.kind == "star"]
-    assert len(star_cliques) == 5 and all(len(c) == 4 for c in star_cliques)
+    simplex = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
+    simplex_top = build_dual_construction(Subspace.full(F2, 4),
+                                          [annihilator(g) for g in gens], 2)
+    for inst, case in ((simplex, "star"), (simplex_top, "top")):
+        cls = classify(inst)
+        assert cls.case == case
+        assert rebuild(cls) == inst.assignment
 
 
 def test_classify_apartment_full():
@@ -217,7 +250,7 @@ def test_classify_normalizes_large_m():
     for v, s in inst.assignment.items():
         flipped[full ^ v] = s
     big_m = EmbeddingInstance(5, 3, flipped)
-    assert verify_isometric(big_m) is None
+    assert verify_assignment(big_m.m, big_m.assignment) is None
     cls = classify(big_m)
     assert cls.m == 2 and cls.l == 5
     assert frozenset(rebuild(cls).values()) == inst.image
@@ -357,3 +390,38 @@ def test_isometry_passes_per_request(monkeypatch):
         request()
         counts[name] = len(calls)
     assert counts == {name: passes for name, (_, passes) in requests.items()}
+
+
+def _distance_requests():
+    """Each input with the grassmannian.distance calls that a labeled and a
+    bare classify make: the labeled path only runs the isometry check; the
+    bare path adds the Bron-Kerbosch adjacency tests, and on a top-type
+    image it classifies the annihilated image too."""
+    apartment = apartment_instance(F2, 4, 2)
+    simplex = build_sum_construction(Subspace.zero(F2, 4), simplex_lines(F2, 4), 2)
+    dual = EmbeddingInstance(5, 2, {v: annihilator(s) for v, s in simplex.assignment.items()})
+    return {"apartment J(4,2) in G(4,2,2)": (apartment, 15, 30),
+            "J(5,2) simplex sum": (simplex, 45, 90),
+            "its dual, top type": (dual, 45, 135)}
+
+
+def test_distance_calls_per_classify(monkeypatch):
+    real = grassmannian.distance
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(grassmannian, "distance", counting)
+    monkeypatch.setattr(embeddings, "distance", counting)
+    requests = _distance_requests()
+    counts = {}
+    for name, (inst, _, _) in requests.items():
+        calls.clear()
+        classify(inst)
+        labeled = len(calls)
+        calls.clear()
+        classify(inst.image)
+        counts[name] = (labeled, len(calls))
+    assert counts == {name: (labeled, bare) for name, (_, labeled, bare) in requests.items()}

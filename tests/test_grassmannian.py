@@ -6,12 +6,10 @@ import pytest
 from grassmann_lab.errors import CapExceededError, ValidationError
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import (GrassmannianSpec, adjacent, apartment_from_frame,
-                                        classify_max_cliques_containing, distance,
-                                        iter_rref_bases, parabolic_interval, pg_points,
-                                        star, top)
+                                        distance, iter_rref_bases, parabolic_interval,
+                                        pg_points, star, top)
 from grassmann_lab.johnson import johnson_distance, johnson_vertices
-from grassmann_lab.subspaces import (Subspace, annihilator, intersect_subspaces,
-                                     sum_subspaces)
+from grassmann_lab.subspaces import Subspace, annihilator
 
 F2 = GF.get(2)
 F3 = GF.get(3)
@@ -165,40 +163,6 @@ def test_apartment_distances_match_johnson():
     assert len(masks) == 6
     for a, b in itertools.combinations(masks, 2):
         assert distance(by_mask[a], by_mask[b]) == johnson_distance(a, b, 2)
-
-
-def test_classify_max_cliques():
-    m = Subspace.line(F2, unit(0, 4))
-    through_m = sorted(star(m), key=lambda s: s.rows)
-    # three members of the star spanning more than k+1 dimensions
-    triple = [through_m[0], through_m[1], through_m[4]]
-    assert sum_subspaces(sum_subspaces(triple[0], triple[1]), triple[2]).dim > 3
-    kinds = classify_max_cliques_containing(triple)
-    assert len(kinds) == 1 and kinds[0].kind == "star" and kinds[0].subspace == m
-    # three members of a top with pairwise distinct intersections
-    n_space = Subspace.from_rows(F2, 4, (unit(0, 4), unit(1, 4), unit(2, 4)))
-    in_top = sorted(top(n_space), key=lambda s: s.rows)
-    for triple in itertools.combinations(in_top, 3):
-        meet = intersect_subspaces(intersect_subspaces(triple[0], triple[1]), triple[2])
-        if meet.dim < 1:
-            kinds = classify_max_cliques_containing(triple)
-            assert len(kinds) == 1 and kinds[0].kind == "top"
-            assert kinds[0].subspace == n_space
-            break
-    else:
-        pytest.fail("no generic triple found in the top")
-    # a line yields both the star and the top
-    line = sorted(parabolic_interval(m, n_space, 2), key=lambda s: s.rows)
-    kinds = classify_max_cliques_containing(line)
-    assert {k.kind for k in kinds} == {"star", "top"}
-    assert {k.subspace for k in kinds} == {m, n_space}
-    with pytest.raises(ValidationError):
-        classify_max_cliques_containing([through_m[0],
-                                         annihilator(annihilator(through_m[0]))])
-    far = Subspace.from_rows(F2, 4, (unit(2, 4), unit(3, 4)))
-    with pytest.raises(ValidationError):
-        classify_max_cliques_containing([Subspace.from_rows(F2, 4, (unit(0, 4), unit(1, 4))),
-                                         far, through_m[0]])
 
 
 def test_maximal_cliques_are_exactly_stars_and_tops():
