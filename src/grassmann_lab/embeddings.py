@@ -426,8 +426,12 @@ def _infer_parameters(image: frozenset[Subspace], cliques: list[frozenset]) -> t
     return l, m
 
 
-def _classify_bare(image: frozenset[Subspace], field: GF, n: int, k: int) -> Classification:
-    cliques = _maximal_cliques(image)
+def _classify_bare(image: frozenset[Subspace], field: GF, n: int, k: int,
+                   cliques: list[frozenset] | None = None) -> Classification:
+    """Classify an unlabeled image; cliques, when given, are its maximal
+    cliques."""
+    if cliques is None:
+        cliques = _maximal_cliques(image)
     l, m = _infer_parameters(image, cliques)
     _check_classification_params(l, m, k, n)
     typed = [(members, _clique_kind(members)) for members in cliques]
@@ -443,8 +447,11 @@ def _classify_bare(image: frozenset[Subspace], field: GF, n: int, k: int) -> Cla
             raise ClassificationError("an apartment-like image must carry both clique kinds")
         case = "A"
     if case == "B":
-        dual_image = frozenset(annihilator(s) for s in image)
-        dual_cls = _classify_bare(dual_image, field, n, n - k)
+        # annihilation preserves adjacency, so it carries the maximal
+        # cliques over to the annihilated image
+        dual = {s: annihilator(s) for s in image}
+        dual_cliques = [frozenset(dual[s] for s in c) for c in cliques]
+        dual_cls = _classify_bare(frozenset(dual.values()), field, n, n - k, dual_cliques)
         if dual_cls.case == "top":
             raise InternalInvariantError("dual image classified as top-type")
         return _transport_to_top(dual_cls)

@@ -5,12 +5,19 @@ by vertex-ordered backtracking with exact-distance pruning, enumerates
 apartments from independent point frames, and cross-validates the
 classifier against both.  Budgets are counted in search nodes, never in
 wall time, so runs reproduce exactly.
+
+Two embeddings with the same image differ by an automorphism of
+J(l, m).  The deduplicating search breaks that whole group along a
+stabilizer chain of its vertex order, so each image is reached by
+exactly one leaf instead of once per automorphism; the labeled search
+(dedupe=False) still visits every embedding.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
@@ -18,10 +25,10 @@ from dataclasses import asdict, dataclass, field as dc_field
 from . import linalg
 from .config import caps, set_caps
 from .embeddings import classify
-from .errors import ValidationError
+from .errors import InternalInvariantError, ValidationError
 from .fields import GF
 from .grassmannian import GrassmannianSpec, apartment_from_frame, pg_points
-from .johnson import johnson_distance, johnson_vertices
+from .johnson import johnson_diameter, johnson_distance, johnson_vertices
 from .subspaces import SemilinearMap, Subspace
 
 
@@ -37,6 +44,12 @@ class SearchConfig:
     dedupe: bool = True
     symmetry_reduction: bool = False
     jobs: int = 1
+
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValidationError(f"need at least one job, got jobs={self.jobs}")
+        if self.budget < 0:
+            raise ValidationError(f"need a budget of at least 0 nodes, got {self.budget}")
 
     def field(self) -> GF:
         return GF.get(self.p, self.e)
@@ -74,15 +87,75 @@ def _bfs_vertex_order(l: int, m: int) -> list[int]:
     return order
 
 
+def _chain_floors(order: list[int], l: int, m: int) -> list[list[int]]:
+    """For each depth s, the earlier depths t with placed[t] < placed[s].
+
+    Reading ``order`` as a base of Aut J(l, m) (ground-set permutations,
+    with complementation when l == 2m), depth t bounds every later depth
+    whose vertex lies in the orbit of order[t] under the pointwise
+    stabilizer G_t of order[0..t-1].  Placements are injective, so these
+    constraints keep exactly one labeling of each image (Puget, *Breaking
+    symmetries in all different problems*, IJCAI 2005).
+
+    The orbits come in closed form.  Call two ground elements equivalent
+    when they lie in the same members of order[0..t-1]; the permutations
+    in G_t are those that fix each such cell.  So an m-set B' is in the
+    orbit of B when it meets every cell as often as B does.  A
+    complemented permutation fixes order[0..t-1] exactly when it maps each
+    cell onto the cell of opposite membership, which needs the two to be
+    equally large; then B' is also in the orbit when it meets the
+    opposite of each cell c in |c| - |B & c| elements.
+    """
+    nv = len(order)
+    floors: list[list[int]] = [[] for _ in range(nv)]
+    signature = [0] * l  # bit i: the element lies in order[i]
+    for t in range(nv):
+        cells: dict[int, int] = {}
+        for x in range(l):
+            cells[signature[x]] = cells.get(signature[x], 0) | 1 << x
+        sigs, masks = list(cells), list(cells.values())
+        flip = (1 << t) - 1
+        complementable = l == 2 * m and all(
+            cells.get(v ^ flip, 0).bit_count() == cells[v].bit_count() for v in sigs)
+        if len(cells) == l and not complementable:
+            break  # G_t is trivial, and so is every later stabilizer
+
+        def meets(vertex):
+            return tuple((vertex & c).bit_count() for c in masks)
+
+        target = meets(order[t])
+        orbit_keys = {target}
+        if complementable:
+            position = {v: i for i, v in enumerate(sigs)}
+            opposite = [0] * len(sigs)
+            for i, v in enumerate(sigs):
+                opposite[position[v ^ flip]] = masks[i].bit_count() - target[i]
+            orbit_keys.add(tuple(opposite))
+        for s in range(t + 1, nv):
+            if meets(order[s]) in orbit_keys:
+                floors[s].append(t)
+        for x in range(l):
+            signature[x] |= (order[t] >> x & 1) << t
+    return floors
+
+
 def _search(spec: GrassmannianSpec, l: int, m: int, budget: int,
             initial_candidates, dedupe: bool) -> tuple[set[tuple[int, ...]], int, bool]:
+    """Place order[0], order[1], ... on Grassmannian ids at the exact
+    Johnson distances from every earlier placement.
+
+    With dedupe, the stabilizer-chain floors of :func:`_chain_floors` keep
+    one labeling per image: at each depth one mask drops every candidate
+    at or below the largest placement that must stay below it, so each
+    image is reached by exactly one leaf, and a repeated image raises
+    InternalInvariantError.  Without dedupe every labeled embedding is a
+    leaf.
+    """
     order = _bfs_vertex_order(l, m)
     nv = len(order)
     jdist = [[johnson_distance(a, b, m) for b in order] for a in order]
     dsets = spec.distance_sets()
-    diameter = min(spec.k, spec.n - spec.k)
-    if max(map(max, jdist)) > diameter:
-        return set(), 0, True  # diameter obstruction: no embeddings at all
+    floors = _chain_floors(order, l, m) if dedupe else [[] for _ in order]
     images: set[tuple[int, ...]] = set()
     placed = [0] * nv
     nodes = 0
@@ -102,9 +175,16 @@ def _search(spec: GrassmannianSpec, l: int, m: int, budget: int,
             break
         placed[t] = cand
         if t == nv - 1:
-            # dedupe=False keeps each labeled embedding (placement order
-            # follows the search's vertex order)
-            images.add(tuple(sorted(placed)) if dedupe else tuple(placed))
+            if dedupe:
+                image = tuple(sorted(placed))
+                if image in images:
+                    raise InternalInvariantError(
+                        f"image {list(image)} reached by a second leaf; "
+                        f"the symmetry-breaking floors are not complete")
+            else:
+                # each labeled embedding, in the search's vertex order
+                image = tuple(placed)
+            images.add(image)
             continue
         t += 1
         cands = None
@@ -114,6 +194,8 @@ def _search(spec: GrassmannianSpec, l: int, m: int, budget: int,
             cands = ds if cands is None else cands & ds
             if not cands:
                 break
+        if cands and floors[t]:
+            cands &= -1 << (max(placed[s] for s in floors[t]) + 1)
         if cands:
             stack.append(_iter_bits(cands))
         else:
@@ -141,11 +223,17 @@ def enumerate_embeddings(cfg: SearchConfig) -> OracleResult:
 
     Each Johnson vertex is placed on a subspace at the exact graph
     distance from every previously placed image.  Exceeding the node
-    budget yields a partial result flagged incomplete.
+    budget yields a partial result flagged incomplete.  When J(l, m) is
+    wider than the Grassmann graph (diameter min(m, l-m) above
+    min(k, n-k)) or has more vertices, no embedding exists, and the empty
+    result is complete without J(l, m) being built.
     """
     if not 0 < cfg.m < cfg.l:
         raise ValidationError(f"need 0 < m < l, got l={cfg.l}, m={cfg.m}")
     spec = GrassmannianSpec(cfg.field(), cfg.n, cfg.k)
+    if (johnson_diameter(cfg.l, cfg.m) > min(cfg.k, cfg.n - cfg.k)
+            or math.comb(cfg.l, cfg.m) > len(spec)):
+        return OracleResult(set(), 0, True, spec)
     if cfg.symmetry_reduction:
         initial = [0]
     else:

@@ -127,6 +127,13 @@ def test_oracle_symmetry_reduction_at_n_equal_2k(capsys):
     assert summary["apartment_match"] is True
 
 
+def _cli_in_child(argv, timeout):
+    env = dict(os.environ, PYTHONPATH=str(Path(grassmann_lab.__file__).parents[1]),
+               GRASSMANN_LAB_CAPS="")
+    return subprocess.run([sys.executable, "-m", "grassmann_lab.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
 def test_huge_characteristic_in_a_document_exits_2_at_once(tmp_path):
     emb = tmp_path / "apartment.json"
     assert run(["build", "apartment", "--n", 4, "--k", 2, "--p", 2, "--output", emb]) == 0
@@ -134,17 +141,37 @@ def test_huge_characteristic_in_a_document_exits_2_at_once(tmp_path):
     doc["params"]["p"] = 1000000016000000063  # prime: trial division takes hours
     emb.write_text(json.dumps(doc))
     # a child process, so a regression fails at the timeout instead of hanging
-    env = dict(os.environ, PYTHONPATH=str(Path(grassmann_lab.__file__).parents[1]),
-               GRASSMANN_LAB_CAPS="")
     start = time.monotonic()
-    proc = subprocess.run([sys.executable, "-m", "grassmann_lab.cli", "classify",
-                           "--input", str(emb)],
-                          capture_output=True, text=True, env=env, timeout=10)
+    proc = _cli_in_child(["classify", "--input", emb], timeout=10)
     elapsed = time.monotonic() - start
     assert proc.returncode == 2
     assert proc.stderr.strip().splitlines() == [
         "error: characteristic 1000000016000000063 exceeds the field order cap 16"]
     assert elapsed < 1.0
+
+
+def test_oracle_wider_than_the_grassmannian_exits_0_at_once():
+    # diameter 12 > 2 settles it before the C(24, 12) Johnson vertices are
+    # listed and ordered, in quadratic time.  A child process, so a
+    # regression fails at the timeout instead of hanging
+    proc = _cli_in_child(["oracle", "--l", 24, "--m", 12, "--n", 4, "--k", 2, "--p", 2],
+                         timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["image_count"] == 0 and summary["nodes"] == 0
+    assert summary["complete"] is True and summary["ok"] is True
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--jobs", 0, "error: need at least one job, got jobs=0"),
+    ("--budget", -1, "error: need a budget of at least 0 nodes, got -1"),
+], ids=["jobs", "budget"])
+def test_oracle_bad_jobs_or_budget_exits_2(option, value, message):
+    proc = _cli_in_child(["oracle", "--l", 4, "--m", 2, "--n", 4, "--k", 2, "--p", 2,
+                          option, value], timeout=20)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [message]
 
 
 def test_export_johnson_and_grassmann_stable(capsys):

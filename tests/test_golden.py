@@ -135,10 +135,11 @@ def test_cli_output_is_pinned(name, tmp_path):
 
 
 # stdout of `oracle --l 4 --m 2 --n 4 --k 2 --p 2 --symmetry-reduction`:
-# 3,061 nodes, 144 images, and no field that changes from run to run
+# 460 nodes (one leaf per image under the stabilizer-chain floors),
+# 144 images, and no field that changes from run to run
 ORACLE_ARGV = ["oracle", "--l", "4", "--m", "2", "--n", "4", "--k", "2", "--p", "2",
                "--symmetry-reduction"]
-ORACLE_DIGEST = "43dd1770430be09ac8366a3daf46b5b5721876d8bb3d5d13fa29f567abc59aab"
+ORACLE_DIGEST = "0777c090889a1fe25303eea6871c39ea9d08c08f9981cd6ce8b32ef3c80338ca"
 
 
 def test_oracle_stdout_is_pinned(capsys):

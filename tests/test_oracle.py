@@ -1,12 +1,20 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import grassmann_lab
+from grassmann_lab import oracle
 from grassmann_lab.config import caps, set_caps
 from grassmann_lab.embeddings import build_sum_construction, classify
+from grassmann_lab.errors import InternalInvariantError, ValidationError
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import pg_points
+from grassmann_lab.johnson import JohnsonAut, johnson_aut_group, johnson_vertices
 from grassmann_lab.oracle import (SearchConfig, cross_validate, enumerate_apartments,
                                   enumerate_embeddings, orbit_closure, pgl_generators)
 from grassmann_lab.subspaces import Subspace
@@ -118,6 +126,8 @@ def test_jobs_partitioning_is_deterministic():
     par = enumerate_embeddings(SearchConfig(l=4, m=2, n=4, k=2, p=2, jobs=2))
     assert par.images == seq.images
     assert par.complete
+    # the floors depend only on the path below each root
+    assert par.nodes == seq.nodes
 
 
 def test_cross_validate_main_configuration():
@@ -160,9 +170,9 @@ def test_larger_configuration_parabolic_shape():
 
 
 @pytest.mark.parametrize("l,reduced,nodes,images", [
-    (4, False, 107_135, 840),
-    (5, False, 454_895, 336),
-    (4, True, 3_061, 144),
+    (4, False, 3_593, 840),
+    (5, False, 6_532, 336),
+    (4, True, 460, 144),
 ])
 def test_search_effort_is_pinned(l, reduced, nodes, images):
     # node counts are part of the search's behaviour: a change in them is
@@ -188,3 +198,99 @@ def test_workers_inherit_caps():
     assert par.images == seq.images
     assert par.nodes == seq.nodes
     assert len(seq.images) == 511 * 510 // 2
+
+
+def _brute_force_floors(l, m):
+    """Stabilizer-chain floors from Aut J(l, m) listed element by element:
+    the closure of johnson_aut_group for 1 < m < l-1, all of S_l for the
+    complete graphs J(l, 1) and J(l, l-1)."""
+    vertices = johnson_vertices(l, m)
+    position = {v: i for i, v in enumerate(vertices)}
+
+    def as_vertex_perm(aut):
+        return tuple(position[aut.apply(v)] for v in vertices)
+
+    if 1 < m < l - 1:
+        gens = [as_vertex_perm(g) for g in johnson_aut_group(l, m)]
+        group = {tuple(range(len(vertices)))}
+        frontier = list(group)
+        while frontier:
+            nxt = []
+            for g in frontier:
+                for h in gens:
+                    gh = tuple(h[i] for i in g)
+                    if gh not in group:
+                        group.add(gh)
+                        nxt.append(gh)
+            frontier = nxt
+    else:
+        group = {as_vertex_perm(JohnsonAut(perm))
+                 for perm in itertools.permutations(range(l))}
+    order = [position[v] for v in oracle._bfs_vertex_order(l, m)]
+    floors = [[] for _ in order]
+    stabilizer = list(group)
+    for t, base in enumerate(order):
+        orbit = {g[base] for g in stabilizer}
+        for s in range(t + 1, len(order)):
+            if order[s] in orbit:
+                floors[s].append(t)
+        stabilizer = [g for g in stabilizer if g[base] == base]
+    return floors
+
+
+@pytest.mark.parametrize("l,m", [(l, m) for l in range(2, 8) for m in range(1, l)])
+def test_chain_floors_match_a_brute_force_stabilizer_chain(l, m):
+    order = oracle._bfs_vertex_order(l, m)
+    assert oracle._chain_floors(order, l, m) == _brute_force_floors(l, m)
+
+
+@pytest.mark.parametrize("l,m,aut_order,images", [
+    (4, 2, 48, 840),
+    (5, 2, 120, 336),
+    (3, 1, 6, 945),
+])
+def test_pruned_images_are_the_projected_labeled_images(l, m, aut_order, images):
+    pruned = enumerate_embeddings(SearchConfig(l=l, m=m, n=4, k=2, p=2))
+    labeled = enumerate_embeddings(SearchConfig(l=l, m=m, n=4, k=2, p=2, dedupe=False))
+    assert pruned.complete and labeled.complete
+    assert len(labeled.images) == images * aut_order
+    assert pruned.images == {tuple(sorted(image)) for image in labeled.images}
+    assert len(pruned.images) == images
+
+
+def test_apartment_count_over_gf3():
+    # one image per independent point frame of PG(3, 3)
+    result = enumerate_embeddings(SearchConfig(l=4, m=2, n=4, k=2, p=3))
+    assert result.complete
+    assert len(result.images) == frame_count(4, 3) == 63_180
+
+
+def test_a_repeated_leaf_is_an_internal_error(monkeypatch):
+    # without floors each image is reached once per labeling
+    monkeypatch.setattr(oracle, "_chain_floors", lambda order, l, m: [[] for _ in order])
+    with pytest.raises(InternalInvariantError, match="second leaf"):
+        enumerate_embeddings(SearchConfig(l=4, m=2, n=4, k=2, p=2))
+
+
+def test_more_johnson_vertices_than_subspaces_yields_no_images_at_once():
+    # C(64, 3) = 41,664 Johnson vertices and 1,395 planes of F_2^6 settle
+    # it before the Johnson vertices are ordered, in quadratic time.  A
+    # child process, so a regression fails at the timeout instead of hanging
+    script = ("from grassmann_lab.oracle import SearchConfig, enumerate_embeddings\n"
+              "r = enumerate_embeddings(SearchConfig(l=64, m=3, n=6, k=3, p=2))\n"
+              "print(r.complete, len(r.images), r.nodes)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(grassmann_lab.__file__).parents[1]),
+               GRASSMANN_LAB_CAPS="")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "0", "0"]
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("jobs", 0, "need at least one job, got jobs=0"),
+    ("budget", -1, "need a budget of at least 0 nodes, got -1"),
+], ids=["jobs", "budget"])
+def test_search_config_rejects_bad_jobs_and_budget(field, value, message):
+    with pytest.raises(ValidationError, match=message):
+        SearchConfig(l=4, m=2, n=4, k=2, p=2, **{field: value})
