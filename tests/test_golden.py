@@ -37,6 +37,11 @@ REQUESTS = {
     "simplex-faces-q2-n4-k2": (["simplex-faces", "--p", 2, "--n", 4, "--k", 2], False),
     "simplex-faces-q4-n5-k3": (
         ["simplex-faces", "--p", 2, "--e", 2, "--n", 5, "--k", 3], False),
+    # solution spaces past the exhaustive cap: the witnesses come from the
+    # fixed-seed draws of the rigidity solver
+    "sum-q3-n6-k3-l4": (["sum", "--p", 3, "--n", 6, "--k", 3, "--m", 2, "--l", 4], False),
+    "dual-q4-n6-k3-l4": (
+        ["dual", "--p", 2, "--e", 2, "--n", 6, "--k", 3, "--m", 2, "--l", 4], False),
 }
 
 DIGESTS = {
@@ -92,6 +97,14 @@ DIGESTS = {
         "09acf1053b411e3b17766034f547a87bb0f7c61e9e711dda535cc4b53c56cfe0",
         "a7c9e7486b88181c0fe4975a7a84e09104834e7fb90b33e4befa5122b47ebabd",
         "7841e079051b1a29b6820cda2b5b89f7a1f58989a0612bd554dedd2219d17ded"),
+    "sum-q3-n6-k3-l4": (
+        "20526bc63c95eabb7af95e16c7ee698c85302bec088afa0d71ab609a2578e823",
+        "3e1353cec6c10683c045272e8906e58cba67ede7c486ef02e1ba07aa02c37f82",
+        "336e7a0e6eade8890b99067eaaee4c894212ddfd10ca27e6fbc9fad967f3bc38"),
+    "dual-q4-n6-k3-l4": (
+        "07848ef141a730c59b036c7895f531894d92752bba6ae1763e591f013e50ab42",
+        "81f7d780fbc2ed3efaa3bf2c73d0e9b01a230756b25cc8b661f61e38f49e6653",
+        "f071bb1005086a5e66f888f5bf710016c94b32dbd95fe06f699e34100e6dd455"),
 }
 
 
