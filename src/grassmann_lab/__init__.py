@@ -14,21 +14,19 @@ from .errors import (BudgetExhaustedError, CapExceededError, ClassificationError
                      SchemaError, ValidationError)
 from .fields import GF
 from .grassmannian import (GrassmannianSpec, adjacent, apartment_from_frame, distance,
-                           gaussian_binomial, iter_rref_bases, parabolic_interval,
-                           pg_points, star, top)
+                           gaussian_binomial, iter_rref_bases, pg_points, star, top)
 from .independence import (Ambient, PointSet, SearchResult, canonical_simplex,
-                           is_independent, is_m_independent, m_dependency_witness,
-                           point_set, search_m_independent, simplex_rank)
-from .johnson import (JohnsonAut, identity_aut, johnson_aut_group,
-                      johnson_aut_group_order, johnson_distance, johnson_vertices,
-                      transposition_aut, vertex_from_indices, vertex_indices)
+                           is_independent, m_dependency_witness, point_set,
+                           search_m_independent, simplex_rank)
+from .johnson import (JohnsonAut, johnson_aut_group, johnson_aut_group_order,
+                      johnson_distance, johnson_vertices, transposition_aut,
+                      vertex_from_indices, vertex_indices)
 from .oracle import (CrossValidationReport, OracleResult, SearchConfig, cross_validate,
                      enumerate_apartments, enumerate_embeddings, orbit_closure)
 from .rigidity import (ExtensionWitness, NotExtendable, RigidityReport,
                        UnknownExtension, extend_automorphism, induced_by_semilinear,
                        is_rigid, solve_semilinear_mapping)
 from .subspaces import (SemilinearMap, Subspace, annihilator, contragredient,
-                        identity_map, intersect_many, intersect_subspaces, sum_many,
-                        sum_subspaces)
+                        intersect_many, intersect_subspaces, sum_many, sum_subspaces)
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 validation or precondition failure, 3 budget
 exhaustion or an unresolved (unknown) search, 4 internal invariant
-violation.  All outputs are deterministic for a fixed seed.
+violation.  All outputs are deterministic: the one sampled search, the
+rigidity solver's fallback past its exhaustive cap, draws from a fixed seed.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def cmd_classify(args) -> int:
 
 def cmd_rigidity(args) -> int:
     loaded = _load_embedding_or_classification(args.input)
-    report = is_rigid(loaded, seed=args.seed)
+    report = is_rigid(loaded)
     text = dump_json(jsonio.rigidity_report_to_json(report, args.dump_certificates),
                      args.output)
     if not args.output:
@@ -241,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rig = sub.add_parser("rigidity", help="test extendability of all automorphisms")
     p_rig.add_argument("--input", required=True)
     p_rig.add_argument("--output")
-    p_rig.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized solver fallbacks")
     p_rig.add_argument("--dump-certificates", action="store_true",
                        help="include infeasibility diagnostics (rank defects)")
     p_rig.set_defaults(func=cmd_rigidity)
@@ -275,12 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    caps_from_env()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.q_cap or args.n_cap:
-        set_caps(q_max=args.q_cap, n_max=args.n_cap)
+    args = build_parser().parse_args(argv)
     try:
+        caps_from_env()
+        set_caps(q_max=args.q_cap, n_max=args.n_cap)
         return args.func(args)
     except (BudgetExhaustedError, UnknownOutcome) as exc:
         print(f"error: {exc}", file=sys.stderr)

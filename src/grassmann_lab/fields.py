@@ -183,9 +183,6 @@ class GF:
             raise ZeroDivisionError("0 has no inverse")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self._mul[a][self.inv(b)]
-
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             a, n = self.inv(a), -n
@@ -212,12 +209,6 @@ class GF:
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Polynomial residue coefficients of a, constant term first."""
         return _digits(a, self.p, self.e)
-
-    def from_coeffs(self, coeffs) -> int:
-        cs = tuple(int(c) % self.p for c in coeffs)
-        if len(cs) != self.e:
-            raise ValidationError(f"expected {self.e} coefficients, got {len(cs)}")
-        return _encode(cs, self.p)
 
     def automorphisms(self) -> list[int]:
         """Frobenius exponents t of all field automorphisms x -> x^(p^t)."""

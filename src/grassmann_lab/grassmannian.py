@@ -3,8 +3,8 @@
 Vertices are adjacent when their intersection has dimension k-1, and the
 graph distance is k - dim(S meet U).  Besides enumeration and distance,
 this module materializes the two kinds of maximal cliques (stars over a
-(k-1)-space, tops under a (k+1)-space), general parabolic intervals, and
-apartments spanned by frames.
+(k-1)-space, tops under a (k+1)-space) and apartments spanned by
+frames.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from . import linalg
 from .config import caps
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .fields import GF
-from .subspaces import Subspace, from_coords_in, lift_from_quotient, quotient_coords
+from .subspaces import Subspace, from_coords_in, lift_from_quotient
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -201,25 +201,6 @@ def top(n_space: Subspace) -> frozenset[Subspace]:
     for pt in pg_points(F, d):
         hyper_rows = linalg.nullspace(F, pt.rows, d)
         out.append(from_coords_in(n_space, hyper_rows))
-    return frozenset(out)
-
-
-def parabolic_interval(m: Subspace, n_space: Subspace, k: int) -> frozenset[Subspace]:
-    """All k-subspaces s with m < s < n_space; in natural bijection with the
-    Grassmannian of (k - dim m)-subspaces of n_space/m."""
-    m._check_compatible(n_space)
-    if not n_space.contains(m):
-        raise ValidationError("parabolic interval requires m <= n_space")
-    if not m.dim < k < n_space.dim:
-        raise ValidationError(
-            f"need dim m < k < dim n ({m.dim} < {k} < {n_space.dim} fails)")
-    F = m.field
-    chart = quotient_coords(m, n_space)  # rows spanning n_space/m
-    d_quot = n_space.dim - m.dim
-    out = []
-    for coeff_rows in iter_rref_bases(F, d_quot, k - m.dim):
-        rows_q = tuple(linalg.vecmat(F, r, chart) for r in coeff_rows)
-        out.append(lift_from_quotient(m, rows_q))
     return frozenset(out)
 
 

@@ -98,10 +98,6 @@ def m_dependency_witness(ps: PointSet, m: int) -> tuple[int, ...] | None:
     return None
 
 
-def is_m_independent(ps: PointSet, m: int) -> bool:
-    return m_dependency_witness(ps, m) is None
-
-
 def is_independent(ps: PointSet) -> bool:
     """Fully independent: the points span len(ps) dimensions."""
     F = ps.ambient.field

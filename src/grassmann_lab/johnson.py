@@ -74,15 +74,6 @@ class JohnsonAut:
             image ^= (1 << self.l) - 1
         return image
 
-    def compose(self, other: "JohnsonAut") -> "JohnsonAut":
-        """self after other."""
-        perm = tuple(self.perm[other.perm[i]] for i in range(self.l))
-        return JohnsonAut(perm, self.complement ^ other.complement)
-
-
-def identity_aut(l: int) -> JohnsonAut:
-    return JohnsonAut(tuple(range(l)))
-
 
 def transposition_aut(l: int, i: int, j: int) -> JohnsonAut:
     perm = list(range(l))

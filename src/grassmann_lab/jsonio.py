@@ -74,22 +74,6 @@ def _subspaces_from_json(raw, field: GF, n: int, context: str) -> list[Subspace]
             for i, rows in enumerate(raw)]
 
 
-# subspaces ---------------------------------------------------------------
-
-
-def subspace_to_json(s: Subspace) -> dict:
-    return {"ambient_dim": s.ambient_dim,
-            "q_spec": {"p": s.field.p, "e": s.field.e},
-            "rref_rows": [list(r) for r in s.rows]}
-
-
-def subspace_from_json(obj: dict) -> Subspace:
-    n = _int_field(obj, "ambient_dim", "subspace")
-    field = _field_from_json(_need(obj, "q_spec", "subspace"), "subspace.q_spec")
-    rows = _rows_from_json(_need(obj, "rref_rows", "subspace"), "subspace.rref_rows")
-    return Subspace.from_rows(field, n, rows)
-
-
 # point sets ----------------------------------------------------------------
 
 

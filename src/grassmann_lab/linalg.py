@@ -19,10 +19,6 @@ Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return tuple((0,) * cols for _ in range(rows))
-
-
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -44,10 +40,6 @@ def dot(F: GF, x: Vector, y: Vector) -> int:
     for a, b in zip(x, y):
         acc = F.add(acc, F.mul(a, b))
     return acc
-
-
-def matvec(F: GF, a: Matrix, x: Vector) -> Vector:
-    return tuple(dot(F, row, x) for row in a)
 
 
 def vecmat(F: GF, x: Vector, a: Matrix) -> Vector:

@@ -327,7 +327,7 @@ class CrossValidationReport:
     image_count: int
     nodes: int
     complete: bool
-    bfs_agrees: bool
+    bfs_agrees: bool | None
     all_classified: bool | None
     apartment_match: bool | None
     parabolic_dims_ok: bool | None
@@ -336,8 +336,9 @@ class CrossValidationReport:
 
     @property
     def ok(self) -> bool:
-        checks = [self.complete, self.bfs_agrees]
-        for flag in (self.all_classified, self.apartment_match, self.parabolic_dims_ok):
+        checks = [self.complete]
+        for flag in (self.bfs_agrees, self.all_classified, self.apartment_match,
+                     self.parabolic_dims_ok):
             if flag is not None:
                 checks.append(flag)
         return all(checks) and not self.failures
@@ -395,7 +396,9 @@ def cross_validate(cfg: SearchConfig,
     if result is None:
         result = enumerate_embeddings(cfg)
     spec = result.spec
-    bfs_ok = _bfs_distances_agree(spec)
+    # the preflight checks the distance table the search read; a search of
+    # no nodes read none
+    bfs_ok = _bfs_distances_agree(spec) if result.nodes else None
     histogram: dict[str, int] = {}
     failures: list[str] = []
     m_prime = min(cfg.m, cfg.l - cfg.m)

@@ -60,8 +60,8 @@ class NotExtendable:
 
 @dataclass(frozen=True)
 class UnknownExtension:
-    """The randomized fallback found no witness but the search space was
-    too large to exhaust; absence is not certified."""
+    """The solution space was too large to exhaust and the fixed-seed draws
+    found no witness; absence is not certified."""
 
     diagnostics: tuple[SigmaDiagnostics, ...] = ()
 
@@ -108,54 +108,44 @@ def _sample_budget(q: int, d: int) -> int:
     return UNIT_SAMPLES
 
 
-def solve_semilinear_mapping(F: GF, d: int, pairs, seed: int = 0,
-                             exhaustive_cap: int = EXHAUSTIVE_CAP
+def solve_semilinear_mapping(F: GF, d: int, pairs
                              ) -> tuple[SemilinearMap | None, tuple[SigmaDiagnostics, ...], bool]:
     """Search for an invertible semilinear map sending each source subspace
     into its target.
 
+    Per twist, the candidates are every nonzero combination of the solution
+    basis when there are at most EXHAUSTIVE_CAP of them, and otherwise
+    _sample_budget draws from one fixed-seed generator shared by the twists.
     Returns (map, per-sigma diagnostics, resolved).  resolved is True when
     the answer is certain: either a map was found, or every solution space
     was exhausted without one.
     """
     diagnostics = []
     resolved = True
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for t in F.automorphisms():
         constraints = _mapping_constraints(F, d, pairs, t)
         basis = linalg.nullspace(F, constraints, d * d)
         nullity = len(basis)
-        crank = d * d - nullity
-        searched = 0
-        total = F.q ** nullity - 1
-        if nullity and total <= exhaustive_cap:
-            for coeffs in itertools.product(F.elements(), repeat=nullity):
-                if not any(coeffs):
-                    continue
-                searched += 1
-                mat = _combine(F, d, basis, coeffs)
-                if linalg.is_invertible(F, mat):
-                    diagnostics.append(
-                        SigmaDiagnostics(t, len(constraints), crank, nullity, searched, True))
-                    return (SemilinearMap(F, mat, t), tuple(diagnostics), True)
-            diagnostics.append(
-                SigmaDiagnostics(t, len(constraints), crank, nullity, searched, True))
-        elif nullity:
-            budget = _sample_budget(F.q, d)
-            for _ in range(budget):
-                searched += 1
-                coeffs = [rng.randrange(F.q) for _ in range(nullity)]
-                mat = _combine(F, d, basis, coeffs)
-                if linalg.is_invertible(F, mat):
-                    diagnostics.append(
-                        SigmaDiagnostics(t, len(constraints), crank, nullity, searched, False))
-                    return (SemilinearMap(F, mat, t), tuple(diagnostics), True)
-            diagnostics.append(
-                SigmaDiagnostics(t, len(constraints), crank, nullity, searched, False))
-            resolved = False
+        exhaustive = F.q ** nullity - 1 <= EXHAUSTIVE_CAP
+        if exhaustive:
+            candidates = (c for c in itertools.product(F.elements(), repeat=nullity) if any(c))
         else:
-            diagnostics.append(
-                SigmaDiagnostics(t, len(constraints), crank, 0, 0, True))
+            candidates = ([rng.randrange(F.q) for _ in range(nullity)]
+                          for _ in range(_sample_budget(F.q, d)))
+        searched = 0
+        found = None
+        for coeffs in candidates:
+            searched += 1
+            mat = _combine(F, d, basis, coeffs)
+            if linalg.is_invertible(F, mat):
+                found = SemilinearMap(F, mat, t)
+                break
+        diagnostics.append(SigmaDiagnostics(t, len(constraints), d * d - nullity, nullity,
+                                            searched, exhaustive))
+        if found is not None:
+            return found, tuple(diagnostics), True
+        resolved = resolved and exhaustive
     return None, tuple(diagnostics), resolved
 
 
@@ -198,7 +188,7 @@ def extend_from_quotient(m_space: Subspace, inner: SemilinearMap) -> SemilinearM
 # point-level extension ----------------------------------------------------
 
 
-def induced_by_semilinear(points, perm, seed: int = 0
+def induced_by_semilinear(points, perm
                           ) -> ExtensionWitness | NotExtendable | UnknownExtension:
     """Decide whether some semilinear automorphism realizes the permutation
     on the given projective points, i.e. maps point i onto point perm[i].
@@ -225,7 +215,7 @@ def induced_by_semilinear(points, perm, seed: int = 0
         solve_pts = pts
         solve_dim = d
     pairs = [(solve_pts[i], solve_pts[perm[i]]) for i in range(len(pts))]
-    inner, diagnostics, resolved = solve_semilinear_mapping(F, solve_dim, pairs, seed)
+    inner, diagnostics, resolved = solve_semilinear_mapping(F, solve_dim, pairs)
     if inner is None:
         if resolved:
             return NotExtendable("no invertible semilinear solution for any "
@@ -256,7 +246,7 @@ def _verify_on_image(cls: Classification, aut: JohnsonAut, action) -> tuple[tupl
     return tuple(certificate)
 
 
-def extend_automorphism(subject, aut: JohnsonAut, seed: int = 0
+def extend_automorphism(subject, aut: JohnsonAut
                         ) -> ExtensionWitness | NotExtendable | UnknownExtension:
     """Extend one automorphism of the image graph to the Grassmann graph.
 
@@ -279,7 +269,7 @@ def extend_automorphism(subject, aut: JohnsonAut, seed: int = 0
                 "which exists only when n = 2k")
         pairs = [(cls.star_points[j], annihilator(cls.top_points[aut.perm[j]]))
                  for j in range(cls.l)]
-        smap, diagnostics, resolved = solve_semilinear_mapping(cls.field, cls.n, pairs, seed)
+        smap, diagnostics, resolved = solve_semilinear_mapping(cls.field, cls.n, pairs)
         if smap is None:
             return (NotExtendable("no duality realizes the complement automorphism",
                                   diagnostics) if resolved else UnknownExtension(diagnostics))
@@ -289,7 +279,7 @@ def extend_automorphism(subject, aut: JohnsonAut, seed: int = 0
 
     if cls.star_points is not None:
         points = cls.star_point_set()
-        outcome = induced_by_semilinear(points, aut.perm, seed)
+        outcome = induced_by_semilinear(points, aut.perm)
         if not isinstance(outcome, ExtensionWitness):
             return outcome
         full = extend_from_quotient(cls.m_space, outcome.map)
@@ -297,7 +287,7 @@ def extend_automorphism(subject, aut: JohnsonAut, seed: int = 0
         return ExtensionWitness("semilinear", full, certificate)
 
     # top type: solve on the annihilator side, pull back contragrediently
-    outcome = induced_by_semilinear(cls.top_point_set(), aut.perm, seed)
+    outcome = induced_by_semilinear(cls.top_point_set(), aut.perm)
     if not isinstance(outcome, ExtensionWitness):
         return outcome
     dual_full = extend_from_quotient(annihilator(cls.n_space), outcome.map)
@@ -315,7 +305,7 @@ class RigidityReport:
 
     is_rigid is True when all generators extend, False when at least one
     is certifiably not extendable, and None when the only failures are
-    unresolved randomized searches.
+    unresolved sampled searches.
     """
 
     is_rigid: bool | None
@@ -353,7 +343,7 @@ def _unique_pgl(cls: Classification) -> bool:
     return False
 
 
-def is_rigid(subject, seed: int = 0) -> RigidityReport:
+def is_rigid(subject) -> RigidityReport:
     """Test every generator of the automorphism group of the image graph:
     ground-set transpositions, plus complementation when l == 2m.
     Extendability is closed under composition, so generator witnesses
@@ -362,7 +352,7 @@ def is_rigid(subject, seed: int = 0) -> RigidityReport:
     outcomes = []
     verdict: bool | None = True
     for aut in johnson_aut_group(cls.l, cls.m):
-        outcome = extend_automorphism(cls, aut, seed)
+        outcome = extend_automorphism(cls, aut)
         outcomes.append((aut, outcome))
         if isinstance(outcome, NotExtendable):
             verdict = False

@@ -263,10 +263,6 @@ class SemilinearMap:
         return SemilinearMap(F, twisted, t_inv, self.codomain_is_dual)
 
 
-def identity_map(field: GF, n: int) -> SemilinearMap:
-    return SemilinearMap(field, linalg.identity(n), 0)
-
-
 def contragredient(u: SemilinearMap) -> SemilinearMap:
     """The map on dual coordinates with contragredient(u)(S^0) == u(S)^0.
 

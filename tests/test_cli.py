@@ -162,6 +162,22 @@ def test_oracle_wider_than_the_grassmannian_exits_0_at_once():
     assert summary["complete"] is True and summary["ok"] is True
 
 
+def test_oracle_with_no_room_skips_the_bfs_preflight():
+    # C(64, 3) vertices cannot fit, so the search visits no node and never
+    # reads the distance table; the whole-graph BFS over the 1,395 planes
+    # of GF(2)^6 would take seconds.  A child process, so a regression fails
+    # at the timeout instead of hanging
+    start = time.monotonic()
+    proc = _cli_in_child(["oracle", "--l", 64, "--m", 3, "--n", 6, "--k", 3, "--p", 2],
+                         timeout=30)
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["nodes"] == 0 and summary["bfs_agrees"] is None
+    assert summary["ok"] is True
+    assert elapsed < 1.0
+
+
 @pytest.mark.parametrize("option,value,message", [
     ("--jobs", 0, "error: need at least one job, got jobs=0"),
     ("--budget", -1, "error: need a budget of at least 0 nodes, got -1"),
@@ -226,6 +242,14 @@ def test_caps_override_flag(capsys):
         assert code == 0
     finally:
         set_caps(q_max=16)
+
+
+@pytest.mark.parametrize("option,name", [("--q-cap", "q_max"), ("--n-cap", "n_max")])
+def test_zero_cap_exits_2_with_one_line(option, name, capsys):
+    assert run([option, 0, "build", "apartment", "--p", 2, "--n", 4, "--k", 2]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: cap {name} must be at least 1, got 0"]
 
 
 def test_caps_env_variable(tmp_path, capsys, monkeypatch):

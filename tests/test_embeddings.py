@@ -10,8 +10,7 @@ from grassmann_lab.embeddings import (EmbeddingInstance, _clique_kind,
 from grassmann_lab.errors import (ClassificationError, NotIsometricError,
                                   ValidationError)
 from grassmann_lab.fields import GF
-from grassmann_lab.grassmannian import (apartment_from_frame, parabolic_interval, star,
-                                        top)
+from grassmann_lab.grassmannian import apartment_from_frame, star, top
 from grassmann_lab.independence import canonical_simplex
 from grassmann_lab.johnson import vertex_from_indices
 from grassmann_lab.rigidity import is_rigid
@@ -165,7 +164,8 @@ def test_clique_kind_star_top_and_line():
     else:
         pytest.fail("no generic triple found in the top")
     # a line lies in both a star and a top, which no isometric image allows
-    line = sorted(parabolic_interval(m, n_space, 2), key=lambda s: s.rows)
+    line = sorted(star(m) & top(n_space), key=lambda s: s.rows)
+    assert len(line) == 3
     with pytest.raises(ClassificationError):
         _clique_kind(line)
 

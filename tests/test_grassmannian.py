@@ -6,8 +6,7 @@ import pytest
 from grassmann_lab.errors import CapExceededError, ValidationError
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import (GrassmannianSpec, adjacent, apartment_from_frame,
-                                        distance, iter_rref_bases, parabolic_interval,
-                                        pg_points, star, top)
+                                        distance, iter_rref_bases, pg_points, star, top)
 from grassmann_lab.johnson import johnson_distance, johnson_vertices
 from grassmann_lab.subspaces import Subspace, annihilator
 
@@ -125,21 +124,6 @@ def test_star_and_top_sizes():
     # a star and a top through m < n_space meet in a line of q+1 elements
     line = st & tp
     assert len(line) == 3
-    assert line == parabolic_interval(m, n_space, 2)
-
-
-def test_parabolic_interval():
-    zero = Subspace.zero(F2, 4)
-    full = Subspace.full(F2, 4)
-    everything = parabolic_interval(zero, full, 2)
-    assert len(everything) == 35
-    m = Subspace.line(F2, unit(0, 5))
-    n_space = Subspace.from_rows(F2, 5, (unit(0, 5), unit(1, 5), unit(2, 5), unit(3, 5)))
-    interval = parabolic_interval(m, n_space, 2)
-    assert len(interval) == q_binomial(3, 1, 2) == 7
-    assert all(s.contains(m) and n_space.contains(s) for s in interval)
-    with pytest.raises(ValidationError):
-        parabolic_interval(m, n_space, 1)
 
 
 def test_apartment_from_frame():

@@ -6,9 +6,8 @@ from grassmann_lab import linalg
 from grassmann_lab.errors import ValidationError
 from grassmann_lab.fields import GF
 from grassmann_lab.independence import (Ambient, PointSet, canonical_simplex,
-                                        is_independent, is_m_independent,
-                                        m_dependency_witness, point_set,
-                                        search_m_independent, simplex_rank)
+                                        is_independent, m_dependency_witness,
+                                        point_set, search_m_independent, simplex_rank)
 from grassmann_lab.subspaces import Subspace, annihilator, intersect_many
 
 F2 = GF.get(2)
@@ -24,15 +23,13 @@ def basis_points(field, n):
 
 
 def test_is_m_independent_basic():
-    assert is_m_independent(basis_points(F2, 4), 4)
+    assert m_dependency_witness(basis_points(F2, 4), 4) is None
     dependent = point_set(F2, [unit(0, 3), unit(1, 3), (1, 1, 0)])
-    assert not is_m_independent(dependent, 3)
     assert m_dependency_witness(dependent, 3) == (0, 1, 2)
     five = point_set(F2, [unit(i, 4) for i in range(4)] + [(1, 1, 1, 1)])
-    assert is_m_independent(five, 4)
     assert m_dependency_witness(five, 4) is None
     with pytest.raises(ValidationError):
-        is_m_independent(five, 6)
+        m_dependency_witness(five, 6)
 
 
 def test_pointset_equality_ignores_order():
@@ -60,8 +57,8 @@ def test_simplex_rank():
     assert simplex_rank(basis_points(F2, 4)) == (False, None)
     x6 = point_set(F2, [unit(i, 6) for i in range(4)]
                    + [(1, 1, 1, 1, 0, 0), unit(4, 6)])
-    assert is_m_independent(x6, 4)
-    assert not is_m_independent(x6, 5)
+    assert m_dependency_witness(x6, 4) is None
+    assert m_dependency_witness(x6, 5) is not None
     assert m_dependency_witness(x6, 5) == (0, 1, 2, 3, 4)
     assert simplex_rank(x6) == (False, None)
 
@@ -77,7 +74,7 @@ def test_canonical_simplex():
         if ps is None:
             continue
         assert simplex_rank(ps) == (True, s)
-        assert is_m_independent(ps, s)
+        assert m_dependency_witness(ps, s) is None
         assert not is_independent(ps)
     with pytest.raises(ValidationError):
         canonical_simplex(F2, 3, 4)
@@ -86,14 +83,14 @@ def test_canonical_simplex():
 def test_search_finds_basis_plus_ones():
     result = search_m_independent(Ambient("primal", F2, 4), 4, 5)
     assert result.found
-    assert is_m_independent(result.points, 4)
+    assert m_dependency_witness(result.points, 4) is None
     assert len(result.points) == 5
 
 
 def test_search_fano_arc():
     result = search_m_independent(Ambient("primal", F2, 3), 3, 4)
     assert result.found
-    assert is_m_independent(result.points, 3)
+    assert m_dependency_witness(result.points, 3) is None
     assert simplex_rank(result.points) == (True, 3)
 
 
@@ -148,7 +145,7 @@ def test_general_position_frames_are_projectively_equivalent():
     }
     for (field, d), vectors in frames.items():
         ps = point_set(field, vectors)
-        assert is_m_independent(ps, d)
+        assert m_dependency_witness(ps, d) is None
         canonical = canonical_simplex(field, d, d)
         pairs = list(zip(ps.points, canonical.points))
         mapping, _, resolved = solve_semilinear_mapping(field, d, pairs)

@@ -5,10 +5,10 @@ import networkx as nx
 import pytest
 
 from grassmann_lab.errors import ValidationError
-from grassmann_lab.johnson import (JohnsonAut, identity_aut, johnson_adjacent,
-                                   johnson_aut_group, johnson_aut_group_order,
-                                   johnson_diameter, johnson_distance, johnson_vertices,
-                                   transposition_aut, vertex_from_indices, vertex_indices)
+from grassmann_lab.johnson import (JohnsonAut, johnson_adjacent, johnson_aut_group,
+                                   johnson_aut_group_order, johnson_diameter,
+                                   johnson_distance, johnson_vertices, transposition_aut,
+                                   vertex_from_indices, vertex_indices)
 
 
 def johnson_graph(l, m):
@@ -79,9 +79,9 @@ def test_aut_application_and_composition():
     assert vertex_indices(aut.apply(v)) == (1, 3)
     comp = JohnsonAut(tuple(range(4)), complement=True)
     assert vertex_indices(comp.apply(vertex_from_indices((0, 1)))) == (2, 3)
-    combined = comp.compose(transposition_aut(4, 0, 1))
-    assert vertex_indices(combined.apply(vertex_from_indices((0, 2)))) == (0, 3)
-    ident = identity_aut(6)
+    swap = transposition_aut(4, 0, 1)
+    assert vertex_indices(comp.apply(swap.apply(vertex_from_indices((0, 2))))) == (0, 3)
+    ident = JohnsonAut(tuple(range(6)))
     assert all(ident.apply(v) == v for v in johnson_vertices(6, 3))
 
 

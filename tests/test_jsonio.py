@@ -20,23 +20,6 @@ def apartment_instance():
     return build_sum_construction(Subspace.zero(F2, 4), gens, 2)
 
 
-def test_subspace_round_trip():
-    s = Subspace.from_rows(F2, 4, ((1, 1, 0, 0), (0, 0, 1, 1)))
-    obj = jsonio.subspace_to_json(s)
-    assert obj["q_spec"] == {"p": 2, "e": 1}
-    assert jsonio.subspace_from_json(obj) == s
-
-
-def test_subspace_bad_fields():
-    with pytest.raises(SchemaError) as err:
-        jsonio.subspace_from_json({"ambient_dim": 4, "q_spec": {"p": 2, "e": 1}})
-    assert "rref_rows" in str(err.value)
-    with pytest.raises(SchemaError) as err:
-        jsonio.subspace_from_json({"ambient_dim": "x", "q_spec": {"p": 2, "e": 1},
-                                   "rref_rows": []})
-    assert "ambient_dim" in str(err.value)
-
-
 def test_pointset_round_trip():
     ps = canonical_simplex(F2, 4, 3)
     obj = jsonio.pointset_to_json(ps)

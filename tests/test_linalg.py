@@ -40,7 +40,7 @@ def test_rref_identity_fixed_point():
 
 def test_rref_zero_matrix():
     F = GF.get(2)
-    z = linalg.zeros(2, 4)
+    z = ((0, 0, 0, 0), (0, 0, 0, 0))
     reduced, rank, pivots = linalg.rref(F, z)
     assert reduced == z and rank == 0 and pivots == ()
 
@@ -120,7 +120,8 @@ def test_vecmat_matches_matvec_transpose():
     F = GF.get(3)
     x = (1, 2, 0)
     a = ((1, 0, 2, 1), (2, 2, 0, 1), (0, 1, 1, 1))
-    assert linalg.vecmat(F, x, a) == linalg.matvec(F, linalg.transpose(a), x)
+    matvec = tuple(linalg.dot(F, col, x) for col in linalg.transpose(a))
+    assert linalg.vecmat(F, x, a) == matvec
 
 
 # property tests for the one elimination routine and the point masks

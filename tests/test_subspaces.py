@@ -8,9 +8,8 @@ from grassmann_lab.errors import ValidationError
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import GrassmannianSpec, iter_rref_bases
 from grassmann_lab.subspaces import (SemilinearMap, Subspace, annihilator, contragredient,
-                                     coords_in, from_coords_in, identity_map,
-                                     intersect_subspaces, lift_from_quotient,
-                                     quotient_coords, sum_subspaces)
+                                     coords_in, from_coords_in, intersect_subspaces,
+                                     lift_from_quotient, quotient_coords, sum_subspaces)
 
 F2 = GF.get(2)
 F4 = GF.get(2, 2)
@@ -107,7 +106,7 @@ def test_annihilator_reverses_inclusions_and_swaps_lattice_ops():
 
 def test_apply_semilinear_identity_and_permutation():
     s = Subspace.from_rows(F2, 3, ((1, 0, 1),))
-    assert identity_map(F2, 3).apply(s) == s
+    assert SemilinearMap(F2, linalg.identity(3)).apply(s) == s
     swap01 = SemilinearMap(F2, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
     e0 = Subspace.line(F2, unit(0, 3))
     assert swap01.apply(e0) == Subspace.line(F2, unit(1, 3))
@@ -149,7 +148,7 @@ def test_semilinear_requires_invertible_matrix():
 
 
 def test_contragredient_identity_and_permutation():
-    ident = identity_map(F2, 3)
+    ident = SemilinearMap(F2, linalg.identity(3))
     assert contragredient(ident).matrix == ident.matrix
     perm = SemilinearMap(F2, ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
     assert contragredient(perm).matrix == perm.matrix
