@@ -33,9 +33,13 @@ def set_caps(q_max: int | None = None, n_max: int | None = None,
     """Replace the active caps; ``None`` keeps the current value.  A cap
     below 1 admits nothing and is refused."""
     global _current
-    updates = {name: value for name, value in (("q_max", q_max), ("n_max", n_max),
-                                               ("graph_vertex_max", graph_vertex_max))
-               if value is not None}
+    updates = {}
+    if q_max is not None:
+        updates["q_max"] = q_max
+    if n_max is not None:
+        updates["n_max"] = n_max
+    if graph_vertex_max is not None:
+        updates["graph_vertex_max"] = graph_vertex_max
     for name, value in updates.items():
         if value < 1:
             raise ValidationError(f"cap {name} must be at least 1, got {value}")
