@@ -14,7 +14,7 @@ import sys
 
 from . import dot as dot_export
 from . import jsonio
-from .config import caps_from_env, set_caps
+from .config import caps, caps_from_env, set_caps
 from .embeddings import (EmbeddingInstance, build_dual_construction,
                          build_sum_construction, classify)
 from .errors import (BudgetExhaustedError, GrassmannLabError, InternalInvariantError,
@@ -274,7 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the caps in force before the call are in force
+    after it, whatever --q-cap, --n-cap or GRASSMANN_LAB_CAPS set."""
     args = build_parser().parse_args(argv)
+    found = caps()
     try:
         caps_from_env()
         set_caps(q_max=args.q_cap, n_max=args.n_cap)
@@ -288,6 +291,9 @@ def main(argv=None) -> int:
     except GrassmannLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    finally:
+        set_caps(q_max=found.q_max, n_max=found.n_max,
+                 graph_vertex_max=found.graph_vertex_max)
 
 
 if __name__ == "__main__":

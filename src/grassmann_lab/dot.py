@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .grassmannian import GrassmannianSpec, distance
+from .grassmannian import GrassmannianSpec, distance_rows
 from .johnson import johnson_adjacent, johnson_vertices, vertex_indices
 from .subspaces import Subspace
 
@@ -47,9 +47,9 @@ def induced_dot(subspaces, name: str = "induced") -> str:
     lines = [f"graph {name} {{"]
     for i, s in enumerate(members):
         lines.append(f'  {i} [label="{i}" tooltip="{_rows_label(s)}"];')
-    for i, a in enumerate(members):
+    for i, row in enumerate(distance_rows(members)):
         for j in range(i + 1, len(members)):
-            if distance(a, members[j]) == 1:
+            if row[j] == 1:
                 lines.append(f"  {i} -- {j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

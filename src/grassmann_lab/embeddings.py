@@ -5,25 +5,29 @@ Two constructions generate every image: sums of m-element subsets of a
 2m-independent family of (k-m+1)-spaces over a fixed (k-m)-space, and the
 annihilator-dual intersections of (k+m-1)-spaces under a fixed
 (k+m)-space.  The classifier inverts either construction by descending
-through the star cliques of the image, recovers the generating family,
+through the star centers of the image, recovers the generating family,
 and certifies the answer by rebuilding the image from it and comparing
 sets exactly.
 
-One routine, _clique_kind, types a clique of the image as a star or a
-top without re-testing adjacency.  A labeled input to classify types one
-clique, the Johnson star over the core {0..m-2}: by Theorem 4 of the
-source paper (PAPER.md) every Johnson star goes the same way, and the
-exact rebuild implies the type of every other clique.  A bare input
-types each clique that Bron-Kerbosch finds, at every level of the
-descent.
+Every clique of a Grassmann graph lies in a star or a top (Brouwer,
+Cohen & Neumaier, *Distance-Regular Graphs*, 1989, section 9.3), and
+every edge of J(l, m) lies in exactly one star and one top.  So no clique
+is listed or typed.  A labeled input to classify tests one clique, the
+Johnson star over the core {0..m-2}: it lands in a star exactly when its
+members span more than k+1 dimensions, and by Theorem 4 of the source
+paper (PAPER.md) every Johnson star goes the same way.  A bare input
+reads (l, m) off its size and valency; the meets of its adjacent pairs
+are its star centers and their sums are its top covers, and counting the
+covers tells which of the two the Johnson stars land in.
 
-The pairwise isometry check (verify_assignment) runs once per trust
-boundary: on a labeled input to classify, on the labeled map rebuilt for
-a bare input to classify, and on the output of build_sum_construction.
-Annihilation maps the Grassmann graph of k-spaces onto that of
-(n-k)-spaces preserving every distance, so the dual construction and the
-top-type classification, both carried across by annihilators, are not
-checked again.
+The pairwise isometry check (_first_defect, which verify_assignment
+wraps) runs once per trust boundary: on a labeled input to classify, on
+the labeled map rebuilt for a bare input to classify (against the
+distance table the classifier already read), and on the output of
+build_sum_construction.  Annihilation maps the Grassmann graph of
+k-spaces onto that of (n-k)-spaces preserving every distance, so the
+dual construction and the top-type classification, both carried across
+by annihilators, are not checked again.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from .errors import (ClassificationError, InternalInvariantError, NotIsometricError,
                      ValidationError)
 from .fields import GF
-from .grassmannian import distance
+from .grassmannian import distance_rows
 from .independence import Ambient, PointSet, m_dependency_witness
 from .johnson import johnson_distance, johnson_vertices, vertex_from_indices
 from .subspaces import (Subspace, annihilator, intersect_many, intersect_subspaces,
@@ -74,13 +78,6 @@ class EmbeddingInstance:
         if len(self.image) != len(vertices):
             raise ValidationError("assignment is not injective")
 
-    @property
-    def m_prime(self) -> int:
-        return min(self.m, self.l - self.m)
-
-    def vertices(self) -> list[int]:
-        return list(self.assignment)
-
     def normalized(self) -> "EmbeddingInstance":
         """Re-index through complementation so that m <= l - m."""
         if self.m <= self.l - self.m:
@@ -98,18 +95,25 @@ class IsometryDefect:
     actual: int
 
 
+def _first_defect(m: int, vertices, rows, at) -> IsometryDefect | None:
+    """The first pair of vertices, in the given order, whose Johnson
+    distance differs from their entry in the distance table rows; vertex
+    i reads row and column at[i]."""
+    for i, a in enumerate(vertices):
+        row = rows[at[i]]
+        for j in range(i + 1, len(vertices)):
+            b = vertices[j]
+            expected = johnson_distance(a, b, m)
+            if expected != row[at[j]]:
+                return IsometryDefect(a, b, expected, row[at[j]])
+    return None
+
+
 def verify_assignment(m: int, assignment: dict[int, Subspace]) -> IsometryDefect | None:
     """Pairwise isometry check on a raw vertex-to-subspace mapping; accepts
     non-injective maps (a collapse shows up as a distance defect)."""
     vs = list(assignment)
-    for i, a in enumerate(vs):
-        sa = assignment[a]
-        for b in vs[i + 1:]:
-            expected = johnson_distance(a, b, m)
-            actual = distance(sa, assignment[b])
-            if expected != actual:
-                return IsometryDefect(a, b, expected, actual)
-    return None
+    return _first_defect(m, vs, distance_rows(assignment[v] for v in vs), range(len(vs)))
 
 
 def _require_isometric(m: int, assignment: dict[int, Subspace]):
@@ -194,37 +198,6 @@ def build_dual_construction(n_space: Subspace, generators, k: int) -> EmbeddingI
     primal = build_sum_construction(dual_base, dual_generators, n - k)
     return EmbeddingInstance(primal.l, m,
                              {v: annihilator(s) for v, s in primal.assignment.items()})
-
-
-# clique typing ---------------------------------------------------------
-
-
-def _clique_kind(members) -> tuple[str, Subspace]:
-    """Type a clique of k-spaces the caller already knows to be pairwise
-    adjacent: ("star", center) when they share a (k-1)-space, ("top",
-    cover) when they span a (k+1)-space.  Both hold exactly when the
-    clique lies in a line, which no maximal clique of an isometric image of
-    J(l, m) with 1 < m < l-1 does; that raises ClassificationError.
-
-    Any two members meet in the only possible center and span the only
-    possible cover, so the rest are tested by containment alone; no
-    distance is computed.
-    """
-    if len(members) < 2:
-        raise ClassificationError("a maximal clique of the image has a single member")
-    a, b, *rest = members
-    center, cover = intersect_subspaces(a, b), sum_subspaces(a, b)
-    is_star = all(s.contains(center) for s in rest)
-    is_top = all(cover.contains(s) for s in rest)
-    if is_star and is_top:
-        raise ClassificationError(
-            "a maximal clique of the image lies in a line of the Grassmann graph; "
-            "the input cannot be an isometric Johnson image")
-    if is_star:
-        return "star", center
-    if is_top:
-        return "top", cover
-    raise InternalInvariantError("adjacent family contained in no maximal clique")
 
 
 # classification ---------------------------------------------------------
@@ -322,22 +295,22 @@ def classify(obj) -> Classification:
 
     Labeled instances are isometry-verified and complement-normalized
     first; that is their only isometry check.  Bare sets get their Johnson
-    parameters inferred from the maximal-clique structure of the induced
-    graph, and the labeled map rebuilt from the recovered generators is
-    checked instead.  Either way the returned description is certified by
-    an exact rebuild of the image.
+    parameters from the size and valency of the induced graph, and the
+    labeled map rebuilt from the recovered generators is checked against
+    the input's distance table instead.  Either way the returned
+    description is certified by an exact rebuild of the image.
     """
     if isinstance(obj, EmbeddingInstance):
         _require_isometric(obj.m, obj.assignment)
         norm = obj.normalized()
         _check_classification_params(norm.l, norm.m, norm.k, norm.n)
         # Theorem 4: Johnson stars all land in stars (case A) or all in tops
-        # (case B), so the star over the core {0..m-2} decides the case; the
-        # exact rebuild in _assemble_primal implies every other clique's type
+        # (case B), so the star over the core {0..m-2} decides the case: its
+        # l-m+1 >= 3 members span more than k+1 dimensions only in a star.
+        # The exact rebuild in _assemble_primal implies every other clique's type
         core = (1 << (norm.m - 1)) - 1
-        kind, _ = _clique_kind([norm.assignment[core | (1 << i)]
-                                for i in range(norm.m - 1, norm.l)])
-        if kind == "star":
+        core_star = [norm.assignment[core | (1 << i)] for i in range(norm.m - 1, norm.l)]
+        if sum_many(norm.field, norm.n, core_star).dim > norm.k + 1:
             ordered = _labeled_generators_primal(norm)
             return _assemble_primal(norm.image, ordered, norm.l, norm.m, norm.k)
         dual = EmbeddingInstance(
@@ -354,7 +327,7 @@ def classify(obj) -> Classification:
     for s in image:
         if s.field != field or s.ambient_dim != n or s.dim != k:
             raise ValidationError("image members live in different Grassmannians")
-    return _classify_bare(image, field, n, k)
+    return _classify_bare(image, n, k)
 
 
 # -- labeled path --------------------------------------------------------
@@ -377,111 +350,73 @@ def _labeled_generators_primal(inst: EmbeddingInstance) -> tuple[Subspace, ...]:
 # -- bare path -----------------------------------------------------------
 
 
-def _maximal_cliques(spaces) -> list[frozenset]:
-    """Bron-Kerbosch with pivoting over the Grassmann-graph adjacency of
-    the given spaces, taken in the order of their RREF rows."""
-    items = sorted(spaces, key=lambda s: s.rows)
-    n = len(items)
-    adj = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if distance(items[i], items[j]) == 1:
-                adj[i].add(j)
-                adj[j].add(i)
-    cliques: list[frozenset] = []
-
-    def bk(r: set[int], p: set[int], x: set[int]):
-        if not p and not x:
-            cliques.append(frozenset(items[i] for i in r))
-            return
-        pivot = max(p | x, key=lambda v: len(adj[v] & p))
-        for v in sorted(p - adj[pivot]):
-            bk(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
-
-    bk(set(), set(range(n)), set())
-    return cliques
+def _adjacent_pairs(members, rows) -> list[tuple[Subspace, Subspace]]:
+    """The pairs of members at distance 1 in their distance table rows."""
+    return [(a, members[j]) for i, a in enumerate(members)
+            for j in range(i + 1, len(members)) if rows[i][j] == 1]
 
 
-def _infer_parameters(image: frozenset[Subspace], cliques: list[frozenset]) -> tuple[int, int]:
-    sizes = sorted({len(c) for c in cliques})
-    if len(sizes) == 1:
-        if sizes[0] == len(image):
-            raise ClassificationError(
-                "induced graph is complete; Johnson parameters with 1 < m < l-1 "
-                "cannot produce it")
-        m = sizes[0] - 1
-        l = 2 * m
-    elif len(sizes) == 2:
-        m = sizes[0] - 1
-        l = sizes[0] + sizes[1] - 2
-    else:
-        raise ClassificationError(f"unexpected clique sizes {sizes} in the induced graph")
-    if not 1 < m < l - 1:
-        raise ClassificationError(f"inferred parameters l={l}, m={m} are out of range")
-    if math.comb(l, m) != len(image):
-        raise ClassificationError(
-            f"image has {len(image)} members but J({l},{m}) needs {math.comb(l, m)}")
-    return l, m
+def _johnson_parameters(count: int, valency: int) -> tuple[int, int]:
+    """The (l, m) with 1 < m <= l/2 for which J(l, m) has count vertices
+    of valency m(l - m); no two such graphs with l < 400 share both."""
+    # m <= l - m, so m * m <= m(l - m)
+    for m in range(2, math.isqrt(valency) + 1):
+        rest, remainder = divmod(valency, m)
+        if remainder == 0 and math.comb(m + rest, m) == count:
+            return m + rest, m
+    raise ClassificationError(
+        f"no J(l, m) with 1 < m <= l/2 has {count} vertices of valency {valency}")
 
 
-def _classify_bare(image: frozenset[Subspace], field: GF, n: int, k: int,
-                   cliques: list[frozenset] | None = None) -> Classification:
-    """Classify an unlabeled image; cliques, when given, are its maximal
-    cliques."""
-    if cliques is None:
-        cliques = _maximal_cliques(image)
-    l, m = _infer_parameters(image, cliques)
+def _classify_bare(image: frozenset[Subspace], n: int, k: int) -> Classification:
+    """Classify an unlabeled image from the distance table of its members."""
+    members = sorted(image, key=lambda s: s.rows)
+    table = distance_rows(members)
+    valencies = {row.count(1) for row in table}
+    if len(valencies) != 1:
+        raise ClassificationError("the induced graph is not regular")
+    l, m = _johnson_parameters(len(members), valencies.pop())
     _check_classification_params(l, m, k, n)
-    typed = [(members, _clique_kind(members)) for members in cliques]
-    big = max(len(c) for c, _ in typed)
-    big_kinds = {kind for c, (kind, _) in typed if len(c) == big}
-    small_kinds = {kind for c, (kind, _) in typed if len(c) < big}
+    edges = _adjacent_pairs(members, table)
+    # each edge lies in one Johnson star and one Johnson top: its meet is the
+    # center of a Grassmann star and its sum the cover of a Grassmann top, so
+    # C(l, m-1) covers (and l != 2m) means the Johnson stars land in tops
+    top_type = False
     if l != 2 * m:
-        if len(big_kinds) != 1 or len(small_kinds) > 1 or small_kinds == big_kinds:
-            raise ClassificationError("inconsistent clique typing across the image")
-        case = "A" if big_kinds == {"star"} else "B"
+        covers = {sum_subspaces(a, b) for a, b in edges}
+        top_type = len(covers) == math.comb(l, m - 1)
+    if top_type:
+        # annihilation preserves every distance, so the table carries over
+        # and the covers become the star centers of the annihilated image
+        members = [annihilator(s) for s in members]
+        centers = {annihilator(c) for c in covers}
+        k = n - k
     else:
-        if big_kinds != {"star", "top"}:
-            raise ClassificationError("an apartment-like image must carry both clique kinds")
-        case = "A"
-    if case == "B":
-        # annihilation preserves adjacency, so it carries the maximal
-        # cliques over to the annihilated image
-        dual = {s: annihilator(s) for s in image}
-        dual_cliques = [frozenset(dual[s] for s in c) for c in cliques]
-        dual_cls = _classify_bare(frozenset(dual.values()), field, n, n - k, dual_cliques)
-        if dual_cls.case == "top":
-            raise InternalInvariantError("dual image classified as top-type")
-        return _transport_to_top(dual_cls)
-
-    generators = _descend_bare(image, field, n, k, l, m, typed)
-    cls = _assemble_primal(image, generators, l, m, k)
-    _require_isometric(m, rebuild(cls))
-    return cls
+        centers = {intersect_subspaces(a, b) for a, b in edges}
+    cls = _assemble_primal(frozenset(members), _descend_bare(centers, l, m), l, m, k)
+    labeled = rebuild(cls)
+    vertices = list(labeled)
+    row_of = {s: i for i, s in enumerate(members)}
+    defect = _first_defect(m, vertices, table, [row_of[labeled[v]] for v in vertices])
+    if defect is not None:
+        raise NotIsometricError(defect)
+    return _transport_to_top(cls) if top_type else cls
 
 
-def _descend_bare(image, field, n, k, l, m, typed_cliques) -> tuple[Subspace, ...]:
-    """Walk star cliques down to the generator level, label-free."""
-    current = image
-    cur_k = k
-    level = m
-    typed = typed_cliques
-    while level > 1:
-        star_meets = {center for _, (kind, center) in typed if kind == "star"}
-        if len(star_meets) != math.comb(l, level - 1):
+def _descend_bare(centers, l: int, m: int) -> tuple[Subspace, ...]:
+    """Walk from the star centers of the image down to the generators,
+    label-free: level t holds the C(l, t) sums of t generators, and the
+    meets of its adjacent pairs are level t - 1."""
+    for level in range(m - 1, 0, -1):
+        if len(centers) != math.comb(l, level):
             raise ClassificationError(
-                f"level {level} has {len(star_meets)} star cliques, "
-                f"expected {math.comb(l, level - 1)}")
-        current = frozenset(star_meets)
-        cur_k -= 1
-        level -= 1
+                f"level {level} has {len(centers)} star centers, "
+                f"expected {math.comb(l, level)}")
+        family = sorted(centers, key=lambda s: s.rows)
         if level > 1:
-            typed = [(members, _clique_kind(members)) for members in _maximal_cliques(current)]
-    if len(current) != l:
-        raise ClassificationError(f"recovered {len(current)} generators, expected {l}")
-    return tuple(sorted(current, key=lambda s: s.rows))
+            centers = {intersect_subspaces(a, b)
+                       for a, b in _adjacent_pairs(family, distance_rows(family))}
+    return tuple(family)
 
 
 # -- shared tail ---------------------------------------------------------
@@ -547,30 +482,31 @@ def _transport_to_top(dual_cls: Classification) -> Classification:
 def clique_independence(image) -> bool:
     """Whether every maximal clique of the induced graph is an independent
     family: star members must be independent points of the quotient over
-    the clique's center, top members independent hyperplanes of its cover."""
-    members_list = sorted(frozenset(image), key=lambda s: s.rows)
-    if not members_list:
+    the clique's center, top members independent hyperplanes of its cover.
+
+    A clique of two or more lies in the star over the meet, or the top
+    under the sum, of any two of its members, so the families sharing the
+    meet or the sum of an adjacent pair include every maximal clique.  Any
+    other such family lies in a line inside a maximal one, and is
+    dependent only with three or more members, which make the maximal one
+    dependent too.  A member adjacent to none is a clique of one, which
+    counts as dependent.
+    """
+    members = sorted(frozenset(image), key=lambda s: s.rows)
+    if not members:
         raise ValidationError("empty image")
-    field = members_list[0].field
-    n = members_list[0].ambient_dim
-    k = members_list[0].dim
-    for clique in _maximal_cliques(members_list):
-        if len(clique) < 2:
-            return False
-        if not 1 < k < n - 1:
-            raise ValidationError("maximal-clique structure requires 1 < k < n-1")
-        try:
-            kind, space = _clique_kind(clique)
-        except ClassificationError:
-            # a line, where both kinds agree: two members are independent
-            # points over their meet and hyperplanes of their join, three are not
-            if len(clique) > 2:
-                return False
-            continue
-        if kind == "star":
-            ok = sum_many(field, n, clique).dim == space.dim + len(clique)
-        else:
-            ok = intersect_many(field, n, clique).dim == space.dim - len(clique)
-        if not ok:
-            return False
-    return True
+    field, n, k = members[0].field, members[0].ambient_dim, members[0].dim
+    table = distance_rows(members)
+    if not all(1 in row for row in table):
+        return False
+    if not 1 < k < n - 1:
+        raise ValidationError("maximal-clique structure requires 1 < k < n-1")
+    stars: dict[Subspace, set[Subspace]] = {}
+    tops: dict[Subspace, set[Subspace]] = {}
+    for a, b in _adjacent_pairs(members, table):
+        stars.setdefault(intersect_subspaces(a, b), set()).update((a, b))
+        tops.setdefault(sum_subspaces(a, b), set()).update((a, b))
+    return (all(sum_many(field, n, family).dim == center.dim + len(family)
+                for center, family in stars.items())
+            and all(intersect_many(field, n, family).dim == cover.dim - len(family)
+                    for cover, family in tops.items()))

@@ -182,6 +182,18 @@ def distance(s: Subspace, u: Subspace) -> int:
     return linalg.rank(s.field, s.rows + u.rows) - s.dim
 
 
+def distance_rows(spaces) -> list[bytearray]:
+    """rows[i][j] is the distance between spaces[i] and spaces[j], for
+    a family of subspaces the caller has in hand; one :func:`distance`
+    call per unordered pair."""
+    spaces = list(spaces)
+    rows = [bytearray(len(spaces)) for _ in spaces]
+    for i, s in enumerate(spaces):
+        for j in range(i + 1, len(spaces)):
+            rows[i][j] = rows[j][i] = distance(s, spaces[j])
+    return rows
+
+
 def adjacent(s: Subspace, u: Subspace) -> bool:
     return distance(s, u) == 1
 

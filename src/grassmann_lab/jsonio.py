@@ -138,12 +138,15 @@ def embedding_from_json(obj: dict) -> EmbeddingInstance:
             raise SchemaError(f"embedding.map[{i}].vertex: expected indices in [0, {l})")
         if len(set(vertex_list)) != m:
             raise SchemaError(f"embedding.map[{i}].vertex: expected {m} distinct indices")
+        vertex = vertex_from_indices(vertex_list)
+        if vertex in assignment:
+            raise SchemaError(f"embedding.map[{i}].vertex: repeats an earlier entry's vertex")
         rows = _rows_from_json(_need(entry, "subspace", f"embedding.map[{i}]"),
                                f"embedding.map[{i}].subspace")
         sub = Subspace.from_rows(field, n, rows)
         if sub.dim != k:
             raise SchemaError(f"embedding.map[{i}].subspace: expected dimension {k}")
-        assignment[vertex_from_indices(vertex_list)] = sub
+        assignment[vertex] = sub
     return EmbeddingInstance(l, m, assignment)
 
 

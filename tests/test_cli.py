@@ -252,6 +252,19 @@ def test_zero_cap_exits_2_with_one_line(option, name, capsys):
     assert captured.err.splitlines() == [f"error: cap {name} must be at least 1, got 0"]
 
 
+def test_main_restores_the_caps_it_found(capsys, monkeypatch):
+    from grassmann_lab.config import caps
+    before = caps()
+    assert run(["--q-cap", "17", "--n-cap", "9", "export", "--graph", "grassmann",
+                "--n", 3, "--k", 1, "--p", 17]) == 0
+    assert caps() == before
+    monkeypatch.setenv("GRASSMANN_LAB_CAPS", "q=19")
+    assert run(["--q-cap", "17", "export", "--graph", "grassmann",
+                "--n", 3, "--k", 1, "--p", 19]) == 2  # an error path restores them too
+    capsys.readouterr()
+    assert caps() == before
+
+
 def test_caps_env_variable(tmp_path, capsys, monkeypatch):
     from grassmann_lab.config import set_caps
     monkeypatch.setenv("GRASSMANN_LAB_CAPS", "q=19")
@@ -288,6 +301,11 @@ def _malformed(tmp_path, case):
         entry["vertex"][0] = True
     elif case == "embedding-version":
         doc["schema_version"] = 99
+    elif case == "repeated-vertex":
+        # a wrong plane first, the right one last: the last entry must not win
+        doc["map"].append(dict(doc["map"][0]))
+        doc["map"][0] = {"vertex": doc["map"][0]["vertex"],
+                         "subspace": [[1, 1, 0, 0], [0, 0, 1, 0]]}
     else:
         cls_path = tmp_path / "cls.json"
         assert run(["classify", "--input", emb, "--output", cls_path]) == 0
@@ -302,7 +320,8 @@ def _malformed(tmp_path, case):
 
 @pytest.mark.parametrize("case", ["missing-file", "top-level-number", "deeply-nested",
                                   "star-points-number", "vertex-true", "embedding-version",
-                                  "classification-version", "pointset-version"])
+                                  "repeated-vertex", "classification-version",
+                                  "pointset-version"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     argv = _malformed(tmp_path, case)
     capsys.readouterr()

@@ -1,21 +1,24 @@
 import itertools
+import math
+import random
+from collections import Counter
 
 import pytest
 
-from grassmann_lab import embeddings, grassmannian, jsonio
-from grassmann_lab.embeddings import (EmbeddingInstance, _clique_kind,
-                                      build_dual_construction, build_sum_construction,
+from grassmann_lab import embeddings, grassmannian, jsonio, linalg
+from grassmann_lab.embeddings import (EmbeddingInstance, build_dual_construction,
+                                      build_sum_construction,
                                       classify, clique_independence, rebuild,
                                       verify_assignment)
-from grassmann_lab.errors import (ClassificationError, NotIsometricError,
+from grassmann_lab.errors import (ClassificationError, GrassmannLabError, NotIsometricError,
                                   ValidationError)
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import apartment_from_frame, star, top
 from grassmann_lab.independence import canonical_simplex
-from grassmann_lab.johnson import vertex_from_indices
+from grassmann_lab.johnson import MAX_GROUND_SET, vertex_from_indices
+from grassmann_lab.oracle import SearchConfig, enumerate_embeddings
 from grassmann_lab.rigidity import is_rigid
-from grassmann_lab.subspaces import (Subspace, annihilator, intersect_many,
-                                     intersect_subspaces, sum_many, sum_subspaces)
+from grassmann_lab.subspaces import Subspace, annihilator, intersect_many, sum_many
 
 F2 = GF.get(2)
 F3 = GF.get(3)
@@ -146,28 +149,16 @@ def test_verify_isometric_counterexamples():
     assert verify_assignment(2, anti) is None
 
 
-def test_clique_kind_star_top_and_line():
+def test_clique_independence_on_a_line():
+    # a line lies in both a star and a top: two of its members are
+    # independent points over their meet and hyperplanes of their join,
+    # three are neither
     m = Subspace.line(F2, unit(0, 4))
-    through_m = sorted(star(m), key=lambda s: s.rows)
-    # three members of the star spanning more than k+1 dimensions
-    triple = [through_m[0], through_m[1], through_m[4]]
-    assert sum_subspaces(sum_subspaces(triple[0], triple[1]), triple[2]).dim > 3
-    assert _clique_kind(triple) == ("star", m)
-    # three members of a top with pairwise distinct intersections
     n_space = Subspace.from_rows(F2, 4, (unit(0, 4), unit(1, 4), unit(2, 4)))
-    in_top = sorted(top(n_space), key=lambda s: s.rows)
-    for triple in itertools.combinations(in_top, 3):
-        meet = intersect_subspaces(intersect_subspaces(triple[0], triple[1]), triple[2])
-        if meet.dim < 1:
-            assert _clique_kind(triple) == ("top", n_space)
-            break
-    else:
-        pytest.fail("no generic triple found in the top")
-    # a line lies in both a star and a top, which no isometric image allows
     line = sorted(star(m) & top(n_space), key=lambda s: s.rows)
     assert len(line) == 3
-    with pytest.raises(ClassificationError):
-        _clique_kind(line)
+    assert not clique_independence(line)
+    assert clique_independence(line[:2])
 
 
 def test_classify_case_and_rebuild_labels():
@@ -239,6 +230,80 @@ def test_classify_bare_set_inference():
     assert (cls.l, cls.m) == (5, 2)
     assert cls.case == "star"
     assert frozenset(rebuild(cls).values()) == inst.image
+
+
+def test_vertex_count_and_valency_name_one_johnson_graph():
+    # the bare classifier reads (l, m) off |image| and the valency m(l - m)
+    seen = {}
+    for l in range(4, MAX_GROUND_SET + 1):
+        for m in range(2, l // 2 + 1):
+            key = (math.comb(l, m), m * (l - m))
+            assert key not in seen, (seen.get(key), (l, m))
+            seen[key] = (l, m)
+            assert embeddings._johnson_parameters(*key) == (l, m)
+
+
+def _perturbed_images(seed=7, per_graph=150):
+    """Seeded inputs near oracle images of J(4,2) and J(5,2) in G(4,2,2):
+    one member swapped for a plane outside the image, one member dropped,
+    a random set of planes of the same size, or the image moved by a
+    random invertible matrix (still a Johnson image)."""
+    rng = random.Random(seed)
+    for l in (4, 5):
+        result = enumerate_embeddings(SearchConfig(l=l, m=2, n=4, k=2, p=2))
+        spec, images = result.spec, sorted(result.images)
+        for t in range(per_graph):
+            image = [spec.by_id(i) for i in images[rng.randrange(len(images))]]
+            kind = ("swap", "drop", "random", "move")[t % 4]
+            if kind == "swap":
+                others = [s for s in spec.subspaces if s not in image]
+                image[rng.randrange(len(image))] = rng.choice(others)
+            elif kind == "drop":
+                del image[rng.randrange(len(image))]
+            elif kind == "random":
+                image = rng.sample(spec.subspaces, len(image))
+            else:
+                while True:
+                    g = [[rng.randrange(2) for _ in range(4)] for _ in range(4)]
+                    if linalg.rank(F2, g) == 4:
+                        break
+                image = [Subspace.from_rows(F2, 4, linalg.matmul(F2, s.rows, g))
+                         for s in image]
+            yield f"J({l},2) {kind}", frozenset(image)
+
+
+def _outcome(call, image) -> str:
+    """"ok" for a classification, str(value) for a verdict, or the class
+    of the error raised."""
+    try:
+        value = call(image)
+    except GrassmannLabError as exc:
+        return type(exc).__name__
+    return "ok" if isinstance(value, embeddings.Classification) else str(value)
+
+
+PERTURBED_OUTCOMES = {
+    ("J(4,2) swap", "ClassificationError", "False"): 20,
+    ("J(4,2) swap", "ClassificationError", "True"): 18,
+    ("J(4,2) drop", "ClassificationError", "True"): 38,
+    ("J(4,2) random", "ClassificationError", "False"): 13,
+    ("J(4,2) random", "ClassificationError", "True"): 24,
+    ("J(4,2) move", "ok", "True"): 37,
+    ("J(5,2) swap", "ClassificationError", "False"): 38,
+    ("J(5,2) drop", "ClassificationError", "False"): 38,
+    ("J(5,2) random", "ClassificationError", "False"): 36,
+    ("J(5,2) random", "ClassificationError", "True"): 1,
+    ("J(5,2) move", "ok", "False"): 37,
+}
+
+
+def test_bare_classify_on_perturbed_oracle_images():
+    # only GrassmannLabError subclasses escape; the pins are what the
+    # classifier that listed and typed maximal cliques (Bron-Kerbosch) gave
+    # on the same inputs, where it agreed input by input
+    counts = Counter((name, _outcome(classify, image), _outcome(clique_independence, image))
+                     for name, image in _perturbed_images())
+    assert counts == PERTURBED_OUTCOMES
 
 
 def test_classify_normalizes_large_m():
@@ -376,14 +441,14 @@ def _count_requests():
 
 def test_isometry_passes_per_request(monkeypatch):
     requests = _count_requests()
-    real = embeddings.verify_assignment
+    real = embeddings._first_defect
     calls = []
 
-    def counting(m, assignment):
+    def counting(m, vertices, rows, at):
         calls.append(m)
-        return real(m, assignment)
+        return real(m, vertices, rows, at)
 
-    monkeypatch.setattr(embeddings, "verify_assignment", counting)
+    monkeypatch.setattr(embeddings, "_first_defect", counting)
     counts = {}
     for name, (request, _) in requests.items():
         calls.clear()
@@ -394,16 +459,17 @@ def test_isometry_passes_per_request(monkeypatch):
 
 def _distance_requests():
     """Each input with the grassmannian.distance calls that a labeled and a
-    bare classify make: the labeled path only runs the isometry check; the
-    bare path adds the Bron-Kerbosch adjacency tests.  On a top-type image
-    the bare path classifies the annihilated image with the annihilated
-    cliques, so it makes no more calls than its star-type dual."""
+    bare classify make: one per unordered pair of the image either way.
+    The labeled path spends them on its isometry check; the bare path reads
+    the same table for its parameters, its adjacent pairs and the check of
+    its rebuilt map, and carries it over to the annihilated image on a
+    top-type input."""
     apartment = apartment_instance(F2, 4, 2)
     simplex = build_sum_construction(Subspace.zero(F2, 4), simplex_lines(F2, 4), 2)
     dual = EmbeddingInstance(5, 2, {v: annihilator(s) for v, s in simplex.assignment.items()})
-    return {"apartment J(4,2) in G(4,2,2)": (apartment, 15, 30),
-            "J(5,2) simplex sum": (simplex, 45, 90),
-            "its dual, top type": (dual, 45, 90)}
+    return {"apartment J(4,2) in G(4,2,2)": (apartment, 15, 15),
+            "J(5,2) simplex sum": (simplex, 45, 45),
+            "its dual, top type": (dual, 45, 45)}
 
 
 def test_distance_calls_per_classify(monkeypatch):
@@ -415,7 +481,6 @@ def test_distance_calls_per_classify(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(grassmannian, "distance", counting)
-    monkeypatch.setattr(embeddings, "distance", counting)
     requests = _distance_requests()
     counts = {}
     for name, (inst, _, _) in requests.items():

@@ -6,7 +6,8 @@ import pytest
 from grassmann_lab.errors import CapExceededError, ValidationError
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import (GrassmannianSpec, adjacent, apartment_from_frame,
-                                        distance, iter_rref_bases, pg_points, star, top)
+                                        distance, distance_rows, iter_rref_bases, pg_points,
+                                        star, top)
 from grassmann_lab.johnson import johnson_distance, johnson_vertices
 from grassmann_lab.subspaces import Subspace, annihilator
 
@@ -71,6 +72,12 @@ def test_distance_and_adjacency_basic():
     assert distance(s, w) == 1 and adjacent(s, w)
     with pytest.raises(ValidationError):
         distance(s, Subspace.line(F2, unit(0, 4)))
+
+
+def test_distance_rows_are_the_pairwise_distances():
+    spaces = GrassmannianSpec(F3, 4, 2).subspaces[::7]
+    rows = distance_rows(spaces)
+    assert [list(row) for row in rows] == [[distance(a, b) for b in spaces] for a in spaces]
 
 
 @pytest.mark.parametrize("n,k,q", [(4, 2, 2), (5, 2, 2), (4, 2, 3)])
