@@ -42,6 +42,8 @@ REQUESTS = {
     "sum-q3-n6-k3-l4": (["sum", "--p", 3, "--n", 6, "--k", 3, "--m", 2, "--l", 4], False),
     "dual-q4-n6-k3-l4": (
         ["dual", "--p", 2, "--e", 2, "--n", 6, "--k", 3, "--m", 2, "--l", 4], False),
+    # GF(16) frame: every solution space (nullity 6) is past the cap
+    "apartment-q16-n6-k3": (["apartment", "--p", 2, "--e", 4, "--n", 6, "--k", 3], False),
 }
 
 DIGESTS = {
@@ -105,6 +107,10 @@ DIGESTS = {
         "07848ef141a730c59b036c7895f531894d92752bba6ae1763e591f013e50ab42",
         "81f7d780fbc2ed3efaa3bf2c73d0e9b01a230756b25cc8b661f61e38f49e6653",
         "f071bb1005086a5e66f888f5bf710016c94b32dbd95fe06f699e34100e6dd455"),
+    "apartment-q16-n6-k3": (
+        "7b961e94fd7a52b35a8c000a4302033b851ca3890d49129deb9b7253589bd1c6",
+        "27d44bd818fd54de6011d3c3daeb4536bd624f8e69a030a3258e2b3a72309117",
+        "3cd4acd0917232eed8b2cb13508b6a67e3b16b8344a09217237d116715fd2f91"),
 }
 
 
