@@ -9,6 +9,7 @@ rigidity solver's fallback past its exhaustive cap, draws from a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -176,12 +177,19 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _grassmannian(args) -> GrassmannianSpec:
+    missing = [f"--{flag}" for flag in ("p", "n", "k") if getattr(args, flag) is None]
+    if missing:
+        raise ValidationError(f"grassmann export needs {', '.join(missing)}")
+    return GrassmannianSpec(_field(args), args.n, args.k)
+
+
 def cmd_export(args) -> int:
     if args.format == "json":
         if args.graph != "grassmann":
             raise ValidationError("json export provides Grassmannian index tables; "
                                   "use --graph grassmann")
-        spec = GrassmannianSpec(_field(args), args.n, args.k)
+        spec = _grassmannian(args)
         text = dump_json(jsonio.index_table_to_json(spec), args.dot)
         if not args.dot:
             print(text)
@@ -195,8 +203,7 @@ def cmd_export(args) -> int:
             raise ValidationError("johnson export needs --l and --m")
         text = dot_export.johnson_dot(args.l, args.m)
     elif args.graph == "grassmann":
-        spec = GrassmannianSpec(_field(args), args.n, args.k)
-        text = dot_export.grassmann_dot(spec)
+        text = dot_export.grassmann_dot(_grassmannian(args))
     else:
         raise ValidationError("export needs --input or --graph")
     if args.dot:
@@ -214,7 +221,9 @@ def _add_field_args(parser, require_nk: bool = True):
     parser.add_argument("--k", type=int, required=require_nk, help="subspace dimension")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="grassmann-lab",
         description="Exact workbench for Johnson-graph images in Grassmann graphs "
@@ -232,19 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--budget", type=int, default=2_000_000,
                          help="node budget for generator search")
     p_build.add_argument("--output", help="write the embedding JSON here")
-    p_build.set_defaults(func=cmd_build)
 
     p_classify = sub.add_parser("classify", help="classify an embedding or image")
     p_classify.add_argument("--input", required=True)
     p_classify.add_argument("--output")
-    p_classify.set_defaults(func=cmd_classify)
 
     p_rig = sub.add_parser("rigidity", help="test extendability of all automorphisms")
     p_rig.add_argument("--input", required=True)
     p_rig.add_argument("--output")
     p_rig.add_argument("--dump-certificates", action="store_true",
                        help="include infeasibility diagnostics (rank defects)")
-    p_rig.set_defaults(func=cmd_rigidity)
 
     p_oracle = sub.add_parser("oracle", help="exhaustively enumerate embeddings")
     _add_field_args(p_oracle)
@@ -255,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--symmetry-reduction", action="store_true")
     p_oracle.add_argument("--jsonl", help="stream images to this JSON-lines file")
     p_oracle.add_argument("--output", help="write the summary JSON here")
-    p_oracle.set_defaults(func=cmd_oracle)
 
     p_export = sub.add_parser("export", help="emit DOT graphs")
     p_export.add_argument("--input", help="embedding or classification JSON")
@@ -269,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--format", choices=["dot", "json"], default="dot",
                           help="dot graphs, or the json index table of a Grassmannian")
     p_export.add_argument("--dot", help="write the output here instead of stdout")
-    p_export.set_defaults(func=cmd_export)
     return parser
 
 
@@ -281,7 +285,8 @@ def main(argv=None) -> int:
     try:
         caps_from_env()
         set_caps(q_max=args.q_cap, n_max=args.n_cap)
-        return args.func(args)
+        # looked up per call, so a cmd_* function rebound on the module runs
+        return globals()[f"cmd_{args.command}"](args)
     except (BudgetExhaustedError, UnknownOutcome) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -60,7 +60,12 @@ def iter_rref_bases(field: GF, n: int, k: int):
 
 def pg_points(field: GF, dim: int) -> list[Subspace]:
     """All points of the projective space of F_q^dim, via normalized
-    representatives (first nonzero coordinate 1)."""
+    representatives (first nonzero coordinate 1).  PG(dim-1, q) is the
+    Grassmannian of lines, so its size is held to the same vertex cap."""
+    count = (field.q ** dim - 1) // (field.q - 1)
+    if count > caps().graph_vertex_max:
+        raise CapExceededError(f"PG({dim - 1}, {field.q}) with {count} points exceeds "
+                               f"cap {caps().graph_vertex_max}")
     points = []
     for lead in range(dim):
         tail = dim - lead - 1

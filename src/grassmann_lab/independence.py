@@ -155,6 +155,8 @@ def search_m_independent(ambient: Ambient, m: int, target_size: int,
         raise ValidationError("target size must be positive")
     if m < 1:
         raise ValidationError("m must be positive")
+    if budget < 0:
+        raise ValidationError(f"need a budget of at least 0 nodes, got {budget}")
     F, d = ambient.field, ambient.dim
     universe = pg_points(F, d)
     span_cache: dict[tuple[int, ...], int] = {}

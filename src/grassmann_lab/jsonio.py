@@ -221,9 +221,6 @@ def rigidity_report_to_json(report: RigidityReport, include_certificates: bool =
         if isinstance(outcome, ExtensionWitness):
             entry["outcome"] = "witness"
             entry["witness"] = {"kind": outcome.kind, **_semilinear_to_json(outcome.map)}
-            if outcome.extended_identically_on is not None:
-                entry["witness"]["extended_identically_on"] = [
-                    list(r) for r in outcome.extended_identically_on.rows]
         elif isinstance(outcome, NotExtendable):
             entry["outcome"] = "not-extendable"
             entry["reason"] = outcome.reason

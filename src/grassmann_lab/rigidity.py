@@ -4,11 +4,14 @@ extend to automorphisms of the ambient Grassmann graph.
 Automorphisms of the Grassmann graph are exactly those induced by
 semilinear automorphisms of V, plus the dualities through V* that exist
 only when n = 2k.  Extending a ground-set permutation therefore reduces
-to a line-mapping problem for the recovered generators: per Frobenius
-twist, "u maps line i into line pi(i)" is a linear system in the matrix
-entries, and the affine solution space is searched for an invertible
-element.  Witnesses are never trusted from the solver; every one is
-re-verified on the whole image.
+to a line-mapping problem for the recovered generators, and extending the
+complement to a subspace-mapping problem from the star generators to the
+annihilated top generators.  One solver takes both: a map sending each
+source onto its target sends the sum of the sources onto the sum of the
+targets, so per Frobenius twist, "u maps source i onto target i" is a
+linear system in the entries of a map between those two spans, and its
+solution space is searched for an invertible element.  Witnesses are never
+trusted from the solver; every one is re-verified on the whole image.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ class ExtensionWitness:
     kind: str  # "semilinear" | "duality"
     map: SemilinearMap
     certificate: tuple[tuple[int, bool], ...] = ()
-    extended_identically_on: Subspace | None = None
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,8 @@ class NotExtendable:
 
 @dataclass(frozen=True)
 class UnknownExtension:
-    """The solution space was too large to exhaust and the fixed-seed draws
-    found no witness; absence is not certified."""
+    """Even between the spans, the solution space was past EXHAUSTIVE_CAP
+    and the fixed-seed draws found no witness; absence is not certified."""
 
     diagnostics: tuple[SigmaDiagnostics, ...] = ()
 
@@ -110,38 +112,52 @@ def _sample_budget(q: int, d: int) -> int:
 
 def solve_semilinear_mapping(F: GF, d: int, pairs
                              ) -> tuple[SemilinearMap | None, tuple[SigmaDiagnostics, ...], bool]:
-    """Search for an invertible semilinear map sending each source subspace
-    into its target.
+    """Search for an invertible semilinear map of F^d sending each source
+    subspace onto its target.
 
-    Per twist, the candidates are every nonzero combination of the solution
-    basis when there are at most EXHAUSTIVE_CAP of them, and otherwise
-    _sample_budget draws from one fixed-seed generator shared by the twists.
-    Returns (map, per-sigma diagnostics, resolved).  resolved is True when
-    the answer is certain: either a map was found, or every solution space
-    was exhausted without one.
+    The search runs on maps W from S, the sum of the sources, onto D, the
+    sum of the targets, in the coordinates of their RREF bases; the witness
+    sends the standard complement of S onto that of D.  Per twist, the
+    candidates are every nonzero combination of the solution basis, units
+    before zero in each coordinate, when there are at most EXHAUSTIVE_CAP
+    of them, and otherwise _sample_budget draws from one fixed-seed
+    generator shared by the twists.  Returns (map, per-sigma diagnostics,
+    resolved); resolved is True when a map was found, S and D differ in
+    dimension, or every solution space was exhausted.
     """
+    if any(src.dim != dst.dim for src, dst in pairs):
+        raise ValidationError("each source must have the dimension of its target")
+    span = sum_many(F, d, (src for src, _ in pairs))
+    image = sum_many(F, d, (dst for _, dst in pairs))
+    if span.dim != image.dim:
+        return None, (), True
+    r = span.dim
+    reduced = [(Subspace.from_rows(F, r, coords_in(span, src)),
+                Subspace.from_rows(F, r, coords_in(image, dst))) for src, dst in pairs]
+    order = (*F.units(), 0)
     diagnostics = []
     resolved = True
     rng = random.Random(0)
     for t in F.automorphisms():
-        constraints = _mapping_constraints(F, d, pairs, t)
-        basis = linalg.nullspace(F, constraints, d * d)
+        constraints = _mapping_constraints(F, r, reduced, t)
+        basis = linalg.nullspace(F, constraints, r * r)
         nullity = len(basis)
         exhaustive = F.q ** nullity - 1 <= EXHAUSTIVE_CAP
         if exhaustive:
-            candidates = (c for c in itertools.product(F.elements(), repeat=nullity) if any(c))
+            candidates = (c for c in itertools.product(order, repeat=nullity) if any(c))
         else:
             candidates = ([rng.randrange(F.q) for _ in range(nullity)]
-                          for _ in range(_sample_budget(F.q, d)))
+                          for _ in range(_sample_budget(F.q, r)))
         searched = 0
         found = None
         for coeffs in candidates:
             searched += 1
-            mat = _combine(F, d, basis, coeffs)
+            mat = _combine(F, r, basis, coeffs)
             if linalg.is_invertible(F, mat):
-                found = SemilinearMap(F, mat, t)
+                images = tuple(linalg.vecmat(F, row, image.rows) for row in mat)
+                found = _map_sending(F, _completed(span), images + _completed(image)[r:], t)
                 break
-        diagnostics.append(SigmaDiagnostics(t, len(constraints), d * d - nullity, nullity,
+        diagnostics.append(SigmaDiagnostics(t, len(constraints), r * r - nullity, nullity,
                                             searched, exhaustive))
         if found is not None:
             return found, tuple(diagnostics), True
@@ -152,37 +168,26 @@ def solve_semilinear_mapping(F: GF, d: int, pairs
 # lifting solved maps to the full space -----------------------------------
 
 
-def _std_vector(n: int, c: int) -> tuple[int, ...]:
-    return tuple(1 if j == c else 0 for j in range(n))
+def _completed(s: Subspace) -> linalg.Matrix:
+    """s's basis rows, then the standard basis vectors at its non-pivot
+    columns: a basis of the whole space."""
+    eye = linalg.identity(s.ambient_dim)
+    return s.rows + tuple(eye[c] for c in complement_columns(s))
 
 
-def _lift_basis_images(F: GF, basis_rows, image_rows, t: int) -> linalg.Matrix:
-    """Matrix of the semilinear map sending basis_rows[i] to image_rows[i]
-    with twist t, in standard coordinates."""
-    T = tuple(basis_rows)
-    inv = linalg.inverse(F, T)
+def _map_sending(F: GF, basis_rows, image_rows, t: int) -> SemilinearMap:
+    """The semilinear map with twist t sending basis_rows[i] to image_rows[i]."""
+    inv = linalg.inverse(F, tuple(basis_rows))
     twisted = tuple(frobenius_vec(F, row, t) for row in inv)
-    return linalg.matmul(F, twisted, tuple(image_rows))
-
-
-def extend_from_invariant(sub: Subspace, inner: SemilinearMap) -> SemilinearMap:
-    """Extend a map of sub (in sub coordinates) to the whole space, acting
-    as the identity on the standard complement of sub."""
-    F, n = sub.field, sub.ambient_dim
-    comp = [_std_vector(n, c) for c in complement_columns(sub)]
-    basis = list(sub.rows) + comp
-    images = [linalg.vecmat(F, row, sub.rows) for row in inner.matrix] + comp
-    return SemilinearMap(F, _lift_basis_images(F, basis, images, inner.sigma), inner.sigma)
+    return SemilinearMap(F, linalg.matmul(F, twisted, tuple(image_rows)), t)
 
 
 def extend_from_quotient(m_space: Subspace, inner: SemilinearMap) -> SemilinearMap:
     """Extend a map of the quotient by m_space (in complement-chart
     coordinates) to the whole space, preserving m_space."""
-    F, n = m_space.field, m_space.ambient_dim
-    free = complement_columns(m_space)
-    basis = list(m_space.rows) + [_std_vector(n, c) for c in free]
-    images = list(m_space.rows) + [lift_vector(m_space, row) for row in inner.matrix]
-    return SemilinearMap(F, _lift_basis_images(F, basis, images, inner.sigma), inner.sigma)
+    return _map_sending(m_space.field, _completed(m_space),
+                        m_space.rows + tuple(lift_vector(m_space, row) for row in inner.matrix),
+                        inner.sigma)
 
 
 # point-level extension ----------------------------------------------------
@@ -193,9 +198,9 @@ def induced_by_semilinear(points, perm
     """Decide whether some semilinear automorphism realizes the permutation
     on the given projective points, i.e. maps point i onto point perm[i].
 
-    When the points span a proper subspace, the problem is solved there
-    and the map extended identically on a complement; the witness records
-    that subspace.  A returned witness is re-verified pointwise.
+    The search runs on the span of the points; the witness acts there and
+    fixes the standard complement.  A returned witness is re-verified
+    pointwise.
     """
     pts = list(points.points if isinstance(points, PointSet) else points)
     if not pts:
@@ -204,32 +209,20 @@ def induced_by_semilinear(points, perm
     if sorted(perm) != list(range(len(pts))):
         raise ValidationError("perm is not a permutation of the point indices")
     F = pts[0].field
-    d = pts[0].ambient_dim
-    span = sum_many(F, d, pts)
-    restricted = span.dim < d
-    if restricted:
-        reduced = [Subspace(F, span.dim, coords_in(span, p)) for p in pts]
-        solve_pts = reduced
-        solve_dim = span.dim
-    else:
-        solve_pts = pts
-        solve_dim = d
-    pairs = [(solve_pts[i], solve_pts[perm[i]]) for i in range(len(pts))]
-    inner, diagnostics, resolved = solve_semilinear_mapping(F, solve_dim, pairs)
-    if inner is None:
+    pairs = [(p, pts[j]) for p, j in zip(pts, perm)]
+    witness_map, diagnostics, resolved = solve_semilinear_mapping(F, pts[0].ambient_dim, pairs)
+    if witness_map is None:
         if resolved:
             return NotExtendable("no invertible semilinear solution for any "
                                  "field automorphism", diagnostics)
         return UnknownExtension(diagnostics)
-    witness_map = extend_from_invariant(span, inner) if restricted else inner
     certificate = []
     for i, p in enumerate(pts):
         ok = witness_map.apply(p) == pts[perm[i]]
         certificate.append((i, ok))
         if not ok:
             raise InternalInvariantError("solver produced a map that fails on the points")
-    return ExtensionWitness("semilinear", witness_map, tuple(certificate),
-                            span if restricted else None)
+    return ExtensionWitness("semilinear", witness_map, tuple(certificate))
 
 
 # embedding-level extension -------------------------------------------------
@@ -251,9 +244,9 @@ def extend_automorphism(subject, aut: JohnsonAut
     """Extend one automorphism of the image graph to the Grassmann graph.
 
     Permutation automorphisms become line-mapping problems for the
-    recovered generators (on the dual side for top-type images, pulled
-    back through the contragredient).  The complement automorphism, legal
-    only when l == 2m, requires a duality V -> V* and is therefore
+    recovered generators (for top-type images, on the annihilator side,
+    pulled back through the contragredient).  The complement automorphism,
+    legal only when l == 2m, requires a duality V -> V* and is therefore
     immediately not extendable unless n == 2k.
     """
     cls = subject if isinstance(subject, Classification) else classify(subject)
@@ -277,23 +270,19 @@ def extend_automorphism(subject, aut: JohnsonAut
         certificate = _verify_on_image(cls, aut, lambda s: annihilator(duality.apply(s)))
         return ExtensionWitness("duality", duality, certificate)
 
+    # a top-type image is the star side of its annihilated image
     if cls.star_points is not None:
-        points = cls.star_point_set()
-        outcome = induced_by_semilinear(points, aut.perm)
-        if not isinstance(outcome, ExtensionWitness):
-            return outcome
-        full = extend_from_quotient(cls.m_space, outcome.map)
-        certificate = _verify_on_image(cls, aut, full.apply)
-        return ExtensionWitness("semilinear", full, certificate)
-
-    # top type: solve on the annihilator side, pull back contragrediently
-    outcome = induced_by_semilinear(cls.top_point_set(), aut.perm)
+        points, base, pull_back = cls.star_point_set(), cls.m_space, None
+    else:
+        points, base, pull_back = cls.top_point_set(), annihilator(cls.n_space), contragredient
+    outcome = induced_by_semilinear(points, aut.perm)
     if not isinstance(outcome, ExtensionWitness):
         return outcome
-    dual_full = extend_from_quotient(annihilator(cls.n_space), outcome.map)
-    primal = contragredient(dual_full)
-    certificate = _verify_on_image(cls, aut, primal.apply)
-    return ExtensionWitness("semilinear", primal, certificate)
+    full = extend_from_quotient(base, outcome.map)
+    if pull_back is not None:
+        full = pull_back(full)
+    certificate = _verify_on_image(cls, aut, full.apply)
+    return ExtensionWitness("semilinear", full, certificate)
 
 
 # the rigidity verdict -------------------------------------------------------

@@ -84,6 +84,13 @@ def test_exit_code_3_on_unknown_search(tmp_path, capsys):
     assert code == 3
 
 
+def test_exit_code_2_on_negative_budget(capsys):
+    code = run(["build", "sum", "--n", 4, "--k", 2, "--p", 2, "--l", 5, "--budget", -1])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: need a budget of at least 0 nodes, got -1"]
+
+
 def test_exit_code_2_on_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema_version": 1, "params": {}}))
@@ -176,6 +183,16 @@ def test_oracle_with_no_room_skips_the_bfs_preflight():
     assert summary["nodes"] == 0 and summary["bfs_agrees"] is None
     assert summary["ok"] is True
     assert elapsed < 1.0
+
+
+def test_point_search_past_the_vertex_cap_exits_2_at_once():
+    # the generator search would list all 286,331,153 points of PG(7, 16).
+    # A child process, so a regression fails at the timeout instead of hanging
+    proc = _cli_in_child(["build", "sum", "--p", 2, "--e", 4, "--n", 8, "--k", 2, "--l", 5],
+                         timeout=20)
+    assert proc.returncode == 2
+    assert proc.stderr.strip().splitlines() == [
+        "error: PG(7, 16) with 286331153 points exceeds cap 100000"]
 
 
 @pytest.mark.parametrize("option,value,message", [
@@ -279,6 +296,10 @@ def test_caps_env_variable(tmp_path, capsys, monkeypatch):
 def _malformed(tmp_path, case):
     """Write one malformed input document; returns the subcommand to run."""
     path = tmp_path / "input.json"
+    if case == "export-json-without-p":
+        return ["export", "--graph", "grassmann", "--format", "json"]
+    if case == "export-without-nk":
+        return ["export", "--graph", "grassmann", "--p", 2]
     if case == "missing-file":
         return ["classify", "--input", path]
     if case == "top-level-number":
@@ -321,7 +342,8 @@ def _malformed(tmp_path, case):
 @pytest.mark.parametrize("case", ["missing-file", "top-level-number", "deeply-nested",
                                   "star-points-number", "vertex-true", "embedding-version",
                                   "repeated-vertex", "classification-version",
-                                  "pointset-version"])
+                                  "pointset-version", "export-json-without-p",
+                                  "export-without-nk"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     argv = _malformed(tmp_path, case)
     capsys.readouterr()

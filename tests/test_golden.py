@@ -37,8 +37,8 @@ REQUESTS = {
     "simplex-faces-q2-n4-k2": (["simplex-faces", "--p", 2, "--n", 4, "--k", 2], False),
     "simplex-faces-q4-n5-k3": (
         ["simplex-faces", "--p", 2, "--e", 2, "--n", 5, "--k", 3], False),
-    # solution spaces past the exhaustive cap: the witnesses come from the
-    # fixed-seed draws of the rigidity solver
+    # l = 2m and n = 2k with the generators spanning a hyperplane: the
+    # duality search runs on that span
     "sum-q3-n6-k3-l4": (["sum", "--p", 3, "--n", 6, "--k", 3, "--m", 2, "--l", 4], False),
     "dual-q4-n6-k3-l4": (
         ["dual", "--p", 2, "--e", 2, "--n", 6, "--k", 3, "--m", 2, "--l", 4], False),
@@ -66,11 +66,11 @@ DIGESTS = {
     "sum-q4-n5-k2-l6": (
         "1f6165224f3417f67bdeeb93b10280555547e480ea5740a946c3a976895bf646",
         "e30acbcc7591dd1c80a9c44cac2bd2811f9c271a377ba33841701715183a649d",
-        "2807f4f940ce5c9901c3150f7b27fc5d34391c690b549b4df70dc21e7bd26a94"),
+        "cb550a72d9aef7453ae164f382c433c82b42cd2f487d9d14f587282c76b4b02a"),
     "sum-q4-n5-k2-l6-frobenius": (
         "1f6165224f3417f67bdeeb93b10280555547e480ea5740a946c3a976895bf646",
         "c705b62067a4ce5124bb87ee227c396e1b840002210f81f3cda702b1daea04c8",
-        "4c7c89e6faad32a88277fdd809a71c1402971e0d7d3a0f4391b0587023a8c41e"),
+        "603156848c4f0ce89788186ac4ecd3916d73e9dbee0d21e81866e8182fd21d8c"),
     "dual-q4-n4-k2-l5": (
         "71d69f0d0bed6c0e158568ecdc6c6ca0f5a71bab4f47d2145625091a53f15bc4",
         "807dd32cc197fa1988a66fedd625fae30fb170d4ec37241613a452a09a14f3ef",
@@ -102,11 +102,11 @@ DIGESTS = {
     "sum-q3-n6-k3-l4": (
         "20526bc63c95eabb7af95e16c7ee698c85302bec088afa0d71ab609a2578e823",
         "3e1353cec6c10683c045272e8906e58cba67ede7c486ef02e1ba07aa02c37f82",
-        "336e7a0e6eade8890b99067eaaee4c894212ddfd10ca27e6fbc9fad967f3bc38"),
+        "119e36c43352c7deceb0cbcc0286ff1bc8565f426085956e8b6eeb7278f15590"),
     "dual-q4-n6-k3-l4": (
         "07848ef141a730c59b036c7895f531894d92752bba6ae1763e591f013e50ab42",
         "81f7d780fbc2ed3efaa3bf2c73d0e9b01a230756b25cc8b661f61e38f49e6653",
-        "f071bb1005086a5e66f888f5bf710016c94b32dbd95fe06f699e34100e6dd455"),
+        "1a64db6f5986f59bb4b5984f9e095ac221d7e1901581bdab341fd2f7a9fd83f4"),
     "apartment-q16-n6-k3": (
         "7b961e94fd7a52b35a8c000a4302033b851ca3890d49129deb9b7253589bd1c6",
         "27d44bd818fd54de6011d3c3daeb4536bd624f8e69a030a3258e2b3a72309117",

@@ -213,3 +213,6 @@ def test_pg_points_count():
     assert len(pg_points(F2, 4)) == 15
     assert len(pg_points(F3, 3)) == 13
     assert len({p for p in pg_points(GF.get(2, 2), 2)}) == 5
+    # PG(5, 16) has 1,118,481 points, past the default vertex cap
+    with pytest.raises(CapExceededError, match="PG\\(5, 16\\) with 1118481 points"):
+        pg_points(GF.get(2, 4), 6)

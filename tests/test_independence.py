@@ -116,6 +116,11 @@ def test_search_budget_exhaustion_is_unknown():
     assert result.nodes > 3
 
 
+def test_search_refuses_a_negative_budget():
+    with pytest.raises(ValidationError, match="budget of at least 0 nodes, got -1"):
+        search_m_independent(Ambient("primal", F2, 4), 4, 5, budget=-1)
+
+
 def test_annihilator_transfers_m_independence():
     # points against their annihilator hyperplanes, exhaustively in F_2^4:
     # spans of j points have dimension j exactly when the corresponding

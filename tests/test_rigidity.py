@@ -81,9 +81,49 @@ def test_x6_other_transpositions_extendable():
     for perm in [(1, 0, 2, 3, 4, 5), (0, 1, 2, 4, 3, 5)]:
         outcome = induced_by_semilinear(ps, perm)
         assert isinstance(outcome, ExtensionWitness)
-        # the points span a hyperplane; the witness records the extension
-        assert outcome.extended_identically_on is not None
-        assert outcome.extended_identically_on.dim == 5
+        # the points span the hyperplane of pivot columns 0-4; the witness
+        # fixes the standard basis vector outside it
+        assert outcome.map.apply_vector(unit(5, 6)) == unit(5, 6)
+
+
+def test_duality_search_runs_on_the_span_of_the_generators(tmp_path, monkeypatch):
+    # the four star generators of this J(4, 2) image span a hyperplane of
+    # F_3^6, so the duality realizing the complement is searched among maps
+    # of that hyperplane: nullity 9, and all 3^9 - 1 candidates fit the cap
+    import grassmann_lab.rigidity as rig
+    from grassmann_lab import jsonio
+    from grassmann_lab.cli import main
+    emb = tmp_path / "emb.json"
+    assert main(["build", "sum", "--p", "3", "--n", "6", "--k", "3", "--m", "2", "--l", "4",
+                 "--output", str(emb)]) == 0
+    cls = classify(jsonio.embedding_from_json(jsonio.load_json(str(emb))))
+    solves = []
+    real = rig.solve_semilinear_mapping
+
+    def recording(*args):
+        solves.append(real(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(rig, "solve_semilinear_mapping", recording)
+    outcome = extend_automorphism(cls, JohnsonAut(tuple(range(4)), complement=True))
+    assert isinstance(outcome, ExtensionWitness) and outcome.kind == "duality"
+    [(_, diagnostics, resolved)] = solves
+    assert resolved
+    assert [(d.nullity, d.exhaustive) for d in diagnostics] == [(9, True)]
+
+
+def test_solver_refuses_pairs_of_unequal_dimension():
+    pairs = [(Subspace.line(F2, unit(0, 3)), Subspace.from_rows(F2, 3, [unit(0, 3), unit(1, 3)]))]
+    with pytest.raises(ValidationError):
+        solve_semilinear_mapping(F2, 3, pairs)
+
+
+def test_solver_misses_when_the_spans_differ_in_dimension():
+    # three lines spanning a plane cannot go onto three lines spanning F_2^3
+    sources = [Subspace.line(F2, v) for v in ((1, 0, 0), (0, 1, 0), (1, 1, 0))]
+    targets = basis_lines(F2, 3)
+    smap, diagnostics, resolved = solve_semilinear_mapping(F2, 3, list(zip(sources, targets)))
+    assert smap is None and resolved and diagnostics == ()
 
 
 def test_induced_by_semilinear_rejects_non_permutation():
