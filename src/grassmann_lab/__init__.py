@@ -23,9 +23,8 @@ from .johnson import (JohnsonAut, johnson_aut_group, johnson_aut_group_order,
                       vertex_from_indices, vertex_indices)
 from .oracle import (CrossValidationReport, OracleResult, SearchConfig, cross_validate,
                      enumerate_apartments, enumerate_embeddings, orbit_closure)
-from .rigidity import (ExtensionWitness, NotExtendable, RigidityReport,
-                       UnknownExtension, extend_automorphism, induced_by_semilinear,
-                       is_rigid, solve_semilinear_mapping)
+from .rigidity import (ExtensionWitness, NotExtendable, RigidityReport, extend_automorphism,
+                       induced_by_semilinear, is_rigid, solve_semilinear_mapping)
 from .subspaces import (SemilinearMap, Subspace, annihilator, contragredient,
                         intersect_many, intersect_subspaces, sum_many, sum_subspaces)
 

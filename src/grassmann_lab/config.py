@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,12 @@ def set_caps(q_max: int | None = None, n_max: int | None = None,
             raise ValidationError(f"cap {name} must be at least 1, got {value}")
     _current = replace(_current, **updates)
     return _current
+
+
+def check_ambient_dim(n: int):
+    """Refuse an ambient dimension above the cap."""
+    if n > _current.n_max:
+        raise CapExceededError(f"ambient dimension {n} exceeds cap {_current.n_max}")
 
 
 def caps_from_env(var: str = "GRASSMANN_LAB_CAPS") -> Caps:

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto exit codes: validation problems exit 2, budget
-exhaustion and unresolved searches exit 3, internal invariant violations
-exit 4.
+The CLI maps these onto exit codes: validation problems exit 2, budgeted
+searches that end without a certificate exit 3, internal invariant
+violations exit 4.
 """
 
 from __future__ import annotations

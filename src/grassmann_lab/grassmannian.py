@@ -13,7 +13,7 @@ import functools
 import itertools
 
 from . import linalg
-from .config import caps
+from .config import caps, check_ambient_dim
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .fields import GF
 from .subspaces import Subspace, from_coords_in, lift_from_quotient
@@ -107,8 +107,7 @@ class GrassmannianSpec:
     """
 
     def __init__(self, field: GF, n: int, k: int):
-        if n > caps().n_max:
-            raise CapExceededError(f"ambient dimension {n} exceeds cap {caps().n_max}")
+        check_ambient_dim(n)
         if not 0 <= k <= n:
             raise ValidationError(f"need 0 <= k <= n, got k={k}, n={n}")
         expected = gaussian_binomial(n, k, field.q)

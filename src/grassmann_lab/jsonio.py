@@ -19,8 +19,7 @@ from .errors import SchemaError
 from .fields import GF
 from .independence import Ambient, PointSet
 from .johnson import vertex_from_indices, vertex_indices
-from .rigidity import (ExtensionWitness, NotExtendable, RigidityReport, SigmaDiagnostics,
-                       UnknownExtension)
+from .rigidity import ExtensionWitness, NotExtendable, RigidityReport, SigmaDiagnostics
 from .subspaces import SemilinearMap, Subspace
 
 SCHEMA_VERSION = 1
@@ -209,8 +208,7 @@ def _semilinear_to_json(m: SemilinearMap) -> dict:
 
 
 def _diagnostics_to_json(diags: tuple[SigmaDiagnostics, ...]) -> list[dict]:
-    return [{"sigma": d.sigma, "constraints": d.constraints, "rank": d.rank,
-             "nullity": d.nullity, "searched": d.searched, "exhaustive": d.exhaustive}
+    return [{"sigma": d.sigma, "kind": d.kind, "point": d.point, "searched": d.searched}
             for d in diags]
 
 
@@ -221,13 +219,9 @@ def rigidity_report_to_json(report: RigidityReport, include_certificates: bool =
         if isinstance(outcome, ExtensionWitness):
             entry["outcome"] = "witness"
             entry["witness"] = {"kind": outcome.kind, **_semilinear_to_json(outcome.map)}
-        elif isinstance(outcome, NotExtendable):
+        else:
             entry["outcome"] = "not-extendable"
             entry["reason"] = outcome.reason
-            if include_certificates:
-                entry["diagnostics"] = _diagnostics_to_json(outcome.diagnostics)
-        elif isinstance(outcome, UnknownExtension):
-            entry["outcome"] = "unknown"
             if include_certificates:
                 entry["diagnostics"] = _diagnostics_to_json(outcome.diagnostics)
         entries.append(entry)

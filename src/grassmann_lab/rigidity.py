@@ -3,22 +3,15 @@ extend to automorphisms of the ambient Grassmann graph.
 
 Automorphisms of the Grassmann graph are exactly those induced by
 semilinear automorphisms of V, plus the dualities through V* that exist
-only when n = 2k.  Extending a ground-set permutation therefore reduces
-to a line-mapping problem for the recovered generators, and extending the
-complement to a subspace-mapping problem from the star generators to the
-annihilated top generators.  One solver takes both: a map sending each
-source onto its target sends the sum of the sources onto the sum of the
-targets, so per Frobenius twist, "u maps source i onto target i" is a
-linear system in the entries of a map between those two spans, and its
-solution space is searched for an invertible element.  Witnesses are never
+only when n = 2k.  So every generator of Aut J(l, m) asks whether some
+semilinear map sends these points over M onto those points over M', and
+by the fundamental theorem of projective geometry a frame of the points
+answers that exactly, one Frobenius twist at a time.  Witnesses are never
 trusted from the solver; every one is re-verified on the whole image.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-import random
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
@@ -29,22 +22,24 @@ from .independence import PointSet, is_independent, simplex_rank
 from .johnson import JohnsonAut, johnson_aut_group
 from .linalg import frobenius_vec
 from .subspaces import (SemilinearMap, Subspace, annihilator, complement_columns,
-                        contragredient, coords_in, lift_vector, sum_many)
+                        contragredient, intersect_many)
 
-EXHAUSTIVE_CAP = 1 << 20
-UNIT_SAMPLES = 4096
+_NO_SEMILINEAR = "no invertible semilinear solution for any field automorphism"
 
 
 @dataclass(frozen=True)
 class SigmaDiagnostics:
-    """Feasibility record for one Frobenius twist."""
+    """One solver record: the Frobenius twist sigma tried, or None for a
+    failure that holds for every twist; kind None on success, else "span"
+    (the meets or spans differ in dimension), "basis" (the greedy bases of
+    the points differ), "support" (a point's coordinates in them differ in
+    support) or "ratio" (the scalings around a cycle disagree); the point
+    where it failed; and searched, the number of points propagated."""
 
-    sigma: int
-    constraints: int
-    rank: int
-    nullity: int
+    sigma: int | None
+    kind: str | None
+    point: int | None
     searched: int
-    exhaustive: bool
 
 
 @dataclass(frozen=True)
@@ -60,147 +55,124 @@ class NotExtendable:
     diagnostics: tuple[SigmaDiagnostics, ...] = ()
 
 
-@dataclass(frozen=True)
-class UnknownExtension:
-    """Even between the spans, the solution space was past EXHAUSTIVE_CAP
-    and the fixed-seed draws found no witness; absence is not certified."""
-
-    diagnostics: tuple[SigmaDiagnostics, ...] = ()
+# the solver -----------------------------------------------------------------
 
 
-# feasibility core -------------------------------------------------------
+def _frame(F: GF, meet: Subspace, spaces):
+    """The spaces as points over their meet: a representative of each
+    (zero for the meet itself), the greedy basis of the points as point
+    indices, and each point's coordinates in that basis modulo the meet.
+
+    One rref of the meet's rows and the representatives, taken as
+    columns, gives both: its pivots past the meet's rows are the basis,
+    and column j holds the coordinates of point j.
+    """
+    reps = []
+    for s in spaces:
+        if s.dim > meet.dim + 1:
+            raise ValidationError("the solver takes point-like pairs: each source must be "
+                                  "the meet of the sources plus at most one vector")
+        reps.append(next((row for row in s.rows if not meet.contains_vector(row)),
+                         (0,) * meet.ambient_dim))
+    h = meet.dim
+    reduced, rank, pivots = linalg.rref(F, linalg.transpose(meet.rows + tuple(reps)))
+    coords = [tuple(reduced[i][h + j] for i in range(h, rank)) for j in range(len(reps))]
+    return reps, tuple(p - h for p in pivots[h:]), coords
 
 
-def _mapping_constraints(F: GF, d: int, pairs, t: int) -> linalg.Matrix:
-    """Linear constraints on the d*d matrix entries forcing
-    sigma_t(src) @ U to land inside dst, for every (src, dst) pair."""
-    rows = []
-    for src, dst in pairs:
-        ann_rows = annihilator(dst).rows
-        for w in src.rows:
-            w_t = frobenius_vec(F, w, t)
-            for z in ann_rows:
-                row = [0] * (d * d)
-                for a in range(d):
-                    wa = w_t[a]
-                    if wa:
-                        base = a * d
-                        for b in range(d):
-                            if z[b]:
-                                row[base + b] = F.mul(wa, z[b])
-                rows.append(tuple(row))
-    return tuple(rows)
+def _propagate(F: GF, t: int, supports, coords, coords_image):
+    """Scalings lambda_i of the basis points with sigma_t(a_ji) lambda_i =
+    mu_j c_ji for every point j and i in its support, one component after
+    another, the first lambda of each set to 1.  Returns (lambdas, None,
+    searched), or (None, j, searched) when point j closes a cycle whose
+    scalings disagree; searched counts the points propagated."""
+    scale = [0] * (len(coords[0]) if coords else 0)
+    todo = [j for j, support in enumerate(supports) if support]
+    searched = 0
+    while todo:
+        # a point touching a fixed scaling, while the component has one left
+        j = next((j for j in todo if any(scale[i] for i in supports[j])), todo[0])
+        todo.remove(j)
+        searched += 1
+        a, c = coords[j], coords_image[j]
+        i = next((i for i in supports[j] if scale[i]), supports[j][0])
+        scale[i] = scale[i] or 1
+        mu = F.mul(F.mul(F.frobenius(a[i], t), scale[i]), F.inv(c[i]))
+        for b in supports[j]:
+            want = F.mul(F.mul(mu, c[b]), F.inv(F.frobenius(a[b], t)))
+            if scale[b] and scale[b] != want:
+                return None, j, searched
+            scale[b] = want
+    return scale, None, searched
 
 
-def _combine(F: GF, d: int, basis, coeffs) -> linalg.Matrix:
-    flat = [0] * (d * d)
-    for c, vec in zip(coeffs, basis):
-        if c:
-            for idx, x in enumerate(vec):
-                if x:
-                    flat[idx] = F.add(flat[idx], F.mul(c, x))
-    return tuple(tuple(flat[r * d:(r + 1) * d]) for r in range(d))
-
-
-def _sample_budget(q: int, d: int) -> int:
-    # Schwartz-Zippel gives a miss probability of at most (d/q) per draw
-    # when an invertible solution exists and q > d; aim at 2^-40 overall.
-    if q > d:
-        return max(64, math.ceil(40 / math.log2(q / d)))
-    return UNIT_SAMPLES
+def _map_sending(F: GF, d: int, source, image, t: int) -> SemilinearMap:
+    """The semilinear map with twist t sending source[i] to image[i], and
+    the standard complement of the span of source (the standard basis
+    vectors at the non-pivot columns) onto that of image."""
+    eye, completed = linalg.identity(d), []
+    for rows in (source, image):
+        free = complement_columns(Subspace.from_rows(F, d, rows))
+        completed.append(rows + tuple(eye[c] for c in free))
+    twisted = tuple(frobenius_vec(F, row, t) for row in linalg.inverse(F, completed[0]))
+    return SemilinearMap(F, linalg.matmul(F, twisted, completed[1]), t)
 
 
 def solve_semilinear_mapping(F: GF, d: int, pairs
                              ) -> tuple[SemilinearMap | None, tuple[SigmaDiagnostics, ...], bool]:
-    """Search for an invertible semilinear map of F^d sending each source
-    subspace onto its target.
+    """Find an invertible semilinear map of F^d sending each source onto
+    its target, or prove that there is none.
 
-    The search runs on maps W from S, the sum of the sources, onto D, the
-    sum of the targets, in the coordinates of their RREF bases; the witness
-    sends the standard complement of S onto that of D.  Per twist, the
-    candidates are every nonzero combination of the solution basis, units
-    before zero in each coordinate, when there are at most EXHAUSTIVE_CAP
-    of them, and otherwise _sample_budget draws from one fixed-seed
-    generator shared by the twists.  Returns (map, per-sigma diagnostics,
-    resolved); resolved is True when a map was found, S and D differ in
-    dimension, or every solution space was exhausted.
+    The pairs must be point-like: each source is M + <v_j> (or M) for M
+    the meet of the sources, each target M' + <w_j> for M' that of the
+    targets.  A map needs the same greedy basis B of the points on both
+    sides and coordinates a_j of v_j and c_j of w_j in B of one support;
+    per twist sigma it exists exactly when scalings with sigma(a_jb)
+    lambda_b = mu_j c_jb agree around every cycle; it sends M's rows to
+    M''s, v_b to lambda_b w_b, and the standard complement of the span of
+    the sources onto that of the targets.
+
+    Returns (map or None, records, resolved): one SigmaDiagnostics per
+    twist tried, or one with sigma None for a failure that holds for every
+    twist; resolved is always True, the answer being exact.
     """
     if any(src.dim != dst.dim for src, dst in pairs):
         raise ValidationError("each source must have the dimension of its target")
-    span = sum_many(F, d, (src for src, _ in pairs))
-    image = sum_many(F, d, (dst for _, dst in pairs))
-    if span.dim != image.dim:
-        return None, (), True
-    r = span.dim
-    reduced = [(Subspace.from_rows(F, r, coords_in(span, src)),
-                Subspace.from_rows(F, r, coords_in(image, dst))) for src, dst in pairs]
-    order = (*F.units(), 0)
-    diagnostics = []
-    resolved = True
-    rng = random.Random(0)
+    sources, targets = [src for src, _ in pairs], [dst for _, dst in pairs]
+    meet, meet_image = intersect_many(F, d, sources), intersect_many(F, d, targets)
+    if meet.dim != meet_image.dim:
+        return None, (SigmaDiagnostics(None, "span", None, 0),), True
+    reps, basis, coords = _frame(F, meet, sources)
+    reps_image, basis_image, coords_image = _frame(F, meet_image, targets)
+    if basis != basis_image:
+        kind = "basis" if len(basis) == len(basis_image) else "span"
+        return None, (SigmaDiagnostics(None, kind, min(set(basis) ^ set(basis_image)), 0),), True
+    supports = [tuple(i for i, x in enumerate(a) if x) for a in coords]
+    for j, c in enumerate(coords_image):
+        if tuple(i for i, x in enumerate(c) if x) != supports[j]:
+            return None, (SigmaDiagnostics(None, "support", j, 0),), True
+    records = []
     for t in F.automorphisms():
-        constraints = _mapping_constraints(F, r, reduced, t)
-        basis = linalg.nullspace(F, constraints, r * r)
-        nullity = len(basis)
-        exhaustive = F.q ** nullity - 1 <= EXHAUSTIVE_CAP
-        if exhaustive:
-            candidates = (c for c in itertools.product(order, repeat=nullity) if any(c))
-        else:
-            candidates = ([rng.randrange(F.q) for _ in range(nullity)]
-                          for _ in range(_sample_budget(F.q, r)))
-        searched = 0
-        found = None
-        for coeffs in candidates:
-            searched += 1
-            mat = _combine(F, r, basis, coeffs)
-            if linalg.is_invertible(F, mat):
-                images = tuple(linalg.vecmat(F, row, image.rows) for row in mat)
-                found = _map_sending(F, _completed(span), images + _completed(image)[r:], t)
-                break
-        diagnostics.append(SigmaDiagnostics(t, len(constraints), r * r - nullity, nullity,
-                                            searched, exhaustive))
-        if found is not None:
-            return found, tuple(diagnostics), True
-        resolved = resolved and exhaustive
-    return None, tuple(diagnostics), resolved
-
-
-# lifting solved maps to the full space -----------------------------------
-
-
-def _completed(s: Subspace) -> linalg.Matrix:
-    """s's basis rows, then the standard basis vectors at its non-pivot
-    columns: a basis of the whole space."""
-    eye = linalg.identity(s.ambient_dim)
-    return s.rows + tuple(eye[c] for c in complement_columns(s))
-
-
-def _map_sending(F: GF, basis_rows, image_rows, t: int) -> SemilinearMap:
-    """The semilinear map with twist t sending basis_rows[i] to image_rows[i]."""
-    inv = linalg.inverse(F, tuple(basis_rows))
-    twisted = tuple(frobenius_vec(F, row, t) for row in inv)
-    return SemilinearMap(F, linalg.matmul(F, twisted, tuple(image_rows)), t)
-
-
-def extend_from_quotient(m_space: Subspace, inner: SemilinearMap) -> SemilinearMap:
-    """Extend a map of the quotient by m_space (in complement-chart
-    coordinates) to the whole space, preserving m_space."""
-    return _map_sending(m_space.field, _completed(m_space),
-                        m_space.rows + tuple(lift_vector(m_space, row) for row in inner.matrix),
-                        inner.sigma)
+        scale, point, searched = _propagate(F, t, supports, coords, coords_image)
+        records.append(SigmaDiagnostics(t, None if scale is not None else "ratio", point,
+                                        searched))
+        if scale is not None:
+            source = meet.rows + tuple(reps[b] for b in basis)
+            image = meet_image.rows + tuple(linalg.vec_scale(F, s, reps_image[b])
+                                            for s, b in zip(scale, basis))
+            return _map_sending(F, d, source, image, t), tuple(records), True
+    return None, tuple(records), True
 
 
 # point-level extension ----------------------------------------------------
 
 
-def induced_by_semilinear(points, perm
-                          ) -> ExtensionWitness | NotExtendable | UnknownExtension:
+def induced_by_semilinear(points, perm) -> ExtensionWitness | NotExtendable:
     """Decide whether some semilinear automorphism realizes the permutation
     on the given projective points, i.e. maps point i onto point perm[i].
 
-    The search runs on the span of the points; the witness acts there and
-    fixes the standard complement.  A returned witness is re-verified
-    pointwise.
+    The witness acts on the span of the points and sends its standard
+    complement onto itself.  A returned witness is re-verified pointwise.
     """
     pts = list(points.points if isinstance(points, PointSet) else points)
     if not pts:
@@ -210,12 +182,9 @@ def induced_by_semilinear(points, perm
         raise ValidationError("perm is not a permutation of the point indices")
     F = pts[0].field
     pairs = [(p, pts[j]) for p, j in zip(pts, perm)]
-    witness_map, diagnostics, resolved = solve_semilinear_mapping(F, pts[0].ambient_dim, pairs)
+    witness_map, diagnostics, _ = solve_semilinear_mapping(F, pts[0].ambient_dim, pairs)
     if witness_map is None:
-        if resolved:
-            return NotExtendable("no invertible semilinear solution for any "
-                                 "field automorphism", diagnostics)
-        return UnknownExtension(diagnostics)
+        return NotExtendable(_NO_SEMILINEAR, diagnostics)
     certificate = []
     for i, p in enumerate(pts):
         ok = witness_map.apply(p) == pts[perm[i]]
@@ -239,50 +208,46 @@ def _verify_on_image(cls: Classification, aut: JohnsonAut, action) -> tuple[tupl
     return tuple(certificate)
 
 
-def extend_automorphism(subject, aut: JohnsonAut
-                        ) -> ExtensionWitness | NotExtendable | UnknownExtension:
+def extend_automorphism(subject, aut: JohnsonAut) -> ExtensionWitness | NotExtendable:
     """Extend one automorphism of the image graph to the Grassmann graph.
 
-    Permutation automorphisms become line-mapping problems for the
-    recovered generators (for top-type images, on the annihilator side,
-    pulled back through the contragredient).  The complement automorphism,
-    legal only when l == 2m, requires a duality V -> V* and is therefore
-    immediately not extendable unless n == 2k.
+    Every generator is one solver call on point-like pairs.  A permutation
+    sends star point j onto star point perm[j]; on a top-type image it
+    sends annihilated top point j onto annihilated top point perm[j], and
+    the witness is the contragredient of the solved map.  The complement,
+    legal only when l == 2m, sends star point j onto annihilated top point
+    perm[j]: a duality V -> V*, which exists only when n == 2k.
     """
     cls = subject if isinstance(subject, Classification) else classify(subject)
     if aut.l != cls.l:
         raise ValidationError(f"automorphism acts on {aut.l} symbols, image has {cls.l}")
-
+    F, perm = cls.field, aut.perm
     if aut.complement:
         if cls.l != 2 * cls.m:
             raise ValidationError("complement automorphism exists only when l = 2m")
         if cls.n != 2 * cls.k:
+            # the meets m_space and annihilator(n_space) differ in dimension
             return NotExtendable(
                 "complement requires a duality of the Grassmann graph, "
-                "which exists only when n = 2k")
-        pairs = [(cls.star_points[j], annihilator(cls.top_points[aut.perm[j]]))
-                 for j in range(cls.l)]
-        smap, diagnostics, resolved = solve_semilinear_mapping(cls.field, cls.n, pairs)
-        if smap is None:
-            return (NotExtendable("no duality realizes the complement automorphism",
-                                  diagnostics) if resolved else UnknownExtension(diagnostics))
-        duality = SemilinearMap(cls.field, smap.matrix, smap.sigma, codomain_is_dual=True)
+                "which exists only when n = 2k", (SigmaDiagnostics(None, "span", None, 0),))
+        sources, targets = cls.star_points, [annihilator(t) for t in cls.top_points]
+        reason = "no duality realizes the complement automorphism"
+    else:
+        if cls.star_points is not None:
+            sources = cls.star_points
+        else:
+            sources = [annihilator(t) for t in cls.top_points]
+        targets, reason = sources, _NO_SEMILINEAR
+    pairs = [(sources[j], targets[perm[j]]) for j in range(cls.l)]
+    smap, diagnostics, _ = solve_semilinear_mapping(F, cls.n, pairs)
+    if smap is None:
+        return NotExtendable(reason, diagnostics)
+    if aut.complement:
+        duality = SemilinearMap(F, smap.matrix, smap.sigma, codomain_is_dual=True)
         certificate = _verify_on_image(cls, aut, lambda s: annihilator(duality.apply(s)))
         return ExtensionWitness("duality", duality, certificate)
-
-    # a top-type image is the star side of its annihilated image
-    if cls.star_points is not None:
-        points, base, pull_back = cls.star_point_set(), cls.m_space, None
-    else:
-        points, base, pull_back = cls.top_point_set(), annihilator(cls.n_space), contragredient
-    outcome = induced_by_semilinear(points, aut.perm)
-    if not isinstance(outcome, ExtensionWitness):
-        return outcome
-    full = extend_from_quotient(base, outcome.map)
-    if pull_back is not None:
-        full = pull_back(full)
-    certificate = _verify_on_image(cls, aut, full.apply)
-    return ExtensionWitness("semilinear", full, certificate)
+    full = smap if cls.star_points is not None else contragredient(smap)
+    return ExtensionWitness("semilinear", full, _verify_on_image(cls, aut, full.apply))
 
 
 # the rigidity verdict -------------------------------------------------------
@@ -290,14 +255,10 @@ def extend_automorphism(subject, aut: JohnsonAut
 
 @dataclass(frozen=True)
 class RigidityReport:
-    """Outcome of testing every generator of Aut of the image graph.
+    """Outcome of testing every generator of Aut of the image graph:
+    is_rigid is True when every generator extends, else False."""
 
-    is_rigid is True when all generators extend, False when at least one
-    is certifiably not extendable, and None when the only failures are
-    unresolved sampled searches.
-    """
-
-    is_rigid: bool | None
+    is_rigid: bool
     per_automorphism: tuple[tuple[JohnsonAut, object], ...]
     rigidity_case: str
     unique_pgl_extension: bool
@@ -336,16 +297,9 @@ def is_rigid(subject) -> RigidityReport:
     """Test every generator of the automorphism group of the image graph:
     ground-set transpositions, plus complementation when l == 2m.
     Extendability is closed under composition, so generator witnesses
-    decide the whole group."""
+    decide the whole group, and each generator's answer is exact."""
     cls = subject if isinstance(subject, Classification) else classify(subject)
-    outcomes = []
-    verdict: bool | None = True
-    for aut in johnson_aut_group(cls.l, cls.m):
-        outcome = extend_automorphism(cls, aut)
-        outcomes.append((aut, outcome))
-        if isinstance(outcome, NotExtendable):
-            verdict = False
-        elif isinstance(outcome, UnknownExtension) and verdict is True:
-            verdict = None
-    return RigidityReport(verdict, tuple(outcomes), _structure_case(cls),
-                          _unique_pgl(cls), cls)
+    outcomes = tuple((aut, extend_automorphism(cls, aut))
+                     for aut in johnson_aut_group(cls.l, cls.m))
+    verdict = all(isinstance(outcome, ExtensionWitness) for _, outcome in outcomes)
+    return RigidityReport(verdict, outcomes, _structure_case(cls), _unique_pgl(cls), cls)

@@ -192,14 +192,6 @@ def lift_from_quotient(m: Subspace, rows_q: Matrix) -> Subspace:
     return Subspace.from_rows(m.field, n, m.rows + tuple(lifted))
 
 
-def lift_vector(m: Subspace, row_q: Vector) -> Vector:
-    free = complement_columns(m)
-    v = [0] * m.ambient_dim
-    for c, x in zip(free, row_q):
-        v[c] = x
-    return tuple(v)
-
-
 def coords_in(n_space: Subspace, s: Subspace) -> Matrix:
     """Coordinates of s <= n_space relative to n_space's RREF basis.
 

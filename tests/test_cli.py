@@ -300,6 +300,11 @@ def _malformed(tmp_path, case):
         return ["export", "--graph", "grassmann", "--format", "json"]
     if case == "export-without-nk":
         return ["export", "--graph", "grassmann", "--p", 2]
+    # past the ambient dimension cap of 8, like a Grassmannian export
+    if case == "build-apartment-past-n-cap":
+        return ["build", "apartment", "--p", 2, "--n", 10, "--k", 2]
+    if case == "build-sum-past-n-cap":
+        return ["build", "sum", "--p", 2, "--n", 12, "--k", 2, "--l", 5]
     if case == "missing-file":
         return ["classify", "--input", path]
     if case == "top-level-number":
@@ -343,7 +348,8 @@ def _malformed(tmp_path, case):
                                   "star-points-number", "vertex-true", "embedding-version",
                                   "repeated-vertex", "classification-version",
                                   "pointset-version", "export-json-without-p",
-                                  "export-without-nk"])
+                                  "export-without-nk", "build-apartment-past-n-cap",
+                                  "build-sum-past-n-cap"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     argv = _malformed(tmp_path, case)
     capsys.readouterr()

@@ -37,13 +37,14 @@ REQUESTS = {
     "simplex-faces-q2-n4-k2": (["simplex-faces", "--p", 2, "--n", 4, "--k", 2], False),
     "simplex-faces-q4-n5-k3": (
         ["simplex-faces", "--p", 2, "--e", 2, "--n", 5, "--k", 3], False),
-    # l = 2m and n = 2k with the generators spanning a hyperplane: the
-    # duality search runs on that span
+    # l = 2m and n = 2k with the generators spanning a hyperplane
     "sum-q3-n6-k3-l4": (["sum", "--p", 3, "--n", 6, "--k", 3, "--m", 2, "--l", 4], False),
     "dual-q4-n6-k3-l4": (
         ["dual", "--p", 2, "--e", 2, "--n", 6, "--k", 3, "--m", 2, "--l", 4], False),
-    # GF(16) frame: every solution space (nullity 6) is past the cap
+    # GF(16), four Frobenius twists: a frame, and a duality over a hyperplane
     "apartment-q16-n6-k3": (["apartment", "--p", 2, "--e", 4, "--n", 6, "--k", 3], False),
+    "dual-q16-n6-k3-l4": (
+        ["dual", "--p", 2, "--e", 4, "--n", 6, "--k", 3, "--m", 2, "--l", 4], False),
 }
 
 DIGESTS = {
@@ -66,11 +67,11 @@ DIGESTS = {
     "sum-q4-n5-k2-l6": (
         "1f6165224f3417f67bdeeb93b10280555547e480ea5740a946c3a976895bf646",
         "e30acbcc7591dd1c80a9c44cac2bd2811f9c271a377ba33841701715183a649d",
-        "cb550a72d9aef7453ae164f382c433c82b42cd2f487d9d14f587282c76b4b02a"),
+        "bce157c4809bff7907ce1901b24f6e0910343bea1cfd53598a1eba6fb053522f"),
     "sum-q4-n5-k2-l6-frobenius": (
         "1f6165224f3417f67bdeeb93b10280555547e480ea5740a946c3a976895bf646",
         "c705b62067a4ce5124bb87ee227c396e1b840002210f81f3cda702b1daea04c8",
-        "603156848c4f0ce89788186ac4ecd3916d73e9dbee0d21e81866e8182fd21d8c"),
+        "525f335038acbe94bf0177cd06bc66578fe35e588b5e2df9c4cd34ba7c7a31c4"),
     "dual-q4-n4-k2-l5": (
         "71d69f0d0bed6c0e158568ecdc6c6ca0f5a71bab4f47d2145625091a53f15bc4",
         "807dd32cc197fa1988a66fedd625fae30fb170d4ec37241613a452a09a14f3ef",
@@ -78,7 +79,7 @@ DIGESTS = {
     "sum-q2-n5-k2-l4": (
         "6c369db523b0bd01704cb1a7544f31cc60178d047c8bb802515c51eaea3316fd",
         "57e011afbf0eecfc8704ab5e886d7209809724072780faa4617a217342f496b5",
-        "8faa348a1df8f078a48d732bf6a019faaf334234d2a2d1dc5510b168ff472f0f"),
+        "8d83b79844d8e86df70cd2a595982898bf6dfc250bba171226012bc8ac4f7a42"),
     "apartment-q2-n4-k2": (
         "51e8106074c788dfacac7ca82e4631228050d39348a90b5856667bc8c6d43898",
         "29a18d3b1e2f5d012a9504771d5f5a78be3f8dae09ff95ebcd2dd0ab582c8129",
@@ -102,15 +103,19 @@ DIGESTS = {
     "sum-q3-n6-k3-l4": (
         "20526bc63c95eabb7af95e16c7ee698c85302bec088afa0d71ab609a2578e823",
         "3e1353cec6c10683c045272e8906e58cba67ede7c486ef02e1ba07aa02c37f82",
-        "119e36c43352c7deceb0cbcc0286ff1bc8565f426085956e8b6eeb7278f15590"),
+        "e33c92220ad28cce73e5d83182968688bf2d1165f8d5ea08b2a15ac4a803eec3"),
     "dual-q4-n6-k3-l4": (
         "07848ef141a730c59b036c7895f531894d92752bba6ae1763e591f013e50ab42",
         "81f7d780fbc2ed3efaa3bf2c73d0e9b01a230756b25cc8b661f61e38f49e6653",
-        "1a64db6f5986f59bb4b5984f9e095ac221d7e1901581bdab341fd2f7a9fd83f4"),
+        "72306fef7f92c524c809f689caf1d2f007219dfb3b3322020725e48c87e442dd"),
     "apartment-q16-n6-k3": (
         "7b961e94fd7a52b35a8c000a4302033b851ca3890d49129deb9b7253589bd1c6",
         "27d44bd818fd54de6011d3c3daeb4536bd624f8e69a030a3258e2b3a72309117",
-        "3cd4acd0917232eed8b2cb13508b6a67e3b16b8344a09217237d116715fd2f91"),
+        "fa17e04689174749ece3112ff5a2b762b26b4f9e2182f8790eeeefaa159efbff"),
+    "dual-q16-n6-k3-l4": (
+        "d002521731367be773b7f9c937323f1627bd25c0202272e7a3d21677f61288a3",
+        "76454de9641562970a9dc12b7f3a71e8fd61f7f2c0b458c7320e81f18453e635",
+        "45ad3896b1c1af43ab4ec387fec38ac21a546b5975b6bb2ea0df4e3c062ce6c3"),
 }
 
 

@@ -1,4 +1,7 @@
+import functools
 import itertools
+import json
+import random
 
 import pytest
 
@@ -9,12 +12,10 @@ from grassmann_lab.fields import GF
 from grassmann_lab.independence import (Ambient, canonical_simplex, point_set,
                                         search_m_independent)
 from grassmann_lab.johnson import JohnsonAut
-from grassmann_lab.rigidity import (ExtensionWitness, NotExtendable,
-                                    extend_automorphism, extend_from_quotient,
+from grassmann_lab.rigidity import (ExtensionWitness, NotExtendable, extend_automorphism,
                                     induced_by_semilinear, is_rigid,
                                     solve_semilinear_mapping)
-from grassmann_lab.subspaces import (SemilinearMap, Subspace, annihilator,
-                                     contragredient)
+from grassmann_lab.subspaces import Subspace, annihilator, contragredient, sum_subspaces
 
 F2 = GF.get(2)
 F3 = GF.get(3)
@@ -56,24 +57,9 @@ def test_x6_transposition_not_extendable():
     ps = x6_points()
     outcome = induced_by_semilinear(ps, (0, 1, 2, 3, 5, 4))
     assert isinstance(outcome, NotExtendable)
-    assert all(d.exhaustive for d in outcome.diagnostics)
-    # independent cross-check: rebuild the constraint system directly and
-    # enumerate its entire solution space; every member must be singular
-    span = Subspace.from_rows(F2, 6, [p.rows[0] for p in ps.points])
-    assert span.dim == 5
-    from grassmann_lab.subspaces import coords_in
-    reduced = [Subspace(F2, 5, coords_in(span, p)) for p in ps.points]
-    perm = (0, 1, 2, 3, 5, 4)
-    pairs = [(reduced[i], reduced[perm[i]]) for i in range(6)]
-    from grassmann_lab.rigidity import _combine, _mapping_constraints
-    constraints = _mapping_constraints(F2, 5, pairs, 0)
-    basis = linalg.nullspace(F2, constraints, 25)
-    assert basis  # solutions exist, but none invertible
-    for coeffs in itertools.product((0, 1), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        mat = _combine(F2, 5, basis, coeffs)
-        assert not linalg.is_invertible(F2, mat)
+    # the greedy basis of the points is 0-3 and 5, that of their targets
+    # 0-4: a map would send the basis onto a dependent set
+    assert [(d.sigma, d.kind, d.point) for d in outcome.diagnostics] == [(None, "basis", 4)]
 
 
 def test_x6_other_transpositions_extendable():
@@ -88,8 +74,8 @@ def test_x6_other_transpositions_extendable():
 
 def test_duality_search_runs_on_the_span_of_the_generators(tmp_path, monkeypatch):
     # the four star generators of this J(4, 2) image span a hyperplane of
-    # F_3^6, so the duality realizing the complement is searched among maps
-    # of that hyperplane: nullity 9, and all 3^9 - 1 candidates fit the cap
+    # F_3^6; the duality realizing the complement is found for the first
+    # twist, propagating over all four points
     import grassmann_lab.rigidity as rig
     from grassmann_lab import jsonio
     from grassmann_lab.cli import main
@@ -109,7 +95,7 @@ def test_duality_search_runs_on_the_span_of_the_generators(tmp_path, monkeypatch
     assert isinstance(outcome, ExtensionWitness) and outcome.kind == "duality"
     [(_, diagnostics, resolved)] = solves
     assert resolved
-    assert [(d.nullity, d.exhaustive) for d in diagnostics] == [(9, True)]
+    assert [(d.sigma, d.kind, d.point, d.searched) for d in diagnostics] == [(0, None, None, 4)]
 
 
 def test_solver_refuses_pairs_of_unequal_dimension():
@@ -123,7 +109,19 @@ def test_solver_misses_when_the_spans_differ_in_dimension():
     sources = [Subspace.line(F2, v) for v in ((1, 0, 0), (0, 1, 0), (1, 1, 0))]
     targets = basis_lines(F2, 3)
     smap, diagnostics, resolved = solve_semilinear_mapping(F2, 3, list(zip(sources, targets)))
-    assert smap is None and resolved and diagnostics == ()
+    assert smap is None and resolved
+    assert [(d.sigma, d.kind, d.point) for d in diagnostics] == [(None, "span", 2)]
+
+
+def test_one_pair_family_is_its_own_meet():
+    # a single pair has no points over its meet: any map of the source
+    # onto the target witnesses it
+    src, dst = Subspace.line(F3, (1, 2, 0)), Subspace.line(F3, (0, 1, 1))
+    smap, diagnostics, resolved = solve_semilinear_mapping(F3, 3, [(src, dst)])
+    assert resolved and smap.apply(src) == dst
+    assert [(d.sigma, d.kind, d.searched) for d in diagnostics] == [(0, None, 0)]
+    outcome = induced_by_semilinear(point_set(F3, [(1, 2, 0)]), (0,))
+    assert isinstance(outcome, ExtensionWitness)
 
 
 def test_induced_by_semilinear_rejects_non_permutation():
@@ -142,15 +140,12 @@ def test_dual_transport_both_directions():
     for i, p in enumerate(simplex.points):
         assert contragredient(u).apply(annihilator(p)) == annihilator(
             simplex.points[perm[i]])
-    # and solving on the annihilator side directly yields a witness whose
-    # contragredient works on the points
+    # the hyperplanes themselves meet in 0, so they are not points over
+    # their meet, and the solver refuses them
     pairs = [(annihilator(simplex.points[i]), annihilator(simplex.points[perm[i]]))
              for i in range(5)]
-    dual_map, _, resolved = solve_semilinear_mapping(F2, 4, pairs)
-    assert resolved and dual_map is not None
-    back = contragredient(dual_map)
-    for i, p in enumerate(simplex.points):
-        assert back.apply(p) == simplex.points[perm[i]]
+    with pytest.raises(ValidationError):
+        solve_semilinear_mapping(F2, 4, pairs)
 
 
 def test_apartment_rigid_with_duality_for_complement():
@@ -181,6 +176,8 @@ def test_complement_not_extendable_when_n_differs_from_2k():
     outcome = extend_automorphism(cls, comp)
     assert isinstance(outcome, NotExtendable)
     assert "n = 2k" in outcome.reason
+    # the meets m_space and annihilator(n_space) differ in dimension
+    assert [(d.sigma, d.kind) for d in outcome.diagnostics] == [(None, "span")]
     report = is_rigid(cls)
     assert report.is_rigid is False  # only the complement fails
     perm_outcomes = [o for aut, o in report.per_automorphism if not aut.complement]
@@ -204,13 +201,11 @@ def test_simplex_faces_rigid_with_unique_extension():
     assert report.is_rigid is True
     assert report.rigidity_case == "simplex-faces-star"
     assert report.unique_pgl_extension is True
-    # computational uniqueness: the identity permutation admits a solution
-    # space of projective dimension zero
-    pairs = [(g, g) for g in gens]
-    constraints_basis = linalg.nullspace(
-        F2, __import__("grassmann_lab.rigidity", fromlist=["x"])._mapping_constraints(
-            F2, 4, pairs, 0), 16)
-    assert len(constraints_basis) == 1
+    # uniqueness by brute force: the identity is the only semilinear map
+    # of F_2^4 fixing every point of the simplex
+    _, index, group = semilinear_group(2, 1, 4)
+    fixed = [index[p.rows[0]] for p in pts]
+    assert sum(all(g[i] == i for i in fixed) for g in group) == 1
 
 
 def test_dual_simplex_faces_rigid():
@@ -285,20 +280,16 @@ def test_extension_search_over_extension_field():
             assert swap.map.apply(p) == target
 
 
-def test_unknown_only_when_search_space_too_large(monkeypatch):
-    import grassmann_lab.rigidity as rig
-    simplex = canonical_simplex(F3, 3, 3)
-    # force the sampled path by shrinking the exhaustive cap
-    monkeypatch.setattr(rig, "EXHAUSTIVE_CAP", 0)
-    smap, diags, resolved = rig.solve_semilinear_mapping(
-        F3, 3, [(p, p) for p in simplex.points])
-    assert smap is not None  # the fixed-seed draws still find a witness
-    assert resolved
-    # an infeasible system under the sampled regime stays unresolved
-    pts = x6_points()
-    span_pairs = [(pts.points[i], pts.points[(0, 1, 2, 3, 5, 4)[i]]) for i in range(6)]
-    smap2, diags2, resolved2 = rig.solve_semilinear_mapping(F2, 6, span_pairs)
-    assert smap2 is None and not resolved2
+def test_gf16_duality_is_decided_exactly(tmp_path, capsys):
+    # the duality of this GF(16) J(4, 2) image was out of reach of an
+    # exhaustive search; the frame decides it like any other
+    from grassmann_lab.cli import main
+    emb = tmp_path / "emb.json"
+    assert main(["build", "dual", "--p", "2", "--e", "4", "--n", "6", "--k", "3", "--m", "2",
+                 "--l", "4", "--output", str(emb)]) == 0
+    capsys.readouterr()
+    assert main(["rigidity", "--input", str(emb)]) == 0
+    assert json.loads(capsys.readouterr().out)["is_rigid"] is True
 
 
 def test_rigidity_agrees_with_structure_across_the_grid():
@@ -333,16 +324,10 @@ def test_rigidity_agrees_with_structure_across_the_grid():
                     if l == 2 * m:
                         expect = expect and n == 2 * k
                     assert report.is_rigid is expect, (q, n, k, l)
+                    assert all(o.diagnostics for _, o in report.per_automorphism
+                               if isinstance(o, NotExtendable))
                     checked += 1
     assert checked >= 15
-
-
-def test_extend_from_quotient_shape():
-    base = Subspace.line(F2, unit(0, 4))
-    inner = SemilinearMap(F2, linalg.identity(3), 0)
-    full = extend_from_quotient(base, inner)
-    assert full.apply(base) == base
-    assert full.dim == 4
 
 
 def test_is_rigid_rebuilds_each_classification_once(monkeypatch):
@@ -371,3 +356,123 @@ def test_is_rigid_rebuilds_each_classification_once(monkeypatch):
         assert report.is_rigid is True, name
         assert len(report.per_automorphism) > 1, name
         assert len(calls) == 1, name
+
+
+# brute-force reference ------------------------------------------------------
+#
+# Every semilinear map x -> sigma(x) A of a small space, taken as the
+# permutation it induces on the points, built from the field tables alone:
+# no solver, rank or search code is reached.
+
+
+@functools.cache
+def semilinear_group(p, e, d):
+    """(points, index, group): the points of PG(d - 1, q) as vectors with
+    leading 1, the point index of every nonzero vector, and the set of
+    permutations of the point indices induced by GL(d, q) x Aut(GF(q))."""
+    F = GF.get(p, e)
+    vectors = list(itertools.product(range(F.q), repeat=d))  # code 0 is the zero vector
+    code = {v: c for c, v in enumerate(vectors)}
+    add = [[code[tuple(F.add(x, y) for x, y in zip(u, v))] for v in vectors] for u in vectors]
+    scale = [[code[tuple(F.mul(a, x) for x in v)] for v in vectors] for a in range(F.q)]
+    points = [v for v in vectors if any(v) and next(x for x in v if x) == 1]
+    point_of = {scale[a][code[v]]: i for i, v in enumerate(points) for a in range(1, F.q)}
+    twists = [[point_of[code[tuple(F.frobenius(x, t) for x in v)]] for v in points]
+              for t in range(e)]
+
+    def invertible(rows, span):  # row codes, each outside the span of the earlier ones
+        if len(rows) == d:
+            yield rows
+            return
+        for r in range(1, len(vectors)):
+            if r not in span:
+                yield from invertible(rows + (r,), {add[s][scale[a][r]]
+                                                    for s in span for a in range(F.q)})
+
+    group = set()
+    for rows in invertible((), {0}):
+        linear = []
+        for v in points:
+            acc = 0
+            for x, r in zip(v, rows):
+                acc = add[acc][scale[x][r]]
+            linear.append(point_of[acc])
+        group.update(tuple(linear[i] for i in twist) for twist in twists)
+    index = {vectors[c]: i for c, i in point_of.items()}
+    return points, index, group
+
+
+def _point_sets(index, pairs):
+    return [(frozenset(index[v] for v in src.vectors() if any(v)),
+             frozenset(index[v] for v in dst.vectors() if any(v))) for src, dst in pairs]
+
+
+def _realized(group, point_sets):
+    return any(all(frozenset(g[i] for i in src) == dst for src, dst in point_sets)
+               for g in group)
+
+
+def _check_against_brute_force(F, d, group, index, pairs):
+    smap, diagnostics, resolved = solve_semilinear_mapping(F, d, pairs)
+    assert resolved and diagnostics
+    assert (smap is not None) == _realized(group, _point_sets(index, pairs)), pairs
+    if smap is not None:
+        assert all(smap.apply(src) == dst for src, dst in pairs)
+    return smap
+
+
+def test_group_orders_match_the_formula():
+    # |PGammaL(d, q)| = |GL(d, q)| * e / (q - 1)
+    for (p, e, d), order in {(2, 1, 3): 168, (3, 1, 3): 5616, (2, 1, 4): 20160,
+                             (2, 2, 2): 120}.items():
+        assert len(semilinear_group(p, e, d)[2]) == order
+
+
+@pytest.mark.parametrize("p, e, d", [(2, 1, 3), (3, 1, 3), (2, 1, 4), (2, 2, 2)])
+def test_solver_agrees_with_brute_force_on_point_families(p, e, d):
+    F = GF.get(p, e)
+    points, index, group = semilinear_group(p, e, d)
+    lines = [Subspace.line(F, v) for v in points]
+    rng = random.Random(f"points:{p}:{e}:{d}")
+    answers, twists = set(), set()
+    for _ in range(40):
+        family = rng.sample(range(len(points)), rng.randint(1, min(len(points), d + 3)))
+        if rng.random() < 0.5:
+            perm = rng.sample(range(len(family)), len(family))
+            targets = [family[j] for j in perm]
+        else:
+            targets = rng.sample(range(len(points)), len(family))
+        pairs = [(lines[i], lines[j]) for i, j in zip(family, targets)]
+        smap = _check_against_brute_force(F, d, group, index, pairs)
+        answers.add(smap is not None)
+        twists.add(smap.sigma if smap is not None else None)
+    # PGammaL(2, 4) is the symmetric group on the five points of PG(1, 4),
+    # and only the odd permutations need the Frobenius twist
+    assert answers == ({True} if (p, e, d) == (2, 2, 2) else {True, False})
+    if e == 2:
+        assert {0, 1} <= twists
+
+
+def test_solver_agrees_with_brute_force_over_distinct_meets():
+    # GF(2), d = 4: planes M + p_j onto planes M' + p'_j, M != M' lines
+    F = GF.get(2)
+    points, index, group = semilinear_group(2, 1, 4)
+    lines = [Subspace.line(F, v) for v in points]
+    rng = random.Random("meets")
+    answers = set()
+    for _ in range(40):
+        meet, meet_image = rng.sample(range(len(points)), 2)
+        family = rng.sample([i for i in range(len(points)) if i != meet], rng.randint(2, 6))
+        sources = [sum_subspaces(lines[meet], lines[i]) for i in family]
+        if rng.random() < 0.5:
+            # the planes over M moved onto M' by a map, then permuted
+            g = rng.choice(sorted(g for g in group if g[meet] == meet_image))
+            moved = [sum_subspaces(lines[meet_image], lines[g[i]]) for i in family]
+            targets = [moved[j] for j in rng.sample(range(len(family)), len(family))]
+        else:
+            others = [i for i in range(len(points)) if i != meet_image]
+            targets = [sum_subspaces(lines[meet_image], lines[i])
+                       for i in rng.sample(others, len(family))]
+        smap = _check_against_brute_force(F, 4, group, index, list(zip(sources, targets)))
+        answers.add(smap is not None)
+    assert answers == {True, False}
