@@ -17,8 +17,8 @@ Johnson star over the core {0..m-2}: it lands in a star exactly when its
 members span more than k+1 dimensions, and by Theorem 4 of the source
 paper (PAPER.md) every Johnson star goes the same way.  A bare input
 reads (l, m) off its size and valency; the meets of its adjacent pairs
-are its star centers and their sums are its top covers, and counting the
-covers tells which of the two the Johnson stars land in.
+are its star centers, those of the annihilated pairs its annihilated top
+covers, and counting the covers tells where the Johnson stars land.
 
 The pairwise isometry check (_first_defect, which verify_assignment
 wraps) runs once per trust boundary: on a labeled input to classify, on
@@ -32,17 +32,15 @@ by annihilators, are not checked again.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .errors import (ClassificationError, InternalInvariantError, NotIsometricError,
                      ValidationError)
 from .fields import GF
 from .grassmannian import distance_rows
 from .independence import Ambient, PointSet, m_dependency_witness
-from .johnson import johnson_distance, johnson_vertices, vertex_from_indices
+from .johnson import johnson_distance, johnson_vertices
 from .subspaces import (Subspace, annihilator, intersect_many, intersect_subspaces,
                         quotient_coords, sum_many, sum_subspaces)
 
@@ -122,11 +120,16 @@ def _require_isometric(m: int, assignment: dict[int, Subspace]):
         raise NotIsometricError(defect)
 
 
-def _subset_sums(generators, m: int) -> dict[int, Subspace]:
-    """Map each m-subset of the generators, as a Johnson vertex, to its sum."""
-    field, n = generators[0].field, generators[0].ambient_dim
-    return {vertex_from_indices(combo): sum_many(field, n, (generators[i] for i in combo))
-            for combo in itertools.combinations(range(len(generators)), m)}
+def _subset_sums(generators, m: int) -> list[dict[int, Subspace]]:
+    """levels[t - 1] maps each t-subset of the generators, as a Johnson
+    vertex, to its sum, for t = 1..m and the subsets in lexicographic
+    order; each sum adds the subset's last generator to the previous
+    level's sum of the others."""
+    levels = [{1 << i: g for i, g in enumerate(generators)}]
+    for _ in range(1, m):
+        levels.append({v | 1 << i: sum_subspaces(s, g) for v, s in levels[-1].items()
+                       for i, g in enumerate(generators) if v >> i == 0})
+    return levels
 
 
 def _quotient_point_set(m_space: Subspace, generators) -> PointSet:
@@ -169,7 +172,7 @@ def build_sum_construction(m_space: Subspace, generators, k: int) -> EmbeddingIn
         raise ValidationError(
             f"generators are not {need}-independent over the base; "
             f"dependent subset at indices {witness}")
-    inst = EmbeddingInstance(l, m, _subset_sums(generators, m))
+    inst = EmbeddingInstance(l, m, _subset_sums(generators, m)[-1])
     _require_isometric(m, inst.assignment)
     return inst
 
@@ -214,7 +217,7 @@ class Classification:
 
     m_space and n_space are always the meet and join of the whole image.
     descent_trace[i] collects the recovered level sets, ending at the
-    image itself.
+    image itself: the values of labeled, the map rebuild returns.
 
     For a labeled input the generators keep the ground order of its
     complement-normalized instance (m <= l - m), with one exception: when
@@ -236,6 +239,7 @@ class Classification:
     is_full_apartment: bool
     descent_trace: tuple[frozenset[Subspace], ...]
     image: frozenset[Subspace]
+    labeled: dict[int, Subspace] = dc_field(compare=False, repr=False)
 
     def star_point_set(self) -> PointSet:
         if self.star_points is None:
@@ -251,14 +255,6 @@ class Classification:
         return PointSet(Ambient("dual", points.ambient.field, points.ambient.dim),
                         points.points)
 
-    @functools.cached_property
-    def _labeled_map(self) -> dict[int, Subspace]:
-        """The map :func:`rebuild` returns, computed on first use."""
-        if self.star_points is not None:
-            return _subset_sums(self.star_points, self.m)
-        sums = _subset_sums(tuple(annihilator(t) for t in self.top_points), self.m)
-        return {v: annihilator(s) for v, s in sums.items()}
-
 
 def rebuild(cls: Classification) -> dict[int, Subspace]:
     """Reconstruct the labeled map from the recovered generators: each
@@ -266,7 +262,7 @@ def rebuild(cls: Classification) -> dict[int, Subspace]:
     classification, to the meet of its top points (the annihilator of the
     sum of their annihilators).  Its values are exactly cls.image; the map
     is not re-verified, since classify already checked it or its input.
-    It is computed once per classification and memoized on it.
+    classify builds it once, for the exact rebuild that certifies it.
 
     For a labeled inst, rebuild(classify(inst)) equals the map of
     inst.normalized() on star-type and top-type images and on a J(2m, m)
@@ -274,7 +270,7 @@ def rebuild(cls: Classification) -> dict[int, Subspace]:
     Johnson stars land in tops it is that map after complementation:
     vertex v goes to the input's image of the complement of v.
     """
-    return dict(cls._labeled_map)
+    return dict(cls.labeled)
 
 
 def _check_classification_params(l: int, m: int, k: int, n: int):
@@ -290,7 +286,7 @@ def _check_classification_params(l: int, m: int, k: int, n: int):
             f"min(k, n-k)={min(k, n - k)}")
 
 
-def classify(obj) -> Classification:
+def classify(obj, *, table=None) -> Classification:
     """Classify an embedding instance or a bare image set.
 
     Labeled instances are isometry-verified and complement-normalized
@@ -299,6 +295,8 @@ def classify(obj) -> Classification:
     labeled map rebuilt from the recovered generators is checked against
     the input's distance table instead.  Either way the returned
     description is certified by an exact rebuild of the image.
+    A caller holding that table passes it as table: row i, over members
+    ordered by their RREF rows, lists the i-th one's distances.
     """
     if isinstance(obj, EmbeddingInstance):
         _require_isometric(obj.m, obj.assignment)
@@ -327,7 +325,7 @@ def classify(obj) -> Classification:
     for s in image:
         if s.field != field or s.ambient_dim != n or s.dim != k:
             raise ValidationError("image members live in different Grassmannians")
-    return _classify_bare(image, n, k)
+    return _classify_bare(image, n, k, table)
 
 
 # -- labeled path --------------------------------------------------------
@@ -368,10 +366,10 @@ def _johnson_parameters(count: int, valency: int) -> tuple[int, int]:
         f"no J(l, m) with 1 < m <= l/2 has {count} vertices of valency {valency}")
 
 
-def _classify_bare(image: frozenset[Subspace], n: int, k: int) -> Classification:
+def _classify_bare(image: frozenset[Subspace], n: int, k: int, table) -> Classification:
     """Classify an unlabeled image from the distance table of its members."""
     members = sorted(image, key=lambda s: s.rows)
-    table = distance_rows(members)
+    table = table or distance_rows(members)
     valencies = {row.count(1) for row in table}
     if len(valencies) != 1:
         raise ClassificationError("the induced graph is not regular")
@@ -380,21 +378,23 @@ def _classify_bare(image: frozenset[Subspace], n: int, k: int) -> Classification
     edges = _adjacent_pairs(members, table)
     # each edge lies in one Johnson star and one Johnson top: its meet is the
     # center of a Grassmann star and its sum the cover of a Grassmann top, so
-    # C(l, m-1) covers (and l != 2m) means the Johnson stars land in tops
+    # C(l, m-1) covers (and l != 2m) means the Johnson stars land in tops;
+    # annihilation turns each cover into the meet of the annihilated pair
     top_type = False
     if l != 2 * m:
-        covers = {sum_subspaces(a, b) for a, b in edges}
+        dual = {s: annihilator(s) for s in members}
+        covers = {intersect_subspaces(dual[a], dual[b]) for a, b in edges}
         top_type = len(covers) == math.comb(l, m - 1)
     if top_type:
         # annihilation preserves every distance, so the table carries over
-        # and the covers become the star centers of the annihilated image
-        members = [annihilator(s) for s in members]
-        centers = {annihilator(c) for c in covers}
+        # and the annihilated covers are the star centers of the dual image
+        members = [dual[s] for s in members]
+        centers = covers
         k = n - k
     else:
         centers = {intersect_subspaces(a, b) for a, b in edges}
     cls = _assemble_primal(frozenset(members), _descend_bare(centers, l, m), l, m, k)
-    labeled = rebuild(cls)
+    labeled = cls.labeled
     vertices = list(labeled)
     row_of = {s: i for i, s in enumerate(members)}
     defect = _first_defect(m, vertices, table, [row_of[labeled[v]] for v in vertices])
@@ -435,23 +435,22 @@ def _assemble_primal(image, generators: tuple[Subspace, ...], l: int, m: int,
         raise ClassificationError(
             f"span of generators has dimension {n_space.dim}, "
             f"outside [{k + m}, {k - m + l}]")
-    trace = tuple(frozenset(_subset_sums(generators, level).values())
-                  for level in range(1, m + 1))
+    levels = _subset_sums(generators, m)
+    trace = tuple(frozenset(level.values()) for level in levels)
     if trace[-1] != image:
         raise ClassificationError("rebuilt image differs from the input image")
     if l == 2 * m:
         if n_space.dim != k + m:
             raise InternalInvariantError("apartment span has the wrong dimension")
-        cofaces = _subset_sums(generators, l - 1)
-        full_set = (1 << l) - 1
-        top_points = tuple(cofaces[full_set ^ (1 << j)] for j in range(l))
+        top_points = tuple(sum_many(field, n, generators[:j] + generators[j + 1:])
+                           for j in range(l))
         case = "parabolic-apartment"
     else:
         top_points = None
         case = "star"
     full = (l == n and m_space.dim == 0 and n_space.dim == n)
     return Classification(case, l, m, k, n, field, m_space, n_space,
-                          generators, top_points, full, trace, frozenset(image))
+                          generators, top_points, full, trace, frozenset(image), levels[-1])
 
 
 def _transport_to_top(dual_cls: Classification) -> Classification:
@@ -465,15 +464,21 @@ def _transport_to_top(dual_cls: Classification) -> Classification:
     n_space = annihilator(dual_cls.m_space)
     m_space = annihilator(dual_cls.n_space)
     top_points = tuple(annihilator(t) for t in dual_cls.star_points)
-    image = frozenset(annihilator(s) for s in dual_cls.image)
+    labeled = {v: annihilator(s) for v, s in dual_cls.labeled.items()}
+    if l == 2 * m:
+        # rebuild sums the star points ann(C_j) over j in v: ann of the meet
+        # of those cofaces, the dual image of the complement of v
+        full_set = (1 << l) - 1
+        labeled = {v: labeled[full_set ^ v] for v in labeled}
+    image = frozenset(labeled.values())
     star_points = (tuple(annihilator(t) for t in dual_cls.top_points)
                    if dual_cls.top_points is not None else None)
     trace = tuple(frozenset(annihilator(s) for s in level)
-                  for level in dual_cls.descent_trace)
+                  for level in dual_cls.descent_trace[:-1]) + (image,)
     case = "parabolic-apartment" if l == 2 * m else "top"
     full = (l == n and m_space.dim == 0 and n_space.dim == n)
     return Classification(case, l, m, k, n, field, m_space, n_space,
-                          star_points, top_points, full, trace, image)
+                          star_points, top_points, full, trace, image, labeled)
 
 
 # additional predicates --------------------------------------------------

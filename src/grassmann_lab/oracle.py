@@ -406,10 +406,13 @@ def cross_validate(cfg: SearchConfig,
                     and m_prime <= min(cfg.k, cfg.n - cfg.k))
     all_classified: bool | None = None
     if classifiable:
+        # ids follow RREF rows, so the searched table's rows are in classify's order
+        dmat = spec.distance_matrix()
         for image in sorted(result.images):
-            members = frozenset(spec.by_id(i) for i in image)
+            ids = sorted(image)
+            members = frozenset(spec.by_id(i) for i in ids)
             try:
-                cls = classify(members)
+                cls = classify(members, table=[bytes(dmat[i][j] for j in ids) for i in ids])
             except Exception as exc:  # noqa: BLE001 - reported, not swallowed
                 failures.append(json.dumps({
                     "image_ids": list(image),

@@ -139,7 +139,9 @@ def solve_semilinear_mapping(F: GF, d: int, pairs
     if any(src.dim != dst.dim for src, dst in pairs):
         raise ValidationError("each source must have the dimension of its target")
     sources, targets = [src for src, _ in pairs], [dst for _, dst in pairs]
-    meet, meet_image = intersect_many(F, d, sources), intersect_many(F, d, targets)
+    meet = intersect_many(F, d, sources)
+    # targets permuting the sources (every ground transposition's) share their meet
+    meet_image = meet if set(targets) == set(sources) else intersect_many(F, d, targets)
     if meet.dim != meet_image.dim:
         return None, (SigmaDiagnostics(None, "span", None, 0),), True
     reps, basis, coords = _frame(F, meet, sources)

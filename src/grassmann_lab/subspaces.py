@@ -9,6 +9,7 @@ makes the double annihilator literally the identity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 
@@ -140,16 +141,24 @@ def annihilator(s: Subspace) -> Subspace:
 
 
 def intersect_subspaces(s: Subspace, u: Subspace) -> Subspace:
+    """The Zassenhaus meet: one rref of the rows [x | x] of s over [y | 0]
+    of u.  A combination (x + y | x) has left half 0 exactly when x = -y
+    lies in both, so the right halves of the rows pivoting in the right
+    half are the meet's basis, already in RREF."""
     s._check_compatible(u)
-    if s is u or s == u:
+    if s is u or s == u or u.dim == u.ambient_dim:
         return s
-    return annihilator(sum_subspaces(annihilator(s), annihilator(u)))
+    if s.dim == s.ambient_dim:
+        return u
+    n = s.ambient_dim
+    reduced, _, pivots = linalg.rref(
+        s.field, tuple(r + r for r in s.rows) + tuple(r + (0,) * n for r in u.rows))
+    return Subspace(s.field, n, tuple(row[n:] for row, c in zip(reduced, pivots) if c >= n))
 
 
 def intersect_many(field: GF, ambient_dim: int, spaces) -> Subspace:
-    rows = tuple(itertools.chain.from_iterable(annihilator(sp).rows for sp in spaces))
-    joint = Subspace.from_rows(field, ambient_dim, rows)
-    return annihilator(joint)
+    """The meet of the spaces, folded from the full space."""
+    return functools.reduce(intersect_subspaces, spaces, Subspace.full(field, ambient_dim))
 
 
 # quotient and section coordinates -------------------------------------

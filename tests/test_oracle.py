@@ -10,7 +10,7 @@ import pytest
 import grassmann_lab
 from grassmann_lab import oracle
 from grassmann_lab.config import caps, set_caps
-from grassmann_lab.embeddings import build_sum_construction, classify
+from grassmann_lab.embeddings import build_sum_construction, classify, rebuild
 from grassmann_lab.errors import InternalInvariantError, ValidationError
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import pg_points
@@ -138,6 +138,38 @@ def test_cross_validate_main_configuration():
     assert report.apartment_match is True
     assert report.tag_histogram == {"parabolic-apartment": 840}
     assert report.summary()["ok"] is True
+
+
+def test_cross_validate_classifies_from_the_search_table(monkeypatch):
+    # the bare classifier reads the members' rows of the distance table the
+    # search read, so classification takes no distance by elimination, and
+    # those rows give the classifications that computed rows give
+    from grassmann_lab import grassmannian
+    from grassmann_lab.jsonio import classification_to_json
+
+    results = {l: enumerate_embeddings(SearchConfig(l=l, m=2, n=4, k=2, p=2)) for l in (4, 5)}
+    real = grassmannian.distance
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(grassmannian, "distance", counting)
+    report = cross_validate(SearchConfig(l=5, m=2, n=4, k=2, p=2), results[5])
+    assert calls == []
+    assert report.ok and report.tag_histogram == {"star": 168, "top": 168}
+    monkeypatch.undo()
+    for l, result in results.items():
+        dmat = result.spec.distance_matrix()
+        assert len(result.images) == {4: 840, 5: 336}[l]
+        for image in result.images:
+            ids = sorted(image)
+            members = frozenset(result.spec.by_id(i) for i in ids)
+            handed = classify(members, table=[bytes(dmat[i][j] for j in ids) for i in ids])
+            computed = classify(members)
+            assert classification_to_json(handed) == classification_to_json(computed)
+            assert list(rebuild(handed).items()) == list(rebuild(computed).items())
 
 
 def test_cross_validate_skips_classification_for_degenerate_m():

@@ -332,7 +332,8 @@ def test_rigidity_agrees_with_structure_across_the_grid():
 
 def test_is_rigid_rebuilds_each_classification_once(monkeypatch):
     # every automorphism witness is checked on the rebuilt labeled map; it
-    # is built once per classification, not once per generator
+    # is built once per classification, by the rebuild that certifies it,
+    # and never again, not once per generator
     from grassmann_lab import embeddings
     simplex = [Subspace(F2, 4, p.rows) for p in canonical_simplex(F2, 4, 4).points]
     images = {
@@ -350,12 +351,14 @@ def test_is_rigid_rebuilds_each_classification_once(monkeypatch):
 
     monkeypatch.setattr(embeddings, "_subset_sums", counting)
     for name, inst in images.items():
+        calls.clear()
         cls = classify(inst)
+        assert len(calls) == 1, name
         calls.clear()
         report = is_rigid(cls)
         assert report.is_rigid is True, name
         assert len(report.per_automorphism) > 1, name
-        assert len(calls) == 1, name
+        assert calls == [], name
 
 
 # brute-force reference ------------------------------------------------------

@@ -2,14 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grassmann_lab import linalg
 from grassmann_lab.errors import ValidationError
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import GrassmannianSpec, iter_rref_bases
 from grassmann_lab.subspaces import (SemilinearMap, Subspace, annihilator, contragredient,
-                                     coords_in, from_coords_in, intersect_subspaces,
-                                     lift_from_quotient, quotient_coords, sum_subspaces)
+                                     coords_in, from_coords_in, intersect_many,
+                                     intersect_subspaces, lift_from_quotient, quotient_coords,
+                                     sum_subspaces)
 
 F2 = GF.get(2)
 F4 = GF.get(2, 2)
@@ -205,3 +207,72 @@ def test_vectors_enumeration():
     vecs = set(s.vectors())
     assert len(vecs) == 4
     assert all(s.contains_vector(v) for v in vecs)
+
+
+# the Zassenhaus meet ---------------------------------------------------------
+
+MEET_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
+
+
+def reference_meet(s, u):
+    return annihilator(sum_subspaces(annihilator(s), annihilator(u)))
+
+
+@st.composite
+def subspace_families(draw, min_size=2, max_size=2):
+    """Subspaces of one F^n, n <= 6, over one field of MEET_FIELDS, each
+    spanned by up to n random rows."""
+    p, e = draw(st.sampled_from(MEET_FIELDS))
+    F = GF.get(p, e)
+    n = draw(st.integers(1, 6))
+    entry = st.integers(0, F.q - 1)
+    spaces = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        rows = draw(st.lists(st.tuples(*[entry] * n), max_size=n))
+        spaces.append(Subspace.from_rows(F, n, rows))
+    return F, n, spaces
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(subspace_families())
+def test_zassenhaus_meet_equals_the_annihilator_meet(family):
+    _, _, (s, u) = family
+    meet = intersect_subspaces(s, u)
+    assert meet == reference_meet(s, u)
+    assert meet == intersect_subspaces(u, s)
+    assert meet.dim == s.dim + u.dim - sum_subspaces(s, u).dim
+
+
+@pytest.mark.parametrize("p,e", MEET_FIELDS)
+def test_zassenhaus_meet_of_zero_full_nested_and_equal_spaces(p, e):
+    F = GF.get(p, e)
+    rng = random.Random(p * 100 + e)
+    n = 5
+    zero, full = Subspace.zero(F, n), Subspace.full(F, n)
+    for _ in range(20):
+        s = Subspace.from_rows(F, n, [[rng.randrange(F.q) for _ in range(n)]
+                                      for _ in range(rng.randrange(1, n))])
+        inner = Subspace.from_rows(F, n, s.rows[:rng.randrange(len(s.rows) + 1)])
+        twin = Subspace.from_rows(F, n, s.rows[::-1])
+        for a, b, meet in [(s, zero, zero), (s, full, s), (full, full, full),
+                           (zero, zero, zero), (s, inner, inner), (s, twin, s)]:
+            assert intersect_subspaces(a, b) == meet == reference_meet(a, b)
+            assert intersect_subspaces(b, a) == meet
+
+
+def test_intersect_many_of_no_spaces_is_the_full_space():
+    for p, e in MEET_FIELDS:
+        F = GF.get(p, e)
+        assert intersect_many(F, 4, []) == Subspace.full(F, 4)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(subspace_families(min_size=1, max_size=4), st.randoms(use_true_random=False))
+def test_intersect_many_does_not_depend_on_the_order(family, rng):
+    F, n, spaces = family
+    meet = intersect_many(F, n, spaces)
+    assert meet == intersect_many(F, n, rng.sample(spaces, len(spaces)))
+    expected = Subspace.full(F, n)
+    for s in spaces:
+        expected = reference_meet(expected, s)
+    assert meet == expected
