@@ -16,7 +16,7 @@ from . import dot as dot_export
 from . import jsonio
 from .config import caps, caps_from_env, check_ambient_dim, set_caps
 from .embeddings import (EmbeddingInstance, build_dual_construction,
-                         build_sum_construction, classify)
+                         build_sum_construction, classify, verify_assignment)
 from .errors import (BudgetExhaustedError, GrassmannLabError, InternalInvariantError,
                      ValidationError)
 from .fields import GF
@@ -32,10 +32,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-
-class UnknownOutcome(GrassmannLabError):
-    """A budgeted search ended without a certificate either way (exit 3)."""
 
 
 def _field(args) -> GF:
@@ -55,7 +51,7 @@ def _search_points(field: GF, dim: int, independence: int, size: int,
             f"no {min(independence, size)}-independent set of {size} points exists "
             f"in dimension {dim} over GF({field.q})")
     if result.status == "unknown":
-        raise UnknownOutcome(
+        raise BudgetExhaustedError(
             f"point search exhausted its budget of {budget} nodes without a certificate")
     return result.points
 
@@ -117,6 +113,11 @@ def cmd_build(args) -> int:
         inst = build_dual_construction(cover, gens, k)
     else:  # pragma: no cover - argparse restricts choices
         raise ValidationError(f"unknown build kind {args.kind}")
+    # the constructors rest on their certificate; this is the written map's one check
+    defect = verify_assignment(inst.m, inst.assignment)
+    if defect is not None:
+        raise InternalInvariantError(
+            f"built map is not isometric at vertices {defect.vertex_a:#x},{defect.vertex_b:#x}")
     text = dump_json(jsonio.embedding_to_json(inst), args.output)
     if not args.output:
         print(text)
@@ -285,7 +286,7 @@ def main(argv=None) -> int:
         set_caps(q_max=args.q_cap, n_max=args.n_cap)
         # looked up per call, so a cmd_* function rebound on the module runs
         return globals()[f"cmd_{args.command}"](args)
-    except (BudgetExhaustedError, UnknownOutcome) as exc:
+    except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except InternalInvariantError as exc:

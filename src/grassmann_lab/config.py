@@ -1,9 +1,10 @@
 """Resource caps keeping every enumeration desk-scale.
 
 Defaults: field order q <= 16, ambient dimension n <= 8, and at most
-100_000 vertices for materialized Grassmann graphs.  Override globally
-via :func:`set_caps`, or with the ``GRASSMANN_LAB_CAPS`` environment
-variable, e.g. ``GRASSMANN_LAB_CAPS="q=25,n=10"``.
+100_000 vertices for materialized Grassmann and Johnson graphs.
+Override globally via :func:`set_caps`, or with the
+``GRASSMANN_LAB_CAPS`` environment variable, e.g.
+``GRASSMANN_LAB_CAPS="q=25,n=10"``.
 """
 
 from __future__ import annotations

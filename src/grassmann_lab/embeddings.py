@@ -23,11 +23,14 @@ covers, and counting the covers tells where the Johnson stars land.
 The pairwise isometry check (_first_defect, which verify_assignment
 wraps) runs once per trust boundary: on a labeled input to classify, on
 the labeled map rebuilt for a bare input to classify (against the
-distance table the classifier already read), and on the output of
-build_sum_construction.  Annihilation maps the Grassmann graph of
-k-spaces onto that of (n-k)-spaces preserving every distance, so the
-dual construction and the top-type classification, both carried across
-by annihilators, are not checked again.
+distance table the classifier already read), and on the map that the
+build command writes.  The constructors rest on their 2m-independence
+certificate, which proves the isometry (see build_sum_construction), so
+a stored classification, rebuilt through them and classified, gets one
+pass.  Annihilation maps the Grassmann graph of k-spaces onto that of
+(n-k)-spaces preserving every distance, so the dual construction and the
+top-type classification, both carried across by annihilators, are not
+checked again.
 """
 
 from __future__ import annotations
@@ -39,10 +42,10 @@ from .errors import (ClassificationError, InternalInvariantError, NotIsometricEr
                      ValidationError)
 from .fields import GF
 from .grassmannian import distance_rows
-from .independence import Ambient, PointSet, m_dependency_witness
+from .independence import PointSet, m_dependency_witness, point_set
 from .johnson import johnson_distance, johnson_vertices
-from .subspaces import (Subspace, annihilator, intersect_many, intersect_subspaces,
-                        quotient_coords, sum_many, sum_subspaces)
+from .subspaces import (Subspace, annihilator, frame, intersect_many, intersect_subspaces,
+                        sum_many, sum_subspaces)
 
 
 class EmbeddingInstance:
@@ -114,12 +117,6 @@ def verify_assignment(m: int, assignment: dict[int, Subspace]) -> IsometryDefect
     return _first_defect(m, vs, distance_rows(assignment[v] for v in vs), range(len(vs)))
 
 
-def _require_isometric(m: int, assignment: dict[int, Subspace]):
-    defect = verify_assignment(m, assignment)
-    if defect is not None:
-        raise NotIsometricError(defect)
-
-
 def _subset_sums(generators, m: int) -> list[dict[int, Subspace]]:
     """levels[t - 1] maps each t-subset of the generators, as a Johnson
     vertex, to its sum, for t = 1..m and the subsets in lexicographic
@@ -132,24 +129,17 @@ def _subset_sums(generators, m: int) -> list[dict[int, Subspace]]:
     return levels
 
 
-def _quotient_point_set(m_space: Subspace, generators) -> PointSet:
-    F = m_space.field
-    dim = m_space.ambient_dim - m_space.dim
-    points = []
-    for g in generators:
-        rows = quotient_coords(m_space, g)
-        if len(rows) != 1:
-            raise ValidationError("generator is not one-dimensional over the base space")
-        points.append(Subspace(F, dim, rows))
-    return PointSet(Ambient("primal", F, dim), tuple(points))
-
-
 def build_sum_construction(m_space: Subspace, generators, k: int) -> EmbeddingInstance:
     """Map each m-subset {i1..im} to generators[i1] + ... + generators[im].
 
     generators must be (k-m+1)-spaces over m_space whose images in the
     quotient are 2m-independent, with m = k - dim(m_space) > 1 and
-    m + k <= n.  The result is isometry-verified before it is returned.
+    m + k <= n.  That certificate, checked here on the generators' frame
+    coordinates, proves the isometry, so the map is not checked pairwise:
+    for m-subsets u and v with union w, the |w| <= min(2m, l) points of w
+    are independent over m_space, so the images X_u and X_v sum to a
+    space of dimension dim(m_space) + |w|, and d(X_u, X_v) = |w| - m =
+    m - |u & v|, the Johnson distance.
     """
     n = m_space.ambient_dim
     m = k - m_space.dim
@@ -165,16 +155,14 @@ def build_sum_construction(m_space: Subspace, generators, k: int) -> EmbeddingIn
         if g.dim != m_space.dim + 1 or not g.contains(m_space):
             raise ValidationError(
                 "generators must be one-dimensional extensions of the base space")
-    points = _quotient_point_set(m_space, generators)
+    points = point_set(m_space.field, frame(m_space, generators)[2])
     need = min(2 * m, l)
     witness = m_dependency_witness(points, need)
     if witness is not None:
         raise ValidationError(
             f"generators are not {need}-independent over the base; "
             f"dependent subset at indices {witness}")
-    inst = EmbeddingInstance(l, m, _subset_sums(generators, m)[-1])
-    _require_isometric(m, inst.assignment)
-    return inst
+    return EmbeddingInstance(l, m, _subset_sums(generators, m)[-1])
 
 
 def build_dual_construction(n_space: Subspace, generators, k: int) -> EmbeddingInstance:
@@ -183,8 +171,11 @@ def build_dual_construction(n_space: Subspace, generators, k: int) -> EmbeddingI
     generators must be hyperplanes of n_space (dimension k+m-1) forming a
     2m-independent family of the dual space of n_space, with
     m = dim(n_space) - k satisfying 1 < m <= k.  Computed by annihilator
-    transport of the sum construction, whose isometry check covers the
-    result: annihilation preserves every distance.
+    transport of the sum construction, whose certificate covers the
+    result: the annihilated generators are 2m-independent points over the
+    annihilator of n_space, so the sums of their m-subsets are at Johnson
+    distance (see build_sum_construction), and annihilation preserves
+    every distance.
     """
     n = n_space.ambient_dim
     m = n_space.dim - k
@@ -242,18 +233,19 @@ class Classification:
     labeled: dict[int, Subspace] = dc_field(compare=False, repr=False)
 
     def star_point_set(self) -> PointSet:
+        """The star points as points over m_space, in the coordinates of
+        their frame (subspaces.frame), which span their own space."""
         if self.star_points is None:
             raise ValidationError("no primal generators on a top-type classification")
-        return _quotient_point_set(self.m_space, self.star_points)
+        return point_set(self.field, frame(self.m_space, self.star_points)[2])
 
     def top_point_set(self) -> PointSet:
-        """The dual generators as points over the annihilator of n_space."""
+        """The annihilated top points as points over the annihilator of
+        n_space, in the coordinates of their frame (subspaces.frame)."""
         if self.top_points is None:
             raise ValidationError("no dual generators on a star-type classification")
-        base = annihilator(self.n_space)
-        points = _quotient_point_set(base, tuple(annihilator(y) for y in self.top_points))
-        return PointSet(Ambient("dual", points.ambient.field, points.ambient.dim),
-                        points.points)
+        duals = [annihilator(y) for y in self.top_points]
+        return point_set(self.field, frame(annihilator(self.n_space), duals)[2], "dual")
 
 
 def rebuild(cls: Classification) -> dict[int, Subspace]:
@@ -299,7 +291,9 @@ def classify(obj, *, table=None) -> Classification:
     ordered by their RREF rows, lists the i-th one's distances.
     """
     if isinstance(obj, EmbeddingInstance):
-        _require_isometric(obj.m, obj.assignment)
+        defect = verify_assignment(obj.m, obj.assignment)
+        if defect is not None:
+            raise NotIsometricError(defect)
         norm = obj.normalized()
         _check_classification_params(norm.l, norm.m, norm.k, norm.n)
         # Theorem 4: Johnson stars all land in stars (case A) or all in tops

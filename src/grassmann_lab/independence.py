@@ -2,8 +2,9 @@
 
 A point set lives in a coordinate model of its projective space: the
 primal space of F_q^d, or the dual space (coordinates in the dual basis).
-Quotient geometries used by the embedding constructors are handled by
-translating into such a coordinate model first.
+Points over a base space, as the embedding constructors use them, are
+put into such a model by their frame coordinates (subspaces.frame),
+which span the points' own space.
 
 A set is m-independent when every m of its points span an m-dimensional
 subspace.  An s-simplex is an s-independent set of s+1 points that is

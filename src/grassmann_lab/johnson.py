@@ -3,7 +3,8 @@
 Two vertices are adjacent when their subsets share m-1 elements; the
 graph distance is m - |A & B|.  The automorphism group is generated by
 ground-set permutations, plus the complementation involution exactly
-when l == 2m.
+when l == 2m.  Listing the vertices obeys the graph vertex cap of
+config.caps, as enumerating a Grassmann graph does.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .config import caps
+from .errors import CapExceededError, ValidationError
 
 MAX_GROUND_SET = 64
 
@@ -22,6 +24,9 @@ def _check_params(l: int, m: int):
         raise ValidationError(f"need 0 < m < l, got l={l}, m={m}")
     if l > MAX_GROUND_SET:
         raise ValidationError(f"ground set size {l} exceeds {MAX_GROUND_SET}")
+    count, cap = math.comb(l, m), caps().graph_vertex_max
+    if count > cap:
+        raise CapExceededError(f"J({l}, {m}) has {count} vertices, above the cap of {cap}")
 
 
 def vertex_from_indices(indices) -> int:

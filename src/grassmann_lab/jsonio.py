@@ -20,7 +20,7 @@ from .fields import GF
 from .independence import Ambient, PointSet
 from .johnson import vertex_from_indices, vertex_indices
 from .rigidity import ExtensionWitness, NotExtendable, RigidityReport, SigmaDiagnostics
-from .subspaces import SemilinearMap, Subspace
+from .subspaces import Subspace
 
 SCHEMA_VERSION = 1
 
@@ -202,9 +202,9 @@ def classification_from_json(obj: dict) -> Classification:
 # rigidity reports -----------------------------------------------------------
 
 
-def _semilinear_to_json(m: SemilinearMap) -> dict:
-    return {"matrix": [list(r) for r in m.matrix], "sigma": m.sigma,
-            "codomain_is_dual": m.codomain_is_dual}
+def _witness_to_json(w: ExtensionWitness) -> dict:
+    return {"kind": w.kind, "matrix": [list(r) for r in w.map.matrix], "sigma": w.map.sigma,
+            "codomain_is_dual": w.kind == "duality"}
 
 
 def _diagnostics_to_json(diags: tuple[SigmaDiagnostics, ...]) -> list[dict]:
@@ -218,7 +218,7 @@ def rigidity_report_to_json(report: RigidityReport, include_certificates: bool =
         entry: dict[str, Any] = {"perm": list(aut.perm), "complement": aut.complement}
         if isinstance(outcome, ExtensionWitness):
             entry["outcome"] = "witness"
-            entry["witness"] = {"kind": outcome.kind, **_semilinear_to_json(outcome.map)}
+            entry["witness"] = _witness_to_json(outcome)
         else:
             entry["outcome"] = "not-extendable"
             entry["reason"] = outcome.reason

@@ -3,11 +3,11 @@
 Matrices are tuples of row tuples of int-encoded field elements; all
 functions are pure and return new tuples.  One routine, the forward
 elimination :func:`_forward`, does all row reduction for every q:
-:func:`rank` counts its pivots, and :func:`rref` (and through it
-:func:`nullspace`, :func:`inverse` and ``Subspace.from_rows``) adds
-back-substitution.  Reduced row echelon form is the canonical
-representative used for subspace identity throughout the package, so
-:func:`rref` must stay deterministic.
+:func:`rank` counts its pivots (and so decides ``Subspace.contains``),
+and :func:`rref` (and through it :func:`nullspace`, :func:`inverse` and
+``Subspace.from_rows``) adds back-substitution.  Reduced row echelon
+form is the canonical representative used for subspace identity
+throughout the package, so :func:`rref` must stay deterministic.
 """
 
 from __future__ import annotations

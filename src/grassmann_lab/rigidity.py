@@ -22,7 +22,7 @@ from .independence import PointSet, is_independent, simplex_rank
 from .johnson import JohnsonAut, johnson_aut_group
 from .linalg import frobenius_vec
 from .subspaces import (SemilinearMap, Subspace, annihilator, complement_columns,
-                        contragredient, intersect_many)
+                        contragredient, frame, intersect_many)
 
 _NO_SEMILINEAR = "no invertible semilinear solution for any field automorphism"
 
@@ -44,7 +44,7 @@ class SigmaDiagnostics:
 
 @dataclass(frozen=True)
 class ExtensionWitness:
-    kind: str  # "semilinear" | "duality"
+    kind: str  # "semilinear", or "duality": map read as V -> V*
     map: SemilinearMap
     certificate: tuple[tuple[int, bool], ...] = ()
 
@@ -56,28 +56,6 @@ class NotExtendable:
 
 
 # the solver -----------------------------------------------------------------
-
-
-def _frame(F: GF, meet: Subspace, spaces):
-    """The spaces as points over their meet: a representative of each
-    (zero for the meet itself), the greedy basis of the points as point
-    indices, and each point's coordinates in that basis modulo the meet.
-
-    One rref of the meet's rows and the representatives, taken as
-    columns, gives both: its pivots past the meet's rows are the basis,
-    and column j holds the coordinates of point j.
-    """
-    reps = []
-    for s in spaces:
-        if s.dim > meet.dim + 1:
-            raise ValidationError("the solver takes point-like pairs: each source must be "
-                                  "the meet of the sources plus at most one vector")
-        reps.append(next((row for row in s.rows if not meet.contains_vector(row)),
-                         (0,) * meet.ambient_dim))
-    h = meet.dim
-    reduced, rank, pivots = linalg.rref(F, linalg.transpose(meet.rows + tuple(reps)))
-    coords = [tuple(reduced[i][h + j] for i in range(h, rank)) for j in range(len(reps))]
-    return reps, tuple(p - h for p in pivots[h:]), coords
 
 
 def _propagate(F: GF, t: int, supports, coords, coords_image):
@@ -144,8 +122,8 @@ def solve_semilinear_mapping(F: GF, d: int, pairs
     meet_image = meet if set(targets) == set(sources) else intersect_many(F, d, targets)
     if meet.dim != meet_image.dim:
         return None, (SigmaDiagnostics(None, "span", None, 0),), True
-    reps, basis, coords = _frame(F, meet, sources)
-    reps_image, basis_image, coords_image = _frame(F, meet_image, targets)
+    reps, basis, coords = frame(meet, sources)
+    reps_image, basis_image, coords_image = frame(meet_image, targets)
     if basis != basis_image:
         kind = "basis" if len(basis) == len(basis_image) else "span"
         return None, (SigmaDiagnostics(None, kind, min(set(basis) ^ set(basis_image)), 0),), True
@@ -245,9 +223,8 @@ def extend_automorphism(subject, aut: JohnsonAut) -> ExtensionWitness | NotExten
     if smap is None:
         return NotExtendable(reason, diagnostics)
     if aut.complement:
-        duality = SemilinearMap(F, smap.matrix, smap.sigma, codomain_is_dual=True)
-        certificate = _verify_on_image(cls, aut, lambda s: annihilator(duality.apply(s)))
-        return ExtensionWitness("duality", duality, certificate)
+        certificate = _verify_on_image(cls, aut, lambda s: annihilator(smap.apply(s)))
+        return ExtensionWitness("duality", smap, certificate)
     full = smap if cls.star_points is not None else contragredient(smap)
     return ExtensionWitness("semilinear", full, _verify_on_image(cls, aut, full.apply))
 

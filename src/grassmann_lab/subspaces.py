@@ -80,12 +80,11 @@ class Subspace:
         return len(self.rows)
 
     def contains_vector(self, v: Vector) -> bool:
-        residual = _reduce_against(self.field, v, self.rows)
-        return not any(residual)
+        return linalg.rank(self.field, self.rows + (tuple(v),)) == self.dim
 
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
-        return all(self.contains_vector(r) for r in other.rows)
+        return linalg.rank(self.field, self.rows + other.rows) == self.dim
 
     def __le__(self, other: "Subspace") -> bool:
         return other.contains(self)
@@ -106,19 +105,6 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise ValidationError(
                 f"ambient mismatch: {self.ambient_dim} vs {other.ambient_dim}")
-
-
-def _reduce_against(F: GF, v: Vector, rref_rows: Matrix) -> Vector:
-    """Reduce v modulo a subspace given by RREF rows."""
-    v = list(v)
-    for row in rref_rows:
-        pivot = next(i for i, x in enumerate(row) if x)
-        c = v[pivot]
-        if c:
-            for i, x in enumerate(row):
-                if x:
-                    v[i] = F.sub(v[i], F.mul(c, x))
-    return tuple(v)
 
 
 def sum_subspaces(s: Subspace, u: Subspace) -> Subspace:
@@ -171,25 +157,31 @@ def complement_columns(m: Subspace) -> tuple[int, ...]:
     return tuple(c for c in range(m.ambient_dim) if c not in pivots)
 
 
-def quotient_coords(m: Subspace, t: Subspace) -> Matrix:
-    """Coordinates of t/m in the complement-column chart; requires m <= t."""
-    if not t.contains(m):
-        raise ValidationError("quotient_coords requires m <= t")
-    free = complement_columns(m)
-    rows = []
-    for row in t.rows:
-        reduced = _reduce_against(t.field, row, m.rows)
-        if any(reduced):
-            rows.append(tuple(reduced[c] for c in free))
-    reduced, rank, _ = linalg.rref(t.field, tuple(rows)) if rows else ((), 0, ())
-    if rank != t.dim - m.dim:
-        raise ValidationError("inconsistent quotient dimensions")
-    return reduced[:rank]
+def frame(base: Subspace, spaces):
+    """The spaces, each containing base with at most one dimension more,
+    as points over base: a representative of each (zero for base itself),
+    the greedy basis of the points as point indices, and each point's
+    coordinates in that basis modulo base.
+
+    One rref of base's rows and the representatives, taken as columns,
+    gives both: its pivots past base's rows are the basis, and column j
+    holds the coordinates of point j.
+    """
+    h = base.dim
+    reps = []
+    for s in spaces:
+        if s.dim > h + 1:
+            raise ValidationError(f"a {s.dim}-space is not a point over a {h}-space")
+        reps.append(next((row for row in s.rows if not base.contains_vector(row)),
+                         (0,) * base.ambient_dim))
+    reduced, rank, pivots = linalg.rref(base.field, linalg.transpose(base.rows + tuple(reps)))
+    coords = [tuple(reduced[i][h + j] for i in range(h, rank)) for j in range(len(reps))]
+    return reps, tuple(p - h for p in pivots[h:]), coords
 
 
 def lift_from_quotient(m: Subspace, rows_q: Matrix) -> Subspace:
-    """Inverse of quotient_coords: the subspace of V spanned by m and the
-    lifted quotient rows."""
+    """The subspace of V spanned by m and the quotient rows, lifted into
+    the complement columns of m."""
     free = complement_columns(m)
     n = m.ambient_dim
     lifted = []
@@ -201,20 +193,9 @@ def lift_from_quotient(m: Subspace, rows_q: Matrix) -> Subspace:
     return Subspace.from_rows(m.field, n, m.rows + tuple(lifted))
 
 
-def coords_in(n_space: Subspace, s: Subspace) -> Matrix:
-    """Coordinates of s <= n_space relative to n_space's RREF basis.
-
-    Because the basis is RREF, the coordinates of a vector are just its
-    entries at the pivot columns.
-    """
-    if not n_space.contains(s):
-        raise ValidationError("coords_in requires s <= n_space")
-    pivots = tuple(next(i for i, x in enumerate(row) if x) for row in n_space.rows)
-    return tuple(tuple(r[p] for p in pivots) for r in s.rows)
-
-
 def from_coords_in(n_space: Subspace, rows: Matrix) -> Subspace:
-    """Inverse of coords_in: rows of coefficients against n_space's basis."""
+    """The subspace of n_space with the given rows of coefficients against
+    n_space's RREF basis."""
     F = n_space.field
     lifted = tuple(linalg.vecmat(F, r, n_space.rows) for r in rows)
     return Subspace.from_rows(F, n_space.ambient_dim, lifted)
@@ -225,16 +206,11 @@ def from_coords_in(n_space: Subspace, rows: Matrix) -> Subspace:
 
 @dataclass(frozen=True)
 class SemilinearMap:
-    """x -> sigma(x) @ matrix with sigma the Frobenius power a -> a^(p^t).
-
-    ``codomain_is_dual`` marks maps used as dualities V -> V*; the action
-    on coordinates is identical, only the interpretation differs.
-    """
+    """x -> sigma(x) @ matrix with sigma the Frobenius power a -> a^(p^t)."""
 
     field: GF
     matrix: Matrix
     sigma: int = 0
-    codomain_is_dual: bool = False
 
     def __post_init__(self):
         if not linalg.is_invertible(self.field, self.matrix):
@@ -261,7 +237,7 @@ class SemilinearMap:
         t_inv = (-self.sigma) % F.e
         inv_m = linalg.inverse(F, self.matrix)
         twisted = tuple(linalg.frobenius_vec(F, row, t_inv) for row in inv_m)
-        return SemilinearMap(F, twisted, t_inv, self.codomain_is_dual)
+        return SemilinearMap(F, twisted, t_inv)
 
 
 def contragredient(u: SemilinearMap) -> SemilinearMap:
@@ -271,4 +247,4 @@ def contragredient(u: SemilinearMap) -> SemilinearMap:
     twist; applying it twice returns the original map.
     """
     inv_t = linalg.transpose(linalg.inverse(u.field, u.matrix))
-    return SemilinearMap(u.field, inv_t, u.sigma, u.codomain_is_dual)
+    return SemilinearMap(u.field, inv_t, u.sigma)

@@ -16,6 +16,7 @@ from grassmann_lab.embeddings import (build_dual_construction, build_sum_constru
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import GrassmannianSpec, iter_rref_bases, star, top
 from grassmann_lab.independence import Ambient, search_m_independent
+from grassmann_lab.jsonio import rigidity_report_to_json
 from grassmann_lab.johnson import (johnson_adjacent, johnson_aut_group_order,
                                    johnson_vertices)
 from grassmann_lab.linalg import nullspace
@@ -205,7 +206,9 @@ def test_criterion_5_rigidity_positive_cases():
                          if aut.complement and isinstance(o, ExtensionWitness)]
     assert len(duality_witnesses) == 1
     assert duality_witnesses[0].kind == "duality"
-    assert duality_witnesses[0].map.codomain_is_dual
+    written = [e["witness"] for e in rigidity_report_to_json(report)["per_automorphism"]
+               if e["complement"]]
+    assert [(w["kind"], w["codomain_is_dual"]) for w in written] == [("duality", True)]
     simplex_vectors = [unit(i, 4) for i in range(4)] + [(1, 1, 1, 1)]
     gens = [Subspace.line(F2, v) for v in simplex_vectors]
     faces = build_sum_construction(Subspace.zero(F2, 4), gens, 2)

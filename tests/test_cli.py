@@ -84,6 +84,13 @@ def test_exit_code_3_on_unknown_search(tmp_path, capsys):
     assert code == 3
 
 
+def test_budget_exhausted_point_search_exits_3_with_one_line(capsys):
+    code = run(["build", "sum", "--n", 4, "--k", 2, "--p", 2, "--l", 5, "--budget", 2])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: point search exhausted its budget of 2 nodes without a certificate"]
+
+
 def test_exit_code_2_on_negative_budget(capsys):
     code = run(["build", "sum", "--n", 4, "--k", 2, "--p", 2, "--l", 5, "--budget", -1])
     assert code == 2
@@ -305,6 +312,14 @@ def _malformed(tmp_path, case):
         return ["build", "apartment", "--p", 2, "--n", 10, "--k", 2]
     if case == "build-sum-past-n-cap":
         return ["build", "sum", "--p", 2, "--n", 12, "--k", 2, "--l", 5]
+    if case == "johnson-export-past-vertex-cap":
+        return ["export", "--graph", "johnson", "--l", 40, "--m", 20]
+    if case.startswith("embedding-past-vertex-cap-"):
+        # one map entry under params claiming all C(60, 30) vertices
+        path.write_text(json.dumps(
+            {"schema_version": 1, "params": {"l": 60, "m": 30, "n": 4, "k": 2, "p": 2},
+             "map": [{"vertex": list(range(30)), "subspace": [[1, 0, 0, 0], [0, 1, 0, 0]]}]}))
+        return [case.rpartition("-")[2], "--input", path]
     if case == "missing-file":
         return ["classify", "--input", path]
     if case == "top-level-number":
@@ -349,7 +364,10 @@ def _malformed(tmp_path, case):
                                   "repeated-vertex", "classification-version",
                                   "pointset-version", "export-json-without-p",
                                   "export-without-nk", "build-apartment-past-n-cap",
-                                  "build-sum-past-n-cap"])
+                                  "build-sum-past-n-cap", "johnson-export-past-vertex-cap",
+                                  "embedding-past-vertex-cap-classify",
+                                  "embedding-past-vertex-cap-rigidity",
+                                  "embedding-past-vertex-cap-export"])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     argv = _malformed(tmp_path, case)
     capsys.readouterr()
@@ -358,3 +376,36 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("kind", ["simplex-faces", "dual"])
+def test_isometry_passes_per_cli_request(tmp_path, capsys, monkeypatch, kind):
+    # one pairwise pass per request: build checks the map it writes, and a
+    # stored classification is rebuilt through the certified constructors
+    # and checked once, as classify's labeled input
+    from grassmann_lab import embeddings
+    real = embeddings._first_defect
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(embeddings, "_first_defect", counting)
+    emb, cls = tmp_path / "emb.json", tmp_path / "cls.json"
+    requests = {
+        "build": ["build", kind, "--n", 4, "--k", 2, "--p", 2, "--output", emb],
+        "classify embedding": ["classify", "--input", emb, "--output", cls],
+        "rigidity embedding": ["rigidity", "--input", emb],
+        "export embedding": ["export", "--input", emb],
+        "classify classification": ["classify", "--input", cls],
+        "rigidity classification": ["rigidity", "--input", cls],
+        "export classification": ["export", "--input", cls],
+    }
+    counts = {}
+    for name, argv in requests.items():
+        calls.clear()
+        assert run(argv) == 0
+        counts[name] = len(calls)
+    capsys.readouterr()
+    assert counts == {name: 0 if name == "export embedding" else 1 for name in requests}

@@ -12,6 +12,7 @@ from grassmann_lab.fields import GF
 from grassmann_lab.independence import (Ambient, canonical_simplex, point_set,
                                         search_m_independent)
 from grassmann_lab.johnson import JohnsonAut
+from grassmann_lab.jsonio import rigidity_report_to_json
 from grassmann_lab.rigidity import (ExtensionWitness, NotExtendable, extend_automorphism,
                                     induced_by_semilinear, is_rigid,
                                     solve_semilinear_mapping)
@@ -158,7 +159,8 @@ def test_apartment_rigid_with_duality_for_complement():
     assert len(complement_outcomes) == 1
     witness = complement_outcomes[0]
     assert isinstance(witness, ExtensionWitness) and witness.kind == "duality"
-    assert witness.map.codomain_is_dual
+    assert [e["witness"]["codomain_is_dual"] for e in rigidity_report_to_json(report)[
+        "per_automorphism"] if e["complement"]] == [True]
     # the found duality sends each frame point into the dual frame point
     for i, line in enumerate(basis_lines(F2, 4)):
         image = witness.map.apply(line)
