@@ -1,23 +1,24 @@
 """Johnson-graph images in Grassmann graphs: construction, verification,
 and classification.
 
-Two constructions generate every image: sums of m-element subsets of a
-2m-independent family of (k-m+1)-spaces over a fixed (k-m)-space, and the
-annihilator-dual intersections of (k+m-1)-spaces under a fixed
-(k+m)-space.  The classifier inverts either construction by descending
-through the star centers of the image, recovers the generating family,
-and certifies the answer by rebuilding the image from it and comparing
-sets exactly.
+Two lattice-dual constructions generate every image (Theorem 4 of the
+source paper, PAPER.md): sums of m-subsets of a 2m-independent family
+of (k-m+1)-spaces over a (k-m)-space (star side), and meets of m-subsets
+of (k+m-1)-spaces under a (k+m)-space whose annihilators are
+2m-independent (top side).  One builder, _subset_sums, joins subsets by
+sums or by meets, so each side is built and classified in its own
+lattice, and no image is annihilated.  The classifier descends through
+the star centers (top covers) of the image to the generating family and
+certifies it by rebuilding the image and comparing sets exactly.
 
 Every clique of a Grassmann graph lies in a star or a top (Brouwer,
 Cohen & Neumaier, *Distance-Regular Graphs*, 1989, section 9.3), and
 every edge of J(l, m) lies in exactly one star and one top.  So no clique
 is listed or typed.  A labeled input to classify tests one clique, the
 Johnson star over the core {0..m-2}: it lands in a star exactly when its
-members span more than k+1 dimensions, and by Theorem 4 of the source
-paper (PAPER.md) every Johnson star goes the same way.  A bare input
-reads (l, m) off its size and valency; the meets of its adjacent pairs
-are its star centers, those of the annihilated pairs its annihilated top
+members span more than k+1 dimensions, and by Theorem 4 every Johnson
+star goes the same way.  A bare input reads (l, m) off its size and
+valency; its adjacent pairs meet in its star centers and sum to its top
 covers, and counting the covers tells where the Johnson stars land.
 
 The pairwise isometry check (_first_defect, which verify_assignment
@@ -25,12 +26,10 @@ wraps) runs once per trust boundary: on a labeled input to classify, on
 the labeled map rebuilt for a bare input to classify (against the
 distance table the classifier already read), and on the map that the
 build command writes.  The constructors rest on their 2m-independence
-certificate, which proves the isometry (see build_sum_construction), so
-a stored classification, rebuilt through them and classified, gets one
-pass.  Annihilation maps the Grassmann graph of k-spaces onto that of
-(n-k)-spaces preserving every distance, so the dual construction and the
-top-type classification, both carried across by annihilators, are not
-checked again.
+certificate, which proves the isometry (see build_sum_construction; the
+dual construction checks it on the annihilators of its generators), so a
+stored classification, rebuilt through them and classified, gets one
+pass.
 """
 
 from __future__ import annotations
@@ -117,16 +116,29 @@ def verify_assignment(m: int, assignment: dict[int, Subspace]) -> IsometryDefect
     return _first_defect(m, vs, distance_rows(assignment[v] for v in vs), range(len(vs)))
 
 
-def _subset_sums(generators, m: int) -> list[dict[int, Subspace]]:
+def _subset_sums(generators, m: int, join) -> list[dict[int, Subspace]]:
     """levels[t - 1] maps each t-subset of the generators, as a Johnson
-    vertex, to its sum, for t = 1..m and the subsets in lexicographic
-    order; each sum adds the subset's last generator to the previous
-    level's sum of the others."""
+    vertex, to the join of its members, for t = 1..m and the subsets in
+    lexicographic order: sum_subspaces for star points, intersect_subspaces
+    for top points.  Each join adds the subset's last generator to the
+    previous level's join of the others."""
     levels = [{1 << i: g for i, g in enumerate(generators)}]
     for _ in range(1, m):
-        levels.append({v | 1 << i: sum_subspaces(s, g) for v, s in levels[-1].items()
+        levels.append({v | 1 << i: join(s, g) for v, s in levels[-1].items()
                        for i, g in enumerate(generators) if v >> i == 0})
     return levels
+
+
+def _certify_independent(base: Subspace, points, m: int):
+    """Raise ValidationError unless any min(2m, l) of the l points, spaces
+    at most one dimension over base, are independent over base: the
+    certificate that proves a construction isometric."""
+    need = min(2 * m, len(points))
+    witness = m_dependency_witness(point_set(base.field, frame(base, points)[2]), need)
+    if witness is not None:
+        raise ValidationError(
+            f"generators are not {need}-independent over the base; "
+            f"dependent subset at indices {witness}")
 
 
 def build_sum_construction(m_space: Subspace, generators, k: int) -> EmbeddingInstance:
@@ -155,14 +167,8 @@ def build_sum_construction(m_space: Subspace, generators, k: int) -> EmbeddingIn
         if g.dim != m_space.dim + 1 or not g.contains(m_space):
             raise ValidationError(
                 "generators must be one-dimensional extensions of the base space")
-    points = point_set(m_space.field, frame(m_space, generators)[2])
-    need = min(2 * m, l)
-    witness = m_dependency_witness(points, need)
-    if witness is not None:
-        raise ValidationError(
-            f"generators are not {need}-independent over the base; "
-            f"dependent subset at indices {witness}")
-    return EmbeddingInstance(l, m, _subset_sums(generators, m)[-1])
+    _certify_independent(m_space, generators, m)
+    return EmbeddingInstance(l, m, _subset_sums(generators, m, sum_subspaces)[-1])
 
 
 def build_dual_construction(n_space: Subspace, generators, k: int) -> EmbeddingInstance:
@@ -170,16 +176,15 @@ def build_dual_construction(n_space: Subspace, generators, k: int) -> EmbeddingI
 
     generators must be hyperplanes of n_space (dimension k+m-1) forming a
     2m-independent family of the dual space of n_space, with
-    m = dim(n_space) - k satisfying 1 < m <= k.  Computed by annihilator
-    transport of the sum construction, whose certificate covers the
-    result: the annihilated generators are 2m-independent points over the
-    annihilator of n_space, so the sums of their m-subsets are at Johnson
-    distance (see build_sum_construction), and annihilation preserves
-    every distance.
+    m = dim(n_space) - k satisfying 1 < m <= k.  The lattice dual of
+    build_sum_construction: its certificate, on the annihilators of
+    n_space and the generators, puts the sums of annihilated m-subsets at
+    Johnson distance, and annihilation turns those sums into these meets
+    preserving every distance.
     """
-    n = n_space.ambient_dim
     m = n_space.dim - k
     generators = tuple(generators)
+    l = len(generators)
     if m < 2:
         raise ValidationError(f"dual construction needs dim(cover) - k >= 2, got {m}")
     if m > k:
@@ -187,11 +192,10 @@ def build_dual_construction(n_space: Subspace, generators, k: int) -> EmbeddingI
     for g in generators:
         if g.dim != n_space.dim - 1 or not n_space.contains(g):
             raise ValidationError("generators must be hyperplanes of the cover space")
-    dual_base = annihilator(n_space)
-    dual_generators = tuple(annihilator(g) for g in generators)
-    primal = build_sum_construction(dual_base, dual_generators, n - k)
-    return EmbeddingInstance(primal.l, m,
-                             {v: annihilator(s) for v, s in primal.assignment.items()})
+    if l <= m:
+        raise ValidationError(f"need more than m={m} generators, got {l}")
+    _certify_independent(annihilator(n_space), [annihilator(g) for g in generators], m)
+    return EmbeddingInstance(l, m, _subset_sums(generators, m, intersect_subspaces)[-1])
 
 
 # classification ---------------------------------------------------------
@@ -201,8 +205,8 @@ def build_dual_construction(n_space: Subspace, generators, k: int) -> EmbeddingI
 class Classification:
     """The recovered description of a Johnson image.
 
-    case "star": generated by star_points, (k-m+1)-spaces over m_space.
-    case "top": generated by top_points, (k+m-1)-spaces under n_space.
+    case "star": the sums of m star_points, (k-m+1)-spaces over m_space.
+    case "top": the meets of m top_points, (k+m-1)-spaces under n_space.
     case "parabolic-apartment" (exactly when l == 2m): both descriptions
     hold and the image is an apartment of the interval [m_space, n_space].
 
@@ -251,8 +255,8 @@ class Classification:
 def rebuild(cls: Classification) -> dict[int, Subspace]:
     """Reconstruct the labeled map from the recovered generators: each
     m-subset goes to the sum of its star points or, on a top-type
-    classification, to the meet of its top points (the annihilator of the
-    sum of their annihilators).  Its values are exactly cls.image; the map
+    classification, to the meet of its top points, both built by
+    _subset_sums.  Its values are exactly cls.image; the map
     is not re-verified, since classify already checked it or its input.
     classify builds it once, for the exact rebuild that certifies it.
 
@@ -299,17 +303,12 @@ def classify(obj, *, table=None) -> Classification:
         # Theorem 4: Johnson stars all land in stars (case A) or all in tops
         # (case B), so the star over the core {0..m-2} decides the case: its
         # l-m+1 >= 3 members span more than k+1 dimensions only in a star.
-        # The exact rebuild in _assemble_primal implies every other clique's type
+        # The exact rebuild in _assemble implies every other clique's type
         core = (1 << (norm.m - 1)) - 1
         core_star = [norm.assignment[core | (1 << i)] for i in range(norm.m - 1, norm.l)]
-        if sum_many(norm.field, norm.n, core_star).dim > norm.k + 1:
-            ordered = _labeled_generators_primal(norm)
-            return _assemble_primal(norm.image, ordered, norm.l, norm.m, norm.k)
-        dual = EmbeddingInstance(
-            norm.l, norm.m, {v: annihilator(s) for v, s in norm.assignment.items()})
-        ordered = _labeled_generators_primal(dual)
-        dual_cls = _assemble_primal(dual.image, ordered, dual.l, dual.m, dual.k)
-        return _transport_to_top(dual_cls)
+        top = sum_many(norm.field, norm.n, core_star).dim <= norm.k + 1
+        return _assemble(norm.image, _labeled_generators(norm, top),
+                         norm.l, norm.m, norm.k, top)
 
     image = frozenset(obj)
     if not image:
@@ -322,20 +321,31 @@ def classify(obj, *, table=None) -> Classification:
     return _classify_bare(image, n, k, table)
 
 
+def _lattice(top: bool):
+    """(join, join_many, meet, meet_many) of one side's lattice: sums and
+    meets of subspaces on the star side, the other way round on the top
+    side, whose images are the order duals of star-type ones."""
+    ops = (sum_subspaces, sum_many, intersect_subspaces, intersect_many)
+    return ops[2:] + ops[:2] if top else ops
+
+
 # -- labeled path --------------------------------------------------------
 
 
-def _labeled_generators_primal(inst: EmbeddingInstance) -> tuple[Subspace, ...]:
-    """Ground-indexed generators: T_j is the meet of every image through j."""
+def _labeled_generators(inst: EmbeddingInstance, top: bool) -> tuple[Subspace, ...]:
+    """Ground-indexed generators: generator j is the meet (star side) or
+    the sum (top side) of every image through j."""
+    meet_many = _lattice(top)[3]
+    dim = inst.k + inst.m - 1 if top else inst.k - inst.m + 1
     out = []
     for j in range(inst.l):
         members = [s for v, s in inst.assignment.items() if v >> j & 1]
-        meet = intersect_many(inst.field, inst.n, members)
-        if meet.dim != inst.k - inst.m + 1:
+        generator = meet_many(inst.field, inst.n, members)
+        if generator.dim != dim:
             raise ClassificationError(
                 f"generator recovery failed at ground index {j} "
-                f"(dimension {meet.dim}, expected {inst.k - inst.m + 1})")
-        out.append(meet)
+                f"(dimension {generator.dim}, expected {dim})")
+        out.append(generator)
     return tuple(out)
 
 
@@ -372,35 +382,27 @@ def _classify_bare(image: frozenset[Subspace], n: int, k: int, table) -> Classif
     edges = _adjacent_pairs(members, table)
     # each edge lies in one Johnson star and one Johnson top: its meet is the
     # center of a Grassmann star and its sum the cover of a Grassmann top, so
-    # C(l, m-1) covers (and l != 2m) means the Johnson stars land in tops;
-    # annihilation turns each cover into the meet of the annihilated pair
-    top_type = False
-    if l != 2 * m:
-        dual = {s: annihilator(s) for s in members}
-        covers = {intersect_subspaces(dual[a], dual[b]) for a, b in edges}
-        top_type = len(covers) == math.comb(l, m - 1)
-    if top_type:
-        # annihilation preserves every distance, so the table carries over
-        # and the annihilated covers are the star centers of the dual image
-        members = [dual[s] for s in members]
-        centers = covers
-        k = n - k
-    else:
-        centers = {intersect_subspaces(a, b) for a, b in edges}
-    cls = _assemble_primal(frozenset(members), _descend_bare(centers, l, m), l, m, k)
+    # C(l, m-1) covers (and l != 2m) means the Johnson stars land in tops,
+    # where the covers take the part of the centers
+    covers = {sum_subspaces(a, b) for a, b in edges} if l != 2 * m else set()
+    top = len(covers) == math.comb(l, m - 1)
+    centers = covers if top else {intersect_subspaces(a, b) for a, b in edges}
+    cls = _assemble(image, _descend_bare(centers, l, m, top), l, m, k, top)
     labeled = cls.labeled
     vertices = list(labeled)
     row_of = {s: i for i, s in enumerate(members)}
     defect = _first_defect(m, vertices, table, [row_of[labeled[v]] for v in vertices])
     if defect is not None:
         raise NotIsometricError(defect)
-    return _transport_to_top(cls) if top_type else cls
+    return cls
 
 
-def _descend_bare(centers, l: int, m: int) -> tuple[Subspace, ...]:
-    """Walk from the star centers of the image down to the generators,
-    label-free: level t holds the C(l, t) sums of t generators, and the
-    meets of its adjacent pairs are level t - 1."""
+def _descend_bare(centers, l: int, m: int, top: bool) -> tuple[Subspace, ...]:
+    """Walk from the star centers of the image (its top covers on the top
+    side) down to the generators, label-free: level t holds the C(l, t)
+    joins of t generators, and the meets of its adjacent pairs (their sums
+    on the top side) are level t - 1."""
+    meet = _lattice(top)[2]
     for level in range(m - 1, 0, -1):
         if len(centers) != math.comb(l, level):
             raise ClassificationError(
@@ -408,71 +410,53 @@ def _descend_bare(centers, l: int, m: int) -> tuple[Subspace, ...]:
                 f"expected {math.comb(l, level)}")
         family = sorted(centers, key=lambda s: s.rows)
         if level > 1:
-            centers = {intersect_subspaces(a, b)
-                       for a, b in _adjacent_pairs(family, distance_rows(family))}
+            centers = {meet(a, b) for a, b in _adjacent_pairs(family, distance_rows(family))}
     return tuple(family)
 
 
 # -- shared tail ---------------------------------------------------------
 
 
-def _assemble_primal(image, generators: tuple[Subspace, ...], l: int, m: int,
-                     k: int) -> Classification:
-    field = generators[0].field
-    n = generators[0].ambient_dim
-    m_space = intersect_many(field, n, generators)
-    if m_space.dim != k - m:
+def _assemble(image, generators: tuple[Subspace, ...], l: int, m: int, k: int,
+              top: bool) -> Classification:
+    """Certify generators of one side by rebuilding the image from them:
+    star points share the (k-m)-space m_space and span n_space, top
+    points span the (k+m)-space n_space and meet in m_space."""
+    join, join_many, _, meet_many = _lattice(top)
+    sign = -1 if top else 1
+    field, n = generators[0].field, generators[0].ambient_dim
+    base = meet_many(field, n, generators)
+    if base.dim != k - sign * m:
         raise ClassificationError(
-            f"generators share a {m_space.dim}-space, expected {k - m}")
-    n_space = sum_many(field, n, generators)
-    if not k + m <= n_space.dim <= k - m + l:
-        raise ClassificationError(
-            f"span of generators has dimension {n_space.dim}, "
-            f"outside [{k + m}, {k - m + l}]")
-    levels = _subset_sums(generators, m)
+            f"generators have a {base.dim}-dimensional base, expected {k - sign * m}")
+    span = join_many(field, n, generators)
+    if not m <= sign * (span.dim - k) <= l - m:
+        raise ClassificationError(f"generators span dimension {span.dim}, outside "
+                                  f"{sorted((k + sign * m, k + sign * (l - m)))}")
+    levels = _subset_sums(generators, m, join)
     trace = tuple(frozenset(level.values()) for level in levels)
     if trace[-1] != image:
         raise ClassificationError("rebuilt image differs from the input image")
+    labeled = levels[-1]
+    others = None
+    case = "top" if top else "star"
     if l == 2 * m:
-        if n_space.dim != k + m:
+        if span.dim != k + sign * m:
             raise InternalInvariantError("apartment span has the wrong dimension")
-        top_points = tuple(sum_many(field, n, generators[:j] + generators[j + 1:])
-                           for j in range(l))
+        others = tuple(join_many(field, n, generators[:j] + generators[j + 1:])
+                       for j in range(l))
         case = "parabolic-apartment"
-    else:
-        top_points = None
-        case = "star"
+        if top:
+            # rebuild sums star points over v; star point j is the meet of
+            # the top points but j, so that sum is the meet of the top
+            # points outside v, which the builder put at the complement of v
+            full_set = (1 << l) - 1
+            labeled = {v: labeled[full_set ^ v] for v in labeled}
+    star_points, top_points = (others, generators) if top else (generators, others)
+    m_space, n_space = (span, base) if top else (base, span)
     full = (l == n and m_space.dim == 0 and n_space.dim == n)
-    return Classification(case, l, m, k, n, field, m_space, n_space,
-                          generators, top_points, full, trace, frozenset(image), levels[-1])
-
-
-def _transport_to_top(dual_cls: Classification) -> Classification:
-    """Carry a star-type description of the annihilated image back to the
-    primal side, where it becomes a top-type description.  The annihilator
-    is an exact involution, so the certified dual rebuild certifies this
-    one too."""
-    field, n = dual_cls.field, dual_cls.n
-    k = n - dual_cls.k
-    l, m = dual_cls.l, dual_cls.m
-    n_space = annihilator(dual_cls.m_space)
-    m_space = annihilator(dual_cls.n_space)
-    top_points = tuple(annihilator(t) for t in dual_cls.star_points)
-    labeled = {v: annihilator(s) for v, s in dual_cls.labeled.items()}
-    if l == 2 * m:
-        # rebuild sums the star points ann(C_j) over j in v: ann of the meet
-        # of those cofaces, the dual image of the complement of v
-        full_set = (1 << l) - 1
-        labeled = {v: labeled[full_set ^ v] for v in labeled}
-    image = frozenset(labeled.values())
-    star_points = (tuple(annihilator(t) for t in dual_cls.top_points)
-                   if dual_cls.top_points is not None else None)
-    trace = tuple(frozenset(annihilator(s) for s in level)
-                  for level in dual_cls.descent_trace[:-1]) + (image,)
-    case = "parabolic-apartment" if l == 2 * m else "top"
-    full = (l == n and m_space.dim == 0 and n_space.dim == n)
-    return Classification(case, l, m, k, n, field, m_space, n_space,
-                          star_points, top_points, full, trace, image, labeled)
+    return Classification(case, l, m, k, n, field, m_space, n_space, star_points,
+                          top_points, full, trace, frozenset(image), labeled)
 
 
 # additional predicates --------------------------------------------------

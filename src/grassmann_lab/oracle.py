@@ -362,23 +362,28 @@ class CrossValidationReport:
 
 
 def _bfs_distances_agree(spec: GrassmannianSpec) -> bool:
-    """Preflight: graph-geodesic distance equals the algebraic formula."""
-    dmat = spec.distance_matrix()
-    count = len(spec)
-    neighbors = [[j for j in range(count) if dmat[i][j] == 1] for i in range(count)]
-    for src in range(count):
-        dist = [-1] * count
-        dist[src] = 0
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in neighbors[v]:
-                    if dist[u] < 0:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        if any(dist[j] != dmat[src][j] for j in range(count)):
+    """Preflight: graph-geodesic distance equals the algebraic formula.
+
+    A breadth-first search from every vertex over the bitsets the search
+    reads (GrassmannianSpec.distance_sets): the frontier at depth d must
+    be exactly the set at distance d, and nothing may be left over."""
+    sets = spec.distance_sets()
+    # a one-vertex graph has diameter 0 and no set at distance 1
+    adjacent = [(row + (0,))[1] for row in sets]
+    everything = (1 << len(sets)) - 1
+    for src, row in enumerate(sets):
+        seen = frontier = 1 << src
+        for want in row:
+            if frontier != want:
+                return False
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adjacent[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+        if frontier or seen != everything:
             return False
     return True
 

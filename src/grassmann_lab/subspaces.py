@@ -108,13 +108,20 @@ class Subspace:
 
 
 def sum_subspaces(s: Subspace, u: Subspace) -> Subspace:
-    s._check_compatible(u)
-    return Subspace.from_rows(s.field, s.ambient_dim, s.rows + u.rows)
+    return sum_many(s.field, s.ambient_dim, (s, u))
 
 
 def sum_many(field: GF, ambient_dim: int, spaces) -> Subspace:
-    rows = tuple(itertools.chain.from_iterable(sp.rows for sp in spaces))
-    return Subspace.from_rows(field, ambient_dim, rows)
+    """The sum of spaces of F_q^n: their rows are valid already, so one
+    rref canonicalizes them (from_rows validates rows from outside)."""
+    rows = []
+    for sp in spaces:
+        if sp.field != field or sp.ambient_dim != ambient_dim:
+            raise ValidationError(
+                f"a space of {sp.field}^{sp.ambient_dim} in a sum over {field}^{ambient_dim}")
+        rows += sp.rows
+    reduced, rank, _ = linalg.rref(field, tuple(rows))
+    return Subspace(field, ambient_dim, reduced[:rank])
 
 
 def annihilator(s: Subspace) -> Subspace:

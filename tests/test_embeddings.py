@@ -18,7 +18,8 @@ from grassmann_lab.independence import canonical_simplex
 from grassmann_lab.johnson import MAX_GROUND_SET, vertex_from_indices
 from grassmann_lab.oracle import SearchConfig, enumerate_embeddings
 from grassmann_lab.rigidity import is_rigid
-from grassmann_lab.subspaces import Subspace, annihilator, intersect_many, sum_many
+from grassmann_lab.subspaces import (Subspace, annihilator, from_coords_in, intersect_many,
+                                     sum_many)
 
 F2 = GF.get(2)
 F3 = GF.get(3)
@@ -210,6 +211,74 @@ def test_classify_star_type_round_trip():
     assert rebuild(cls) == inst.assignment
 
 
+# the fields of the law tests: two prime fields, GF(4) and GF(16) in
+# characteristic 2, and GF(9) in odd characteristic
+LAW_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4)]
+
+
+def _random_dual_request(field, rng, classifiable=False):
+    """A seeded (n_space, hyperplanes, k) for build_dual_construction: the
+    coordinate simplex of a random (k+m)-space N of F^n, moved by a random
+    invertible matrix, l of its points taken, each read as the hyperplane
+    of N on which it vanishes; classify takes l >= 4 and 1 < m < l - 1
+    when classifiable.  Any k+m of the simplex points are independent, so
+    their annihilators are 2m-independent over that of N."""
+    n, k, m = rng.choice([(4, 2, 2), (5, 2, 2), (5, 3, 2), (6, 3, 3)])
+    if field.q > 4 and n == 6:
+        n, k, m = 5, 3, 2
+    l = rng.randint(max(4, m + 2) if classifiable else m + 1, k + m + 1)
+
+    def invertible(d):
+        while True:
+            g = [[rng.randrange(field.q) for _ in range(d)] for _ in range(d)]
+            if linalg.rank(field, g) == d:
+                return g
+
+    cover = Subspace.from_rows(field, n, invertible(n)[:k + m])
+    move = invertible(k + m)
+    rows = [linalg.vecmat(field, p.rows[0], move)
+            for p in canonical_simplex(field, k + m, k + m).points]
+    hyperplanes = [from_coords_in(cover, linalg.nullspace(field, (row,), k + m))
+                   for row in rng.sample(rows, l)]
+    return cover, hyperplanes, k
+
+
+def test_dual_construction_is_the_annihilated_sum_construction():
+    # the map the meets build is the one the annihilator round trip built
+    rng = random.Random(14)
+    for p, e in LAW_FIELDS:
+        field = GF.get(p, e)
+        for _ in range(4):
+            cover, hyperplanes, k = _random_dual_request(field, rng)
+            n = cover.ambient_dim
+            dual = build_dual_construction(cover, hyperplanes, k)
+            primal = build_sum_construction(annihilator(cover),
+                                            [annihilator(h) for h in hyperplanes], n - k)
+            assert dual.assignment == {v: annihilator(s)
+                                       for v, s in primal.assignment.items()}
+            assert list(dual.assignment) == list(primal.assignment)
+
+
+def _assert_annihilated(cls, dual_cls, labeled: bool):
+    """dual_cls classifies the annihilated image of cls: the sides swap and
+    every recovered space is annihilated; a labeled pair keeps the ground
+    order of its generators, and at l = 2m the dual map is complemented."""
+    ann = annihilator
+    cases = {"star": "top", "top": "star", "parabolic-apartment": "parabolic-apartment"}
+    assert dual_cls.case == cases[cls.case]
+    assert (dual_cls.m_space, dual_cls.n_space) == (ann(cls.n_space), ann(cls.m_space))
+    assert dual_cls.descent_trace[-1] == frozenset(ann(s) for s in cls.image)
+    if not labeled:
+        assert frozenset(dual_cls.top_points) == frozenset(ann(t) for t in cls.star_points)
+        return
+    assert dual_cls.top_points == tuple(ann(t) for t in cls.star_points)
+    assert dual_cls.descent_trace == tuple(frozenset(ann(s) for s in level)
+                                           for level in cls.descent_trace)
+    full = (1 << cls.l) - 1 if cls.l == 2 * cls.m else 0
+    assert rebuild(dual_cls) == {v: ann(s) for v, s in
+                                 ((v, rebuild(cls)[full ^ v]) for v in rebuild(cls))}
+
+
 def test_classify_dual_commutes_with_annihilator():
     gens = simplex_lines(F2, 4)
     inst = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
@@ -221,6 +290,51 @@ def test_classify_dual_commutes_with_annihilator():
     assert frozenset(dual_cls.top_points) == frozenset(annihilator(t)
                                                        for t in cls.star_points)
     assert frozenset(rebuild(dual_cls).values()) == dual_image
+    # seeded star-type images over every law field and their annihilated
+    # top-type images, labeled and bare
+    rng = random.Random(9)
+    for p, e in LAW_FIELDS:
+        field = GF.get(p, e)
+        for _ in range(3):
+            top = build_dual_construction(*_random_dual_request(field, rng, True))
+            star = EmbeddingInstance(top.l, top.m, {v: annihilator(s)
+                                                    for v, s in top.assignment.items()})
+            _assert_annihilated(classify(star), classify(top), labeled=True)
+            bare_star, bare_top = classify(star.image), classify(top.image)
+            assert frozenset(rebuild(bare_top).values()) == top.image
+            if top.l != 2 * top.m:
+                _assert_annihilated(bare_star, bare_top, labeled=False)
+
+
+def _count_annihilators(monkeypatch):
+    from grassmann_lab import subspaces
+    real = subspaces.annihilator
+    calls = []
+
+    def counting(s):
+        calls.append(1)
+        return real(s)
+
+    monkeypatch.setattr(subspaces, "annihilator", counting)
+    monkeypatch.setattr(embeddings, "annihilator", counting)
+    return calls
+
+
+def test_top_side_is_built_and_classified_without_annihilating_the_image(monkeypatch):
+    # J(5,2) in G(4,2,2): the dual construction annihilates n_space and the
+    # five generators for its certificate (it annihilated all 10 images as
+    # well when it transported the sum construction), and classifying the
+    # top-type image, labeled or bare, annihilates nothing (32 each when
+    # the image was carried to the star side and back)
+    hyperplanes = [annihilator(g) for g in simplex_lines(F2, 4)]
+    calls = _count_annihilators(monkeypatch)
+    top = build_dual_construction(Subspace.full(F2, 4), hyperplanes, 2)
+    counts = [len(calls)]
+    for subject in (top, top.image):
+        calls.clear()
+        assert classify(subject).case == "top"
+        counts.append(len(calls))
+    assert counts == [6, 0, 0]
 
 
 def test_classify_bare_set_inference():

@@ -45,6 +45,8 @@ REQUESTS = {
     "apartment-q16-n6-k3": (["apartment", "--p", 2, "--e", 4, "--n", 6, "--k", 3], False),
     "dual-q16-n6-k3-l4": (
         ["dual", "--p", 2, "--e", 4, "--n", 6, "--k", 3, "--m", 2, "--l", 4], False),
+    # GF(9): a top-type image over an extension field of odd characteristic
+    "dual-q9-n5-k3-l5": (["dual", "--p", 3, "--e", 2, "--n", 5, "--k", 3, "--l", 5], False),
 }
 
 DIGESTS = {
@@ -116,6 +118,10 @@ DIGESTS = {
         "d002521731367be773b7f9c937323f1627bd25c0202272e7a3d21677f61288a3",
         "76454de9641562970a9dc12b7f3a71e8fd61f7f2c0b458c7320e81f18453e635",
         "45ad3896b1c1af43ab4ec387fec38ac21a546b5975b6bb2ea0df4e3c062ce6c3"),
+    "dual-q9-n5-k3-l5": (
+        "819912c53be12b0a0ba77c4b7fe9c16e84c01ea970e8eda79b39308fbebcf88a",
+        "f0e41b5ca9cead38e67429298f844c88f433b1071d6d6659a977b638e0d52955",
+        "6139fc5cc3c9e9ec382fa761690ac9386331c9b16f75d96375bce4a4bc1ac206"),
 }
 
 

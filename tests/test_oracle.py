@@ -13,7 +13,7 @@ from grassmann_lab.config import caps, set_caps
 from grassmann_lab.embeddings import build_sum_construction, classify, rebuild
 from grassmann_lab.errors import InternalInvariantError, ValidationError
 from grassmann_lab.fields import GF
-from grassmann_lab.grassmannian import pg_points
+from grassmann_lab.grassmannian import GrassmannianSpec, pg_points
 from grassmann_lab.johnson import JohnsonAut, johnson_aut_group, johnson_vertices
 from grassmann_lab.oracle import (SearchConfig, cross_validate, enumerate_apartments,
                                   enumerate_embeddings, orbit_closure, pgl_generators)
@@ -138,6 +138,23 @@ def test_cross_validate_main_configuration():
     assert report.apartment_match is True
     assert report.tag_histogram == {"parabolic-apartment": 840}
     assert report.summary()["ok"] is True
+
+
+def test_preflight_rejects_one_corrupted_symmetric_distance():
+    # the preflight walks the bitsets built from the distance table, so a
+    # wrong entry written before they are built must show; G(6,3,2) has
+    # diameter 3, while in a diameter-2 graph a 1 <-> 2 swap is again a
+    # consistent metric
+    for n, k in ((4, 0), (4, 1), (4, 2)):
+        assert oracle._bfs_distances_agree(GrassmannianSpec(F2, n, k))
+    spec = GrassmannianSpec(F2, 6, 3)
+    clean = spec.distance_matrix()
+    for was, now in ((3, 1), (1, 3)):
+        j = clean[0].index(was)
+        table = [bytearray(row) for row in clean]
+        table[0][j] = table[j][0] = now
+        spec._dist, spec._dist_sets = [bytes(row) for row in table], None
+        assert not oracle._bfs_distances_agree(spec), (was, now)
 
 
 def test_cross_validate_classifies_from_the_search_table(monkeypatch):

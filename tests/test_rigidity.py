@@ -347,9 +347,9 @@ def test_is_rigid_rebuilds_each_classification_once(monkeypatch):
     real = embeddings._subset_sums
     calls = []
 
-    def counting(generators, m):
+    def counting(generators, m, join):
         calls.append(m)
-        return real(generators, m)
+        return real(generators, m, join)
 
     monkeypatch.setattr(embeddings, "_subset_sums", counting)
     for name, inst in images.items():

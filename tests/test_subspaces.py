@@ -60,6 +60,16 @@ def test_ambient_mismatch_rejected():
         intersect_subspaces(a, c)
 
 
+def test_sum_many_rejects_a_space_of_another_ambient_or_field():
+    a = Subspace.line(F2, (1, 0))
+    with pytest.raises(ValidationError, match=r"GF\(2\)\^3 in a sum over GF\(2\)\^2"):
+        sum_many(F2, 2, [a, Subspace.line(F2, (1, 0, 0))])
+    with pytest.raises(ValidationError, match=r"GF\(2\)\^2 in a sum over GF\(2\)\^3"):
+        sum_many(F2, 3, [a])
+    with pytest.raises(ValidationError, match=r"GF\(3\)\^2 in a sum over GF\(2\)\^2"):
+        sum_many(F2, 2, [a, Subspace.line(GF.get(3), (1, 0))])
+
+
 def test_modular_law_exhaustive_f2_cubed():
     spaces = all_subspaces(F2, 3)
     assert len(spaces) == 1 + 7 + 7 + 1
@@ -239,6 +249,17 @@ def test_zassenhaus_meet_equals_the_annihilator_meet(family):
     assert meet == reference_meet(s, u)
     assert meet == intersect_subspaces(u, s)
     assert meet.dim == s.dim + u.dim - sum_subspaces(s, u).dim
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(subspace_families(min_size=0, max_size=4))
+def test_sums_canonicalize_like_from_rows(family):
+    # sums skip from_rows' entry checks; the spaces are canonical already
+    F, n, spaces = family
+    expected = Subspace.from_rows(F, n, [r for s in spaces for r in s.rows])
+    assert sum_many(F, n, spaces) == expected
+    if len(spaces) == 2:
+        assert sum_subspaces(*spaces) == expected
 
 
 @pytest.mark.parametrize("p,e", MEET_FIELDS)
