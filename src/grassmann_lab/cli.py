@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import dot as dot_export
@@ -26,7 +27,7 @@ from .jsonio import dump_json, load_json
 from .linalg import identity, nullspace
 from .oracle import SearchConfig, cross_validate, enumerate_embeddings
 from .rigidity import is_rigid
-from .subspaces import Subspace, annihilator, from_coords_in, lift_from_quotient
+from .subspaces import Subspace, from_coords_in, lift_from_quotient
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -53,7 +54,7 @@ def _search_points(field: GF, dim: int, independence: int, size: int,
     if result.status == "unknown":
         raise BudgetExhaustedError(
             f"point search exhausted its budget of {budget} nodes without a certificate")
-    return result.points
+    return [p.rows[0] for p in result.points.points]
 
 
 def _load_pointset_rows(path: str, field: GF, dim: int):
@@ -66,61 +67,61 @@ def _load_pointset_rows(path: str, field: GF, dim: int):
     return [p.rows[0] for p in ps.points]
 
 
+def _emit(text: str, path: str | None) -> None:
+    """Write a document to path, or to stdout.  A closed stdout ends the
+    output quietly: the command still returns its own exit code."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; point fd 1 at devnull so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def cmd_build(args) -> int:
     field = _field(args)
     n, k = args.n, args.k
     check_ambient_dim(n)
-    if args.kind in ("apartment", "simplex-faces"):
-        # presets choose the points; sum over them, or meet their annihilators
-        if args.kind == "apartment":
-            points = [Subspace.line(field, row) for row in identity(n)]
-        else:
-            points = list(canonical_simplex(field, n, n).points)
-        if 2 * k <= n:
-            inst = build_sum_construction(Subspace.zero(field, n), points, k)
-        else:
-            inst = build_dual_construction(Subspace.full(field, n),
-                                           [annihilator(p) for p in points], k)
-    elif args.kind == "sum":
-        m = args.m if args.m is not None else k
-        if not 1 < m <= k:
-            raise ValidationError(f"sum construction needs 1 < m <= k, got m={m}")
+    # a preset is the default construction of its side on fixed points
+    preset = args.kind in ("apartment", "simplex-faces")
+    side = ("sum" if 2 * k <= n else "dual") if preset else args.kind
+    m = args.m if args.m is not None and not preset else (k if side == "sum" else n - k)
+    if not 1 < m <= k:
+        raise ValidationError(f"{side} construction needs 1 < m <= k, got m={m}")
+    # the points live in V/M for sums (M spans the first k - m basis
+    # vectors) and in the cover N (the first k + m) for meets
+    dim = n - (k - m) if side == "sum" else k + m
+    if args.kind == "apartment":
+        rows = identity(dim)
+    elif args.kind == "simplex-faces" or (
+            args.kind == "dual" and not args.points and args.l in (None, k + m + 1)):
+        rows = [p.rows[0] for p in canonical_simplex(field, dim, dim).points]
+    elif args.points:
+        rows = _load_pointset_rows(args.points, field, dim)
+    elif args.l is None:
+        raise ValidationError("sum construction needs --l or --points")
+    else:
+        rows = _search_points(field, dim, 2 * m, args.l, args.budget)
+    if side == "sum":
         base = _span_of_first(field, n, k - m)
-        quot_dim = n - (k - m)
-        if args.points:
-            rows = _load_pointset_rows(args.points, field, quot_dim)
-        else:
-            if args.l is None:
-                raise ValidationError("sum construction needs --l or --points")
-            found = _search_points(field, quot_dim, 2 * m, args.l, args.budget)
-            rows = [p.rows[0] for p in found.points]
-        gens = [lift_from_quotient(base, (row,)) for row in rows]
-        inst = build_sum_construction(base, gens, k)
-    elif args.kind == "dual":
-        m = args.m if args.m is not None else n - k
-        if not 1 < m <= k:
-            raise ValidationError(f"dual construction needs 1 < m <= k, got m={m}")
+        inst = build_sum_construction(
+            base, [lift_from_quotient(base, (row,)) for row in rows], k)
+    else:
         cover = _span_of_first(field, n, k + m)
-        if args.points:
-            rows = _load_pointset_rows(args.points, field, k + m)
-        elif args.l is None or args.l == k + m + 1:
-            pts = canonical_simplex(field, k + m, k + m)
-            rows = [p.rows[0] for p in pts.points]
-        else:
-            found = _search_points(field, k + m, 2 * m, args.l, args.budget)
-            rows = [p.rows[0] for p in found.points]
-        gens = [from_coords_in(cover, nullspace(field, (row,), k + m)) for row in rows]
-        inst = build_dual_construction(cover, gens, k)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown build kind {args.kind}")
+        inst = build_dual_construction(
+            cover, [from_coords_in(cover, nullspace(field, (row,), dim)) for row in rows], k)
     # the constructors rest on their certificate; this is the written map's one check
     defect = verify_assignment(inst.m, inst.assignment)
     if defect is not None:
         raise InternalInvariantError(
             f"built map is not isometric at vertices {defect.vertex_a:#x},{defect.vertex_b:#x}")
-    text = dump_json(jsonio.embedding_to_json(inst), args.output)
-    if not args.output:
-        print(text)
+    _emit(dump_json(jsonio.embedding_to_json(inst)), args.output)
     return EXIT_OK
 
 
@@ -136,19 +137,15 @@ def _load_embedding_or_classification(path: str):
 def cmd_classify(args) -> int:
     loaded = _load_embedding_or_classification(args.input)
     cls = loaded if not isinstance(loaded, EmbeddingInstance) else classify(loaded)
-    text = dump_json(jsonio.classification_to_json(cls), args.output)
-    if not args.output:
-        print(text)
+    _emit(dump_json(jsonio.classification_to_json(cls)), args.output)
     return EXIT_OK
 
 
 def cmd_rigidity(args) -> int:
     loaded = _load_embedding_or_classification(args.input)
     report = is_rigid(loaded)
-    text = dump_json(jsonio.rigidity_report_to_json(report, args.dump_certificates),
-                     args.output)
-    if not args.output:
-        print(text)
+    _emit(dump_json(jsonio.rigidity_report_to_json(report, args.dump_certificates)),
+          args.output)
     return EXIT_OK
 
 
@@ -165,9 +162,7 @@ def cmd_oracle(args) -> int:
                      "rows": [[list(r) for r in result.spec.by_id(i).rows]
                               for i in image]}) + "\n")
     report = cross_validate(cfg, result)
-    text = dump_json(report.summary(), args.output)
-    if not args.output:
-        print(text)
+    _emit(dump_json(report.summary()), args.output)
     if not report.complete:
         raise BudgetExhaustedError(
             f"enumeration exceeded the budget of {cfg.budget} nodes")
@@ -188,15 +183,10 @@ def cmd_export(args) -> int:
         if args.graph != "grassmann":
             raise ValidationError("json export provides Grassmannian index tables; "
                                   "use --graph grassmann")
-        spec = _grassmannian(args)
-        text = dump_json(jsonio.index_table_to_json(spec), args.dot)
-        if not args.dot:
-            print(text)
+        _emit(dump_json(jsonio.index_table_to_json(_grassmannian(args))), args.dot)
         return EXIT_OK
     if args.input:
-        loaded = _load_embedding_or_classification(args.input)
-        image = loaded.image
-        text = dot_export.induced_dot(image)
+        text = dot_export.induced_dot(_load_embedding_or_classification(args.input).image)
     elif args.graph == "johnson":
         if args.l is None or args.m is None:
             raise ValidationError("johnson export needs --l and --m")
@@ -205,11 +195,7 @@ def cmd_export(args) -> int:
         text = dot_export.grassmann_dot(_grassmannian(args))
     else:
         raise ValidationError("export needs --input or --graph")
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        print(text, end="")
+    _emit(text, args.dot)
     return EXIT_OK
 
 

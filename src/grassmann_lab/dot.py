@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .grassmannian import GrassmannianSpec, distance_rows
-from .johnson import johnson_adjacent, johnson_vertices, vertex_indices
+from .johnson import johnson_distance, johnson_vertices, vertex_indices
 from .subspaces import Subspace
 
 
@@ -11,27 +11,12 @@ def _rows_label(s: Subspace) -> str:
     return "[" + ";".join(",".join(str(x) for x in row) for row in s.rows) + "]"
 
 
-def johnson_dot(l: int, m: int) -> str:
-    vertices = johnson_vertices(l, m)
-    lines = [f"graph johnson_{l}_{m} {{"]
-    for i, v in enumerate(vertices):
-        label = "{" + ",".join(str(x) for x in vertex_indices(v)) + "}"
-        lines.append(f'  {i} [label="{label}"];')
-    for i, a in enumerate(vertices):
-        for j in range(i + 1, len(vertices)):
-            if johnson_adjacent(a, vertices[j], m):
-                lines.append(f"  {i} -- {j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def grassmann_dot(spec: GrassmannianSpec) -> str:
-    name = f"grassmann_{spec.n}_{spec.k}_q{spec.field.q}"
+def _graph(name: str, attributes, rows) -> str:
+    """One node per attribute string, then one edge per entry equal to 1
+    above the diagonal of the distance rows."""
     lines = [f"graph {name} {{"]
-    for i, s in enumerate(spec.subspaces):
-        lines.append(f'  {i} [label="{i}" tooltip="{_rows_label(s)}"];')
-    dmat = spec.distance_matrix()
-    for i, row in enumerate(dmat):
+    lines += [f"  {i} [{attrs}];" for i, attrs in enumerate(attributes)]
+    for i, row in enumerate(rows):
         j = row.find(1, i + 1)
         while j >= 0:
             lines.append(f"  {i} -- {j};")
@@ -40,16 +25,24 @@ def grassmann_dot(spec: GrassmannianSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def johnson_dot(l: int, m: int) -> str:
+    vertices = johnson_vertices(l, m)
+    labels = ('label="{' + ",".join(map(str, vertex_indices(v))) + '}"' for v in vertices)
+    rows = (bytes(johnson_distance(a, b, m) for b in vertices) for a in vertices)
+    return _graph(f"johnson_{l}_{m}", labels, rows)
+
+
+def _subspace_nodes(spaces):
+    return (f'label="{i}" tooltip="{_rows_label(s)}"' for i, s in enumerate(spaces))
+
+
+def grassmann_dot(spec: GrassmannianSpec) -> str:
+    return _graph(f"grassmann_{spec.n}_{spec.k}_q{spec.field.q}",
+                  _subspace_nodes(spec.subspaces), spec.distance_matrix())
+
+
 def induced_dot(subspaces, name: str = "induced") -> str:
     """The restriction of the Grassmann graph to the given subspaces,
     ordered canonically by their RREF rows."""
     members = sorted(frozenset(subspaces), key=lambda s: s.rows)
-    lines = [f"graph {name} {{"]
-    for i, s in enumerate(members):
-        lines.append(f'  {i} [label="{i}" tooltip="{_rows_label(s)}"];')
-    for i, row in enumerate(distance_rows(members)):
-        for j in range(i + 1, len(members)):
-            if row[j] == 1:
-                lines.append(f"  {i} -- {j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _graph(name, _subspace_nodes(members), distance_rows(members))

@@ -171,15 +171,16 @@ def search_m_independent(ambient: Ambient, m: int, target_size: int,
         return mask
 
     def forbidden_after(chosen: list[int], forbidden: int, cand: int) -> int:
-        """Points unusable once cand joins chosen."""
+        """Points unusable once cand joins chosen.  Candidates rise, so
+        chosen + cand is already a sorted span key."""
         size = len(chosen) + 1
         if m == 1:
             return forbidden | 1 << cand
         if size <= m - 2:
-            return span_points(tuple(sorted(chosen + [cand])))
+            return span_points(tuple(chosen) + (cand,))
         extra = forbidden
         for subset in itertools.combinations(chosen, m - 2):
-            extra |= span_points(tuple(sorted(subset + (cand,))))
+            extra |= span_points(subset + (cand,))
         return extra
 
     nodes = 0

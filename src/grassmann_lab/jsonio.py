@@ -172,31 +172,34 @@ def classification_from_json(obj: dict) -> Classification:
     """Rebuild a classification from its stored generators.
 
     The image is reconstructed through the verifying constructors and
-    re-classified, so corrupt or inconsistent files are rejected rather
-    than trusted.
+    re-classified, and the stored fields must match that classification,
+    so corrupt or inconsistent files are rejected rather than trusted.
     """
     _check_schema_version(obj, "classification")
     params = _need(obj, "params", "classification")
     n = _int_field(params, "n", "classification.params")
     k = _int_field(params, "k", "classification.params")
     field = _field_from_json(params, "classification.params")
-    star_raw = obj.get("star_points")
-    top_raw = obj.get("top_points")
-    if star_raw is not None:
-        m_rows = _rows_from_json(_need(obj, "m_space", "classification"),
-                                 "classification.m_space")
-        base = Subspace.from_rows(field, n, m_rows)
-        gens = _subspaces_from_json(star_raw, field, n, "classification.star_points")
-        inst = build_sum_construction(base, gens, k)
-    elif top_raw is not None:
-        n_rows = _rows_from_json(_need(obj, "n_space", "classification"),
-                                 "classification.n_space")
-        cover = Subspace.from_rows(field, n, n_rows)
-        gens = _subspaces_from_json(top_raw, field, n, "classification.top_points")
-        inst = build_dual_construction(cover, gens, k)
-    else:
+    points_key, space_key, construct = (
+        ("star_points", "m_space", build_sum_construction)
+        if obj.get("star_points") is not None
+        else ("top_points", "n_space", build_dual_construction))
+    if obj.get(points_key) is None:
         raise SchemaError("classification: needs star_points or top_points")
-    return classify(inst)
+    rows = _rows_from_json(_need(obj, space_key, "classification"),
+                           f"classification.{space_key}")
+    gens = _subspaces_from_json(obj[points_key], field, n, f"classification.{points_key}")
+    cls = classify(construct(Subspace.from_rows(field, n, rows), gens, k))
+    # every stored field must be what the generators give (params.e is
+    # optional, as above); the descent trace may list a J(2m, m) image
+    # from the other side
+    doc = dict(obj, params={"e": 1, **params})
+    for key, value in classification_to_json(cls).items():
+        if key != "descent_trace" and (
+                json.dumps(doc.get(key), sort_keys=True) != json.dumps(value, sort_keys=True)):
+            raise SchemaError(
+                f"classification.{key}: does not match the classification of its generators")
+    return cls
 
 
 # rigidity reports -----------------------------------------------------------
@@ -268,9 +271,6 @@ def load_json(path: str) -> dict:
     return obj
 
 
-def dump_json(obj: dict, path: str | None) -> str:
-    text = json.dumps(obj, indent=2, sort_keys=False)
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    return text
+def dump_json(obj: dict) -> str:
+    """The document's text, with its trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=False) + "\n"

@@ -212,10 +212,10 @@ def _iter_bits(bits: int):
 
 
 def _search_worker(args) -> tuple[set[tuple[int, ...]], int, bool]:
-    worker_caps, p, e, n, k, l, m, chunk, budget, dedupe = args
+    worker_caps, cfg, chunk = args
     set_caps(**asdict(worker_caps))
-    spec = GrassmannianSpec(GF.get(p, e), n, k)
-    return _search(spec, l, m, budget, chunk, dedupe)
+    spec = GrassmannianSpec(cfg.field(), cfg.n, cfg.k)
+    return _search(spec, cfg.l, cfg.m, cfg.budget, chunk, cfg.dedupe)
 
 
 def enumerate_embeddings(cfg: SearchConfig) -> OracleResult:
@@ -243,24 +243,20 @@ def enumerate_embeddings(cfg: SearchConfig) -> OracleResult:
         return OracleResult(set(), 0, False, spec)
     if cfg.jobs > 1 and len(initial) > 1:
         chunks = [initial[i::cfg.jobs] for i in range(cfg.jobs)]
-        args = [(caps(), cfg.p, cfg.e, cfg.n, cfg.k, cfg.l, cfg.m, chunk, cfg.budget,
-                 cfg.dedupe)
-                for chunk in chunks if chunk]
-        images: set[tuple[int, ...]] = set()
-        nodes = 0
-        complete = True
         # spawn on every platform, so workers see only what args carry
         with ProcessPoolExecutor(max_workers=cfg.jobs,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
-            for part_images, part_nodes, part_complete in pool.map(_search_worker, args):
-                images |= part_images
-                nodes += part_nodes
-                complete = complete and part_complete
-        if nodes > cfg.budget:
-            complete = False
-        return OracleResult(images, nodes, complete, spec)
-    images, nodes, complete = _search(spec, cfg.l, cfg.m, cfg.budget, initial, cfg.dedupe)
-    return OracleResult(images, nodes, complete, spec)
+            parts = list(pool.map(_search_worker,
+                                  [(caps(), cfg, chunk) for chunk in chunks if chunk]))
+    else:
+        parts = [_search(spec, cfg.l, cfg.m, cfg.budget, initial, cfg.dedupe)]
+    # merged into the first part's own set: a copy would double the peak
+    images, nodes, complete = parts[0]
+    for part_images, part_nodes, part_complete in parts[1:]:
+        images |= part_images
+        nodes += part_nodes
+        complete = complete and part_complete
+    return OracleResult(images, nodes, complete and nodes <= cfg.budget, spec)
 
 
 def enumerate_apartments(field: GF, n: int, k: int) -> set[frozenset[Subspace]]:

@@ -148,6 +148,32 @@ def _cli_in_child(argv, timeout):
                           capture_output=True, text=True, env=env, timeout=timeout)
 
 
+@pytest.mark.parametrize("request_name", ["oracle", "export", "rigidity"])
+def test_closed_stdout_exits_quietly(tmp_path, request_name):
+    cls = tmp_path / "cls.json"
+    requests = {
+        "oracle": ["oracle", "--l", 4, "--m", 2, "--n", 4, "--k", 2, "--p", 2],
+        "export": ["export", "--graph", "grassmann", "--p", 2, "--n", 4, "--k", 2],
+        "rigidity": ["rigidity", "--input", cls, "--dump-certificates"],
+    }
+    if request_name == "rigidity":
+        emb = tmp_path / "emb.json"
+        assert run(["build", "apartment", "--n", 4, "--k", 2, "--p", 2, "--output", emb]) == 0
+        assert run(["classify", "--input", emb, "--output", cls]) == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(grassmann_lab.__file__).parents[1]),
+               GRASSMANN_LAB_CAPS="")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grassmann_lab.cli", *map(str, requests[request_name])],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader goes away before the document is written
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0
+    assert err == b""
+
+
 def test_huge_characteristic_in_a_document_exits_2_at_once(tmp_path):
     emb = tmp_path / "apartment.json"
     assert run(["build", "apartment", "--n", 4, "--k", 2, "--p", 2, "--output", emb]) == 0
@@ -353,6 +379,11 @@ def _malformed(tmp_path, case):
         doc = json.loads(cls_path.read_text())
         if case == "star-points-number":
             doc["star_points"] = 5
+        elif case == "classification-params":
+            # generators of J(4, 2) under another document's claims
+            doc["params"].update(l=9, m=3)
+            doc["case"] = "top"
+            doc["is_full_apartment"] = True
         else:
             doc["schema_version"] = 99
     path.write_text(json.dumps(doc))
@@ -362,6 +393,7 @@ def _malformed(tmp_path, case):
 @pytest.mark.parametrize("case", ["missing-file", "top-level-number", "deeply-nested",
                                   "star-points-number", "vertex-true", "embedding-version",
                                   "repeated-vertex", "classification-version",
+                                  "classification-params",
                                   "pointset-version", "export-json-without-p",
                                   "export-without-nk", "build-apartment-past-n-cap",
                                   "build-sum-past-n-cap", "johnson-export-past-vertex-cap",

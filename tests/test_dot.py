@@ -55,3 +55,32 @@ def test_grassmann_export_is_byte_stable(p, e, capsys):
                  "--p", str(p), "--e", str(e)]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GRASSMANN_DOT_SHA256[(p, e)]
+
+
+# sha256 of the DOT text of other exports, pinned before their edge loops
+# were merged into one writer
+def _input_argv(tmp_path):
+    doc = tmp_path / "simplex-faces.json"
+    assert main(["build", "simplex-faces", "--p", "2", "--e", "2", "--n", "5", "--k", "3",
+                 "--output", str(doc)]) == 0
+    return ["export", "--input", str(doc)]
+
+
+EXPORT_DOT_SHA256 = {
+    "johnson-l5-m2": (lambda _: ["export", "--graph", "johnson", "--l", "5", "--m", "2"],
+                      "9ea7c9ce7d5058648ae4d25ee3974338e6936db2ea9949f6151bc016003ae410"),
+    "johnson-l6-m3": (lambda _: ["export", "--graph", "johnson", "--l", "6", "--m", "3"],
+                      "314fc38a07ba0000696f909a50178a4a2a0e20e9e39e5100e6f2d01cb65cfe1c"),
+    "induced-simplex-faces-q4-n5-k3": (
+        _input_argv, "861d6d3bf3fdf23fb7b3651f536cdfcc7ce714d14b7f3d8cb735ab2190572d39"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_DOT_SHA256))
+def test_export_dot_is_byte_stable(name, tmp_path, capsys):
+    argv, digest = EXPORT_DOT_SHA256[name]
+    argv = argv(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

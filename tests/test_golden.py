@@ -15,6 +15,9 @@ import pytest
 
 from grassmann_lab.cli import main
 from grassmann_lab.fields import GF
+from grassmann_lab.independence import canonical_simplex, point_set
+from grassmann_lab.jsonio import pointset_to_json
+from grassmann_lab.linalg import identity
 
 # name -> (build arguments, apply the Frobenius x -> x^p to every entry
 # of the built document before classifying it)
@@ -176,3 +179,27 @@ def test_oracle_stdout_is_pinned(capsys):
     assert main(ORACLE_ARGV) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ORACLE_DIGEST
+
+
+PRESETS = sorted(name for name, (argv, _) in REQUESTS.items()
+                 if argv[0] in ("apartment", "simplex-faces"))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_preset_is_the_default_construction_on_its_points(name, tmp_path):
+    # a preset is `build sum` (2k <= n) or `build dual` with that side's
+    # default m, on the identity frame or the canonical n-simplex
+    argv = [str(a) for a in REQUESTS[name][0]]
+    kind, flags = argv[0], dict(zip(argv[1::2], map(int, argv[2::2])))
+    n, k = flags["--n"], flags["--k"]
+    field = GF.get(flags["--p"], flags.get("--e", 1))
+    rows = (identity(n) if kind == "apartment"
+            else [p.rows[0] for p in canonical_simplex(field, n, n).points])
+    side, m = ("sum", k) if 2 * k <= n else ("dual", n - k)
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps(pointset_to_json(point_set(field, rows))))
+    preset, explicit = tmp_path / "preset.json", tmp_path / "explicit.json"
+    assert main(["build", *argv, "--output", str(preset)]) == 0
+    assert main(["build", side, *argv[1:], "--m", str(m), "--points", str(points),
+                 "--output", str(explicit)]) == 0
+    assert preset.read_bytes() == explicit.read_bytes()

@@ -110,7 +110,7 @@ def test_rigidity_report_json():
 def test_dump_and_load(tmp_path):
     inst = apartment_instance()
     path = tmp_path / "embedding.json"
-    jsonio.dump_json(jsonio.embedding_to_json(inst), str(path))
+    path.write_text(jsonio.dump_json(jsonio.embedding_to_json(inst)))
     loaded = jsonio.load_json(str(path))
     assert jsonio.embedding_from_json(loaded).image == inst.image
     bad = tmp_path / "bad.json"
