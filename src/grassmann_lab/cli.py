@@ -33,6 +33,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+BUILD_BUDGET = 2_000_000
 
 
 def _field(args) -> GF:
@@ -67,11 +68,20 @@ def _load_pointset_rows(path: str, field: GF, dim: int):
     return [p.rows[0] for p in ps.points]
 
 
+def _open_output(path: str):
+    """Open path for writing; a path that cannot be written is a request
+    error, reported in one line."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write ({exc.strerror})") from exc
+
+
 def _emit(text: str, path: str | None) -> None:
     """Write a document to path, or to stdout.  A closed stdout ends the
     output quietly: the command still returns its own exit code."""
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
+        with _open_output(path) as handle:
             handle.write(text)
         return
     try:
@@ -90,8 +100,14 @@ def cmd_build(args) -> int:
     check_ambient_dim(n)
     # a preset is the default construction of its side on fixed points
     preset = args.kind in ("apartment", "simplex-faces")
+    if preset:
+        given = [f"--{flag}" for flag in ("m", "l", "points", "budget")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise ValidationError(f"build {args.kind} fixes its points; "
+                                  f"it takes no {', '.join(given)}")
     side = ("sum" if 2 * k <= n else "dual") if preset else args.kind
-    m = args.m if args.m is not None and not preset else (k if side == "sum" else n - k)
+    m = args.m if args.m is not None else (k if side == "sum" else n - k)
     if not 1 < m <= k:
         raise ValidationError(f"{side} construction needs 1 < m <= k, got m={m}")
     # the points live in V/M for sums (M spans the first k - m basis
@@ -107,7 +123,8 @@ def cmd_build(args) -> int:
     elif args.l is None:
         raise ValidationError("sum construction needs --l or --points")
     else:
-        rows = _search_points(field, dim, 2 * m, args.l, args.budget)
+        budget = BUILD_BUDGET if args.budget is None else args.budget
+        rows = _search_points(field, dim, 2 * m, args.l, budget)
     if side == "sum":
         base = _span_of_first(field, n, k - m)
         inst = build_sum_construction(
@@ -155,7 +172,7 @@ def cmd_oracle(args) -> int:
                        jobs=args.jobs)
     result = enumerate_embeddings(cfg)
     if args.jsonl:
-        with open(args.jsonl, "w", encoding="utf-8") as handle:
+        with _open_output(args.jsonl) as handle:
             for image in sorted(result.images):
                 handle.write(json.dumps(
                     {"ids": list(image),
@@ -223,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--m", type=int, help="Johnson subset size (defaults per kind)")
     p_build.add_argument("--l", type=int, help="ground set size")
     p_build.add_argument("--points", help="point set JSON for the generators")
-    p_build.add_argument("--budget", type=int, default=2_000_000,
-                         help="node budget for generator search")
+    p_build.add_argument("--budget", type=int,
+                         help=f"node budget for generator search (default {BUILD_BUDGET:,})")
     p_build.add_argument("--output", help="write the embedding JSON here")
 
     p_classify = sub.add_parser("classify", help="classify an embedding or image")

@@ -147,10 +147,15 @@ def search_m_independent(ambient: Ambient, m: int, target_size: int,
     Extends greedily by the next projective point avoiding every span of
     m-1 already-chosen points, backtracking when stuck.  The forbidden
     points are kept per depth as a point bitset (bit i for the i-th point
-    of :func:`pg_points`, as in :func:`point_mask`), built incrementally
-    from memoized span masks, so each candidate test is one bit test.
+    of :func:`pg_points`, as in :func:`point_mask`), so the next candidate
+    is the lowest free bit at or above the scan start, found in one step;
+    every point the scan passes over counts as one node.  Spans are
+    memoized per sorted index tuple: a span of two points is its line's
+    :func:`point_mask`, memoized per pair, and span(S + c) of three or
+    more points is the union of the lines from c to the points of
+    span(S), with no elimination.
     Exhausting the whole tree certifies infeasibility; exhausting the node
-    budget does not, and is reported as "unknown".
+    budget does not, and is reported as "unknown" with budget + 1 nodes.
     """
     if target_size < 1:
         raise ValidationError("target size must be positive")
@@ -160,55 +165,73 @@ def search_m_independent(ambient: Ambient, m: int, target_size: int,
         raise ValidationError(f"need a budget of at least 0 nodes, got {budget}")
     F, d = ambient.field, ambient.dim
     universe = pg_points(F, d)
+    count = len(universe)
+    everything = (1 << count) - 1
+    line_cache: dict[tuple[int, int], int] = {}
     span_cache: dict[tuple[int, ...], int] = {}
 
-    def span_points(indices: tuple[int, ...]) -> int:
-        # memoized: the same index subsets recur all over the search tree
-        mask = span_cache.get(indices)
+    def line(a: int, b: int) -> int:
+        key = (a, b) if a < b else (b, a)
+        mask = line_cache.get(key)
         if mask is None:
-            rows = tuple(universe[i].rows[0] for i in indices)
-            mask = span_cache[indices] = point_mask(Subspace.from_rows(F, d, rows))
+            rows = (universe[a].rows[0], universe[b].rows[0])
+            mask = line_cache[key] = point_mask(Subspace.from_rows(F, d, rows))
+        return mask
+
+    def span_points(indices: tuple[int, ...]) -> int:
+        # called on a memo miss; the prefix is joined in a plain loop, since
+        # a closure that calls itself would keep the memo in a reference cycle
+        if len(indices) == 1:
+            mask = 1 << indices[0]
+        else:
+            mask = line(indices[0], indices[1])
+            for c in indices[2:]:
+                rest, mask = mask, 0
+                while rest:
+                    low = rest & -rest
+                    mask |= line(low.bit_length() - 1, c)
+                    rest ^= low
+        span_cache[indices] = mask
         return mask
 
     def forbidden_after(chosen: list[int], forbidden: int, cand: int) -> int:
         """Points unusable once cand joins chosen.  Candidates rise, so
         chosen + cand is already a sorted span key."""
-        size = len(chosen) + 1
         if m == 1:
             return forbidden | 1 << cand
-        if size <= m - 2:
-            return span_points(tuple(chosen) + (cand,))
-        extra = forbidden
+        cached = span_cache.get
+        if len(chosen) < m - 2:
+            key = (*chosen, cand)
+            mask = cached(key)
+            return span_points(key) if mask is None else mask
         for subset in itertools.combinations(chosen, m - 2):
-            extra |= span_points(subset + (cand,))
-        return extra
+            key = subset + (cand,)
+            mask = cached(key)
+            forbidden |= span_points(key) if mask is None else mask
+        return forbidden
 
-    nodes = 0
+    nodes = start = 0
     chosen: list[int] = []
     forbidden_stack: list[int] = [0]
-    frontier = [0]
     while True:
         if len(chosen) == target_size:
             points = tuple(universe[i] for i in chosen)
             return SearchResult("found", PointSet(ambient, points), nodes)
-        start = frontier[-1]
         forbidden = forbidden_stack[-1]
-        advanced = False
-        for cand in range(start, len(universe)):
-            nodes += 1
-            if nodes > budget:
-                return SearchResult("unknown", None, nodes)
-            if not (forbidden >> cand) & 1:
-                frontier[-1] = cand + 1
-                forbidden_stack.append(forbidden_after(chosen, forbidden, cand))
-                chosen.append(cand)
-                frontier.append(cand + 1)
-                advanced = True
-                break
-        if advanced:
-            continue
-        if not chosen:
+        free = (everything & ~forbidden) >> start << start
+        if free:
+            cand = (free & -free).bit_length() - 1
+            nodes += cand - start + 1
+        else:
+            nodes += count - start
+        if nodes > budget:
+            return SearchResult("unknown", None, budget + 1)
+        if free:
+            forbidden_stack.append(forbidden_after(chosen, forbidden, cand))
+            chosen.append(cand)
+        elif not chosen:
             return SearchResult("infeasible", None, nodes)
-        chosen.pop()
-        frontier.pop()
-        forbidden_stack.pop()
+        else:
+            cand = chosen.pop()
+            forbidden_stack.pop()
+        start = cand + 1

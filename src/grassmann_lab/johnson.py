@@ -50,10 +50,6 @@ def johnson_distance(a: int, b: int, m: int) -> int:
     return m - bin(a & b).count("1")
 
 
-def johnson_adjacent(a: int, b: int, m: int) -> bool:
-    return johnson_distance(a, b, m) == 1
-
-
 def johnson_diameter(l: int, m: int) -> int:
     return min(m, l - m)
 

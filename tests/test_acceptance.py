@@ -6,7 +6,6 @@ code path it checks.
 """
 
 import itertools
-import math
 
 import networkx as nx
 
@@ -17,13 +16,14 @@ from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import GrassmannianSpec, iter_rref_bases, star, top
 from grassmann_lab.independence import Ambient, search_m_independent
 from grassmann_lab.jsonio import rigidity_report_to_json
-from grassmann_lab.johnson import (johnson_adjacent, johnson_aut_group_order,
-                                   johnson_vertices)
+from grassmann_lab.johnson import johnson_aut_group_order, johnson_vertices
 from grassmann_lab.linalg import nullspace
 from grassmann_lab.oracle import SearchConfig, enumerate_apartments, enumerate_embeddings
 from grassmann_lab.rigidity import ExtensionWitness, NotExtendable, is_rigid
 from grassmann_lab.subspaces import (Subspace, annihilator, from_coords_in,
                                      lift_from_quotient, sum_many)
+
+from helpers import frame_count, johnson_adjacent
 
 F2 = GF.get(2)
 
@@ -43,13 +43,6 @@ def q_binomial_recursive(n, k, q, _memo={}):
         _memo[key] = (q_binomial_recursive(n - 1, k - 1, q, _memo)
                       + q ** k * q_binomial_recursive(n - 1, k, q, _memo))
     return _memo[key]
-
-
-def frame_count(n, q):
-    gl = 1
-    for i in range(n):
-        gl *= q ** n - q ** i
-    return gl // ((q - 1) ** n * math.factorial(n))
 
 
 def test_criterion_1_every_image_is_an_apartment_when_n_is_2k():

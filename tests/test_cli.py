@@ -9,6 +9,7 @@ import pytest
 
 import grassmann_lab
 from grassmann_lab.cli import main
+from grassmann_lab.independence import search_m_independent
 
 
 def run(args):
@@ -96,6 +97,23 @@ def test_exit_code_2_on_negative_budget(capsys):
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: need a budget of at least 0 nodes, got -1"]
+
+
+@pytest.mark.parametrize("given,searched", [([], 2_000_000), (["--budget", 1000], 1000)],
+                         ids=["default", "given"])
+def test_build_sum_searches_with_the_given_or_default_budget(capsys, monkeypatch,
+                                                             given, searched):
+    from grassmann_lab import cli
+    budgets = []
+
+    def recording(ambient, m, size, budget):
+        budgets.append(budget)
+        return search_m_independent(ambient, m, size, budget)
+
+    monkeypatch.setattr(cli, "search_m_independent", recording)
+    assert run(["build", "sum", "--n", 4, "--k", 2, "--p", 2, "--l", 5, *given]) == 0
+    capsys.readouterr()
+    assert budgets == [searched]
 
 
 def test_exit_code_2_on_bad_input(tmp_path, capsys):
@@ -340,6 +358,21 @@ def _malformed(tmp_path, case):
         return ["build", "sum", "--p", 2, "--n", 12, "--k", 2, "--l", 5]
     if case == "johnson-export-past-vertex-cap":
         return ["export", "--graph", "johnson", "--l", 40, "--m", 20]
+    # a preset fixes its points, so it refuses the options that would choose them
+    if case == "build-apartment-with-m-and-l":
+        return ["build", "apartment", "--p", 2, "--n", 4, "--k", 2, "--m", 3, "--l", 9]
+    if case == "build-simplex-faces-with-budget":
+        return ["build", "simplex-faces", "--p", 2, "--n", 4, "--k", 2, "--budget", 5]
+    if case == "build-apartment-with-points":
+        return ["build", "apartment", "--p", 2, "--n", 4, "--k", 2, "--points", path]
+    # an output path in a directory that does not exist
+    missing = tmp_path / "no-such-dir" / "out"
+    if case == "build-output-in-missing-dir":
+        return ["build", "apartment", "--p", 2, "--n", 4, "--k", 2, "--output", missing]
+    if case == "export-dot-in-missing-dir":
+        return ["export", "--graph", "johnson", "--l", 4, "--m", 2, "--dot", missing]
+    if case == "oracle-jsonl-in-missing-dir":
+        return ["oracle", "--l", 3, "--m", 2, "--n", 3, "--k", 2, "--p", 2, "--jsonl", missing]
     if case.startswith("embedding-past-vertex-cap-"):
         # one map entry under params claiming all C(60, 30) vertices
         path.write_text(json.dumps(
@@ -397,6 +430,11 @@ def _malformed(tmp_path, case):
                                   "pointset-version", "export-json-without-p",
                                   "export-without-nk", "build-apartment-past-n-cap",
                                   "build-sum-past-n-cap", "johnson-export-past-vertex-cap",
+                                  "build-apartment-with-m-and-l",
+                                  "build-simplex-faces-with-budget",
+                                  "build-apartment-with-points",
+                                  "build-output-in-missing-dir", "export-dot-in-missing-dir",
+                                  "oracle-jsonl-in-missing-dir",
                                   "embedding-past-vertex-cap-classify",
                                   "embedding-past-vertex-cap-rigidity",
                                   "embedding-past-vertex-cap-export"])

@@ -1,10 +1,13 @@
+import gc
 import itertools
+import random
 
 import pytest
 
 from grassmann_lab import linalg
 from grassmann_lab.errors import ValidationError
 from grassmann_lab.fields import GF
+from grassmann_lab.grassmannian import pg_points, point_mask
 from grassmann_lab.independence import (Ambient, PointSet, canonical_simplex,
                                         is_independent, m_dependency_witness,
                                         point_set, search_m_independent, simplex_rank)
@@ -189,3 +192,97 @@ def test_search_status_nodes_and_points_are_pinned(case, expected):
     result = search_m_independent(Ambient("primal", GF.get(p, e), d), m, size, budget)
     reps = None if result.points is None else list(result.points.representatives())
     assert (result.status, result.nodes, reps) == expected
+
+
+def _reference_search(ambient, m, target_size, budget):
+    """The per-candidate search the bitset scan replaced: one node and one
+    bit test per candidate, each span by elimination.  Returns (status,
+    nodes, representatives of the found points or None)."""
+    F, d = ambient.field, ambient.dim
+    universe = pg_points(F, d)
+    spans = {}
+
+    def span(indices):
+        if indices not in spans:
+            rows = tuple(universe[i].rows[0] for i in indices)
+            spans[indices] = point_mask(Subspace.from_rows(F, d, rows))
+        return spans[indices]
+
+    def forbidden_after(chosen, forbidden, cand):
+        if m == 1:
+            return forbidden | 1 << cand
+        if len(chosen) + 1 <= m - 2:
+            return span(tuple(chosen) + (cand,))
+        for subset in itertools.combinations(chosen, m - 2):
+            forbidden |= span(subset + (cand,))
+        return forbidden
+
+    nodes = 0
+    chosen, forbidden_stack, frontier = [], [0], [0]
+    while True:
+        if len(chosen) == target_size:
+            return "found", nodes, [universe[i].rows[0] for i in chosen]
+        forbidden = forbidden_stack[-1]
+        for cand in range(frontier[-1], len(universe)):
+            nodes += 1
+            if nodes > budget:
+                return "unknown", nodes, None
+            if not (forbidden >> cand) & 1:
+                frontier[-1] = cand + 1
+                forbidden_stack.append(forbidden_after(chosen, forbidden, cand))
+                chosen.append(cand)
+                frontier.append(cand + 1)
+                break
+        else:
+            if not chosen:
+                return "infeasible", nodes, None
+            chosen.pop()
+            frontier.pop()
+            forbidden_stack.pop()
+
+
+def _search(ambient, m, size, budget):
+    result = search_m_independent(ambient, m, size, budget)
+    reps = None if result.points is None else list(result.points.representatives())
+    return result.status, result.nodes, reps
+
+
+# (p, e) -> ambient dimensions; PG(d-1, q) stays under a few hundred points
+REFERENCE_FIELDS = {(2, 1): (3, 4, 5), (3, 1): (3, 4), (2, 2): (3, 4), (5, 1): (3, 4),
+                    (2, 3): (2, 3), (3, 2): (2, 3)}
+
+
+@pytest.mark.parametrize("p,e", list(REFERENCE_FIELDS),
+                         ids=[f"GF({p ** e})" for p, e in REFERENCE_FIELDS])
+def test_search_matches_the_per_candidate_reference(p, e):
+    rng = random.Random(p * 100 + e)
+    F = GF.get(p, e)
+    statuses = set()
+    for d in REFERENCE_FIELDS[p, e]:
+        ambient = Ambient("primal", F, d)
+        for m in range(1, d + 1):
+            # a size that usually fits, and one that often does not
+            for size in (m + rng.randint(0, 2), m + rng.randint(2, F.q + 2)):
+                budget = rng.choice([rng.randint(0, 40), rng.randint(100, 3000), 100_000])
+                expected = _reference_search(ambient, m, size, budget)
+                assert _search(ambient, m, size, budget) == expected, (d, m, size, budget)
+                statuses.add(expected[0])
+                if expected[0] == "unknown":
+                    continue
+                # a budget of exactly the nodes used still finishes; one less does not
+                for tight in (expected[1], expected[1] - 1):
+                    assert (_search(ambient, m, size, tight)
+                            == _reference_search(ambient, m, size, tight)), (d, m, size, tight)
+    assert {"found", "unknown"} <= statuses
+
+
+def test_search_leaves_no_reference_cycle():
+    # the span memos must be freed when the search returns, not at the next
+    # cyclic collection
+    gc.collect()
+    gc.disable()
+    try:
+        search_m_independent(Ambient("primal", GF.get(2, 2), 4), 4, 6, budget=100_000)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

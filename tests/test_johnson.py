@@ -5,10 +5,11 @@ import networkx as nx
 import pytest
 
 from grassmann_lab.errors import ValidationError
-from grassmann_lab.johnson import (JohnsonAut, johnson_adjacent, johnson_aut_group,
-                                   johnson_aut_group_order, johnson_diameter,
-                                   johnson_distance, johnson_vertices, transposition_aut,
-                                   vertex_from_indices, vertex_indices)
+from grassmann_lab.johnson import (JohnsonAut, johnson_aut_group, johnson_aut_group_order,
+                                   johnson_diameter, johnson_distance, johnson_vertices,
+                                   transposition_aut, vertex_from_indices, vertex_indices)
+
+from helpers import johnson_adjacent
 
 
 def johnson_graph(l, m):

@@ -1,5 +1,4 @@
 import itertools
-import math
 import os
 import subprocess
 import sys
@@ -19,20 +18,13 @@ from grassmann_lab.oracle import (SearchConfig, cross_validate, enumerate_apartm
                                   enumerate_embeddings, orbit_closure, pgl_generators)
 from grassmann_lab.subspaces import Subspace
 
+from helpers import frame_count
+
 F2 = GF.get(2)
 
 
 def unit(i, n):
     return tuple(1 if j == i else 0 for j in range(n))
-
-
-def frame_count(n, q):
-    """Independent oracle: unordered independent point frames of PG(n-1,q),
-    |GL(n,q)| / ((q-1)^n * n!)."""
-    gl = 1
-    for i in range(n):
-        gl *= q ** n - q ** i
-    return gl // ((q - 1) ** n * math.factorial(n))
 
 
 def test_apartment_count_frame_formula_and_direct_enumeration():
