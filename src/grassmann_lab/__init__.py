@@ -7,14 +7,14 @@ over GF(q) at desk scale.
 
 from .config import Caps, caps, caps_from_env, set_caps
 from .embeddings import (Classification, EmbeddingInstance, IsometryDefect,
-                         build_dual_construction, build_sum_construction, classify,
-                         clique_independence, rebuild, verify_assignment)
+                         build_dual_construction, build_sum_construction, classify, rebuild,
+                         verify_assignment)
 from .errors import (BudgetExhaustedError, CapExceededError, ClassificationError,
                      GrassmannLabError, InternalInvariantError, NotIsometricError,
                      SchemaError, ValidationError)
 from .fields import GF
-from .grassmannian import (GrassmannianSpec, adjacent, apartment_from_frame, distance,
-                           gaussian_binomial, iter_rref_bases, pg_points, star, top)
+from .grassmannian import (GrassmannianSpec, distance, gaussian_binomial, iter_rref_bases,
+                           pg_points)
 from .independence import (Ambient, PointSet, SearchResult, canonical_simplex,
                            is_independent, m_dependency_witness, point_set,
                            search_m_independent, simplex_rank)
@@ -22,7 +22,7 @@ from .johnson import (JohnsonAut, johnson_aut_group, johnson_aut_group_order,
                       johnson_distance, johnson_vertices, transposition_aut,
                       vertex_from_indices, vertex_indices)
 from .oracle import (CrossValidationReport, OracleResult, SearchConfig, cross_validate,
-                     enumerate_apartments, enumerate_embeddings, orbit_closure)
+                     enumerate_embeddings)
 from .rigidity import (ExtensionWitness, NotExtendable, RigidityReport, extend_automorphism,
                        induced_by_semilinear, is_rigid, solve_semilinear_mapping)
 from .subspaces import (SemilinearMap, Subspace, annihilator, contragredient,

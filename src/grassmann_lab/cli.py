@@ -170,6 +170,10 @@ def cmd_oracle(args) -> int:
     cfg = SearchConfig(l=args.l, m=args.m, n=args.n, k=args.k, p=args.p, e=args.e,
                        budget=args.budget, symmetry_reduction=args.symmetry_reduction,
                        jobs=args.jobs)
+    # an unwritable path is refused before the search, not after it
+    for path in (args.jsonl, args.output):
+        if path:
+            _open_output(path).close()
     result = enumerate_embeddings(cfg)
     if args.jsonl:
         with _open_output(args.jsonl) as handle:

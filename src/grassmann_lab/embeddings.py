@@ -457,39 +457,3 @@ def _assemble(image, generators: tuple[Subspace, ...], l: int, m: int, k: int,
     full = (l == n and m_space.dim == 0 and n_space.dim == n)
     return Classification(case, l, m, k, n, field, m_space, n_space, star_points,
                           top_points, full, trace, frozenset(image), labeled)
-
-
-# additional predicates --------------------------------------------------
-
-
-def clique_independence(image) -> bool:
-    """Whether every maximal clique of the induced graph is an independent
-    family: star members must be independent points of the quotient over
-    the clique's center, top members independent hyperplanes of its cover.
-
-    A clique of two or more lies in the star over the meet, or the top
-    under the sum, of any two of its members, so the families sharing the
-    meet or the sum of an adjacent pair include every maximal clique.  Any
-    other such family lies in a line inside a maximal one, and is
-    dependent only with three or more members, which make the maximal one
-    dependent too.  A member adjacent to none is a clique of one, which
-    counts as dependent.
-    """
-    members = sorted(frozenset(image), key=lambda s: s.rows)
-    if not members:
-        raise ValidationError("empty image")
-    field, n, k = members[0].field, members[0].ambient_dim, members[0].dim
-    table = distance_rows(members)
-    if not all(1 in row for row in table):
-        return False
-    if not 1 < k < n - 1:
-        raise ValidationError("maximal-clique structure requires 1 < k < n-1")
-    stars: dict[Subspace, set[Subspace]] = {}
-    tops: dict[Subspace, set[Subspace]] = {}
-    for a, b in _adjacent_pairs(members, table):
-        stars.setdefault(intersect_subspaces(a, b), set()).update((a, b))
-        tops.setdefault(sum_subspaces(a, b), set()).update((a, b))
-    return (all(sum_many(field, n, family).dim == center.dim + len(family)
-                for center, family in stars.items())
-            and all(intersect_many(field, n, family).dim == cover.dim - len(family)
-                    for cover, family in tops.items()))

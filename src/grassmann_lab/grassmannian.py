@@ -1,10 +1,9 @@
 """The Grassmann graph on k-dimensional subspaces of F_q^n.
 
 Vertices are adjacent when their intersection has dimension k-1, and the
-graph distance is k - dim(S meet U).  Besides enumeration and distance,
-this module materializes the two kinds of maximal cliques (stars over a
-(k-1)-space, tops under a (k+1)-space) and apartments spanned by
-frames.
+graph distance is k - dim(S meet U).  This module enumerates the
+vertices and projective points, indexes them densely, and gives
+distances by elimination or by point incidence.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from . import linalg
 from .config import caps, check_ambient_dim
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .fields import GF
-from .subspaces import Subspace, from_coords_in, lift_from_quotient
+from .subspaces import Subspace
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -196,51 +195,3 @@ def distance_rows(spaces) -> list[bytearray]:
         for j in range(i + 1, len(spaces)):
             rows[i][j] = rows[j][i] = distance(s, spaces[j])
     return rows
-
-
-def adjacent(s: Subspace, u: Subspace) -> bool:
-    return distance(s, u) == 1
-
-
-def star(m: Subspace) -> frozenset[Subspace]:
-    """All (dim m + 1)-subspaces over m; a maximal clique of the graph on
-    that level when the level is strictly between 1 and n-1."""
-    return frozenset(
-        lift_from_quotient(m, pt.rows)
-        for pt in pg_points(m.field, m.ambient_dim - m.dim))
-
-
-def top(n_space: Subspace) -> frozenset[Subspace]:
-    """All hyperplanes of n_space, i.e. the top clique under it."""
-    F, d = n_space.field, n_space.dim
-    out = []
-    for pt in pg_points(F, d):
-        hyper_rows = linalg.nullspace(F, pt.rows, d)
-        out.append(from_coords_in(n_space, hyper_rows))
-    return frozenset(out)
-
-
-def apartment_from_frame(points, k: int) -> frozenset[Subspace]:
-    """The subspaces spanned by k-subsets of an independent point frame.
-
-    The restriction of the Grassmann graph to the result is a Johnson
-    graph on len(points) symbols.
-    """
-    points = list(points)
-    if not points:
-        raise ValidationError("empty frame")
-    F = points[0].field
-    n = points[0].ambient_dim
-    if len(points) != n:
-        raise ValidationError(f"frame needs {n} points, got {len(points)}")
-    for p in points:
-        if p.dim != 1:
-            raise ValidationError("frame members must be one-dimensional")
-    stacked = tuple(p.rows[0] for p in points)
-    if linalg.rank(F, stacked) != n:
-        raise ValidationError("frame points are linearly dependent")
-    if not 1 <= k <= n:
-        raise ValidationError(f"bad k={k} for a frame of size {n}")
-    return frozenset(
-        Subspace.from_rows(F, n, tuple(points[i].rows[0] for i in combo))
-        for combo in itertools.combinations(range(n), k))

@@ -1,10 +1,11 @@
 """Exhaustive ground truth for small parameters.
 
 Enumerates every isometric embedding of J(l, m) into the Grassmann graph
-by vertex-ordered backtracking with exact-distance pruning, enumerates
-apartments from independent point frames, and cross-validates the
-classifier against both.  Budgets are counted in search nodes, never in
-wall time, so runs reproduce exactly.
+by vertex-ordered backtracking with exact-distance pruning and
+cross-validates the classifier against it; at n == 2k the classified
+images are checked against the number of apartments, which the frames of
+F_q^n count in closed form.  Budgets are counted in search nodes, never
+in wall time, so runs reproduce exactly.
 
 Two embeddings with the same image differ by an automorphism of
 J(l, m).  The deduplicating search breaks that whole group along a
@@ -15,21 +16,18 @@ exactly one leaf instead of once per automorphism; the labeled search
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 
-from . import linalg
 from .config import caps, set_caps
 from .embeddings import classify
 from .errors import InternalInvariantError, ValidationError
 from .fields import GF
-from .grassmannian import GrassmannianSpec, apartment_from_frame, pg_points
+from .grassmannian import GrassmannianSpec
 from .johnson import johnson_diameter, johnson_distance, johnson_vertices
-from .subspaces import SemilinearMap, Subspace
 
 
 @dataclass(frozen=True)
@@ -61,9 +59,6 @@ class OracleResult:
     nodes: int
     complete: bool
     spec: GrassmannianSpec = dc_field(repr=False)
-
-    def image_subspace_sets(self) -> set[frozenset[Subspace]]:
-        return {frozenset(self.spec.by_id(i) for i in image) for image in self.images}
 
 
 def _bfs_vertex_order(l: int, m: int) -> list[int]:
@@ -259,61 +254,6 @@ def enumerate_embeddings(cfg: SearchConfig) -> OracleResult:
     return OracleResult(images, nodes, complete and nodes <= cfg.budget, spec)
 
 
-def enumerate_apartments(field: GF, n: int, k: int) -> set[frozenset[Subspace]]:
-    """One apartment per independent n-point frame, deduplicated."""
-    points = pg_points(field, n)
-    reps = [p.rows[0] for p in points]
-    out: set[frozenset[Subspace]] = set()
-    for combo in itertools.combinations(range(len(points)), n):
-        if linalg.rank(field, tuple(reps[i] for i in combo)) == n:
-            out.add(apartment_from_frame([points[i] for i in combo], k))
-    return out
-
-
-# symmetry expansion ------------------------------------------------------
-
-
-def pgl_generators(field: GF, n: int) -> list[SemilinearMap]:
-    """Generators of the semilinear automorphism group of F_q^n: an n-cycle,
-    one transvection, a primitive scaling (q > 2), and Frobenius (e > 1)."""
-    gens = []
-    cycle = tuple(tuple(1 if j == (i + 1) % n else 0 for j in range(n)) for i in range(n))
-    gens.append(SemilinearMap(field, cycle, 0))
-    transvection = tuple(
-        tuple(1 if j == i or (i == 0 and j == 1) else 0 for j in range(n)) for i in range(n))
-    gens.append(SemilinearMap(field, transvection, 0))
-    if field.q > 2:
-        unit = next(a for a in field.units() if a != 1)
-        # any non-identity unit works together with the transvections
-        diag = tuple(tuple((unit if i == 0 else 1) if i == j else 0 for j in range(n))
-                     for i in range(n))
-        gens.append(SemilinearMap(field, diag, 0))
-    if field.e > 1:
-        gens.append(SemilinearMap(field, linalg.identity(n), 1))
-    return gens
-
-
-def orbit_closure(spec: GrassmannianSpec, images: set[tuple[int, ...]]
-                  ) -> set[tuple[int, ...]]:
-    """Close a set of id-tuple images under the semilinear automorphism
-    group, by breadth-first orbit expansion over generator action tables."""
-    tables = []
-    for g in pgl_generators(spec.field, spec.n):
-        tables.append([spec.id_of(g.apply(spec.by_id(i))) for i in range(len(spec))])
-    closed = set(images)
-    frontier = list(images)
-    while frontier:
-        nxt = []
-        for image in frontier:
-            for table in tables:
-                moved = tuple(sorted(table[i] for i in image))
-                if moved not in closed:
-                    closed.add(moved)
-                    nxt.append(moved)
-        frontier = nxt
-    return closed
-
-
 # cross validation ---------------------------------------------------------
 
 
@@ -384,12 +324,39 @@ def _bfs_distances_agree(spec: GrassmannianSpec) -> bool:
     return True
 
 
+def _apartment_count(spec: GrassmannianSpec, through_vertex_0: bool) -> int:
+    """The apartments of the Grassmann graph at n == 2k: one per unordered
+    frame of n independent points, |GL(n, q)| / ((q - 1)^n n!).
+
+    Through one vertex there are count * C(n, k) / len(spec) of them:
+    GL(n, q) is transitive on k-spaces, so every vertex lies in equally
+    many apartments, and each apartment has C(n, k) members.
+    """
+    q, n = spec.field.q, spec.n
+    count = (math.prod(q ** n - q ** i for i in range(n))
+             // ((q - 1) ** n * math.factorial(n)))
+    if through_vertex_0:
+        count = count * math.comb(n, spec.k) // len(spec)
+    return count
+
+
 def cross_validate(cfg: SearchConfig,
                    result: OracleResult | None = None) -> CrossValidationReport:
     """Feed every enumerated image to the classifier and check the global
     shape of the answer: no rejections, exact rebuilds (the classifier
-    certifies those internally), apartment equality when n == 2k, and
-    parabolic dimensions when l == 2m.
+    certifies those internally), parabolic dimensions when l == 2m, and
+    when n == 2k == l == 2m, that the images are exactly the apartments.
+
+    The apartment check is a count resting on the classification.  At
+    l == 2m every image must classify as a parabolic apartment with
+    dimensions (k - m, k + m) = (0, n), so it is the apartment of its n
+    star points, which span F_q^n and so form a frame.  An apartment
+    determines its frame, so the images, distinct sets, are distinct
+    apartments, and they are all of them exactly when there are as many
+    as there are frames (:func:`_apartment_count`).  The reduced search
+    pins its first vertex to vertex 0, so there the images are apartments
+    through vertex 0, counted the same way.  A search that stopped on its
+    budget has no count to match: the check is None.
 
     Classification checks are skipped (reported as None) at parameters
     outside the classifier's hypotheses, e.g. m == 1 probes.
@@ -432,13 +399,13 @@ def cross_validate(cfg: SearchConfig,
                                  f"dims ({cls.m_space.dim},{cls.n_space.dim})"}))
         all_classified = not failures
     apartment_match = None
-    if classifiable and cfg.n == 2 * cfg.k and cfg.l == cfg.n and cfg.m == cfg.k:
-        apartments = enumerate_apartments(spec.field, cfg.n, cfg.k)
-        if cfg.symmetry_reduction:
-            # the reduced search pins its first vertex to vertex 0, so it
-            # finds exactly the images through vertex 0
-            apartments = {a for a in apartments if spec.by_id(0) in a}
-        apartment_match = result.image_subspace_sets() == apartments
+    if (classifiable and result.complete
+            and cfg.n == 2 * cfg.k and cfg.l == cfg.n and cfg.m == cfg.k):
+        # the labeled search reaches each image once per labeling
+        distinct = (len(result.images) if cfg.dedupe
+                    else len(set(map(frozenset, result.images))))
+        apartment_match = (all_classified
+                           and distinct == _apartment_count(spec, cfg.symmetry_reduction))
     parabolic_ok = None
     if classifiable and cfg.l == 2 * cfg.m:
         parabolic_ok = all_classified

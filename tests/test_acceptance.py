@@ -13,17 +13,18 @@ from grassmann_lab import linalg
 from grassmann_lab.embeddings import (build_dual_construction, build_sum_construction,
                                       classify, rebuild)
 from grassmann_lab.fields import GF
-from grassmann_lab.grassmannian import GrassmannianSpec, iter_rref_bases, star, top
+from grassmann_lab.grassmannian import GrassmannianSpec, iter_rref_bases
 from grassmann_lab.independence import Ambient, search_m_independent
 from grassmann_lab.jsonio import rigidity_report_to_json
 from grassmann_lab.johnson import johnson_aut_group_order, johnson_vertices
 from grassmann_lab.linalg import nullspace
-from grassmann_lab.oracle import SearchConfig, enumerate_apartments, enumerate_embeddings
+from grassmann_lab.oracle import SearchConfig, enumerate_embeddings
 from grassmann_lab.rigidity import ExtensionWitness, NotExtendable, is_rigid
 from grassmann_lab.subspaces import (Subspace, annihilator, from_coords_in,
                                      lift_from_quotient, sum_many)
 
-from helpers import frame_count, johnson_adjacent
+from helpers import (enumerate_apartments, frame_count, image_subspace_sets,
+                     johnson_adjacent, star, top)
 
 F2 = GF.get(2)
 
@@ -53,7 +54,7 @@ def test_criterion_1_every_image_is_an_apartment_when_n_is_2k():
     apartments = enumerate_apartments(F2, 4, 2)
     assert frame_count(4, 2) == 840
     assert len(result.images) == 840
-    assert result.image_subspace_sets() == apartments
+    assert image_subspace_sets(result) == apartments
     print(f"\nACCEPTANCE 1 PASS: (l=4,m=2,n=4,k=2,q=2) complete in {result.nodes} "
           f"nodes; 840 images equal the 840 apartments exactly")
 

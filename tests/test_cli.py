@@ -236,6 +236,39 @@ def test_oracle_with_no_room_skips_the_bfs_preflight():
     assert elapsed < 1.0
 
 
+def test_oracle_past_its_budget_at_n_equal_2k_exits_3_with_one_line():
+    # GF(2)^6 has 27,998,208 apartments of 20 planes each; the apartment
+    # check counts them in closed form, and a search stopped by its budget
+    # has no count to match.  A child process, so a regression fails at the
+    # timeout instead of hanging or exhausting memory
+    proc = _cli_in_child(["oracle", "--l", 6, "--m", 3, "--n", 6, "--k", 3, "--p", 2,
+                          "--budget", 1000], timeout=60)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "error: enumeration exceeded the budget of 1000 nodes"]
+    summary = json.loads(proc.stdout)
+    assert summary["complete"] is False and summary["apartment_match"] is None
+
+
+@pytest.mark.parametrize("option", ["--jsonl", "--output"])
+def test_oracle_refuses_an_unwritable_path_before_the_search(tmp_path, capsys, monkeypatch,
+                                                             option):
+    from grassmann_lab import cli
+
+    def never(cfg):
+        raise AssertionError("searched before the output paths were checked")
+
+    monkeypatch.setattr(cli, "enumerate_embeddings", never)
+    missing = tmp_path / "no-such-dir" / "out"
+    assert run(["oracle", "--l", 5, "--m", 2, "--n", 5, "--k", 2, "--p", 2,
+                option, missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {missing}: cannot write "
+                                         f"(No such file or directory)"]
+
+
 def test_point_search_past_the_vertex_cap_exits_2_at_once():
     # the generator search would list all 286,331,153 points of PG(7, 16).
     # A child process, so a regression fails at the timeout instead of hanging

@@ -5,8 +5,10 @@ import pytest
 from grassmann_lab.cli import main
 from grassmann_lab.dot import grassmann_dot, induced_dot, johnson_dot
 from grassmann_lab.fields import GF
-from grassmann_lab.grassmannian import GrassmannianSpec, apartment_from_frame
+from grassmann_lab.grassmannian import GrassmannianSpec
 from grassmann_lab.subspaces import Subspace
+
+from helpers import apartment_from_frame
 
 F2 = GF.get(2)
 

@@ -7,19 +7,19 @@ import pytest
 
 from grassmann_lab import embeddings, grassmannian, jsonio, linalg
 from grassmann_lab.embeddings import (EmbeddingInstance, build_dual_construction,
-                                      build_sum_construction,
-                                      classify, clique_independence, rebuild,
+                                      build_sum_construction, classify, rebuild,
                                       verify_assignment)
 from grassmann_lab.errors import (ClassificationError, GrassmannLabError, NotIsometricError,
                                   ValidationError)
 from grassmann_lab.fields import GF
-from grassmann_lab.grassmannian import apartment_from_frame, star, top
 from grassmann_lab.independence import canonical_simplex
 from grassmann_lab.johnson import MAX_GROUND_SET, vertex_from_indices
 from grassmann_lab.oracle import SearchConfig, enumerate_embeddings
 from grassmann_lab.rigidity import is_rigid
 from grassmann_lab.subspaces import (Subspace, annihilator, from_coords_in, intersect_many,
                                      sum_many)
+
+from helpers import apartment_from_frame, clique_independence, star, top
 
 F2 = GF.get(2)
 F3 = GF.get(3)

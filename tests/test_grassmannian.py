@@ -5,11 +5,12 @@ import pytest
 
 from grassmann_lab.errors import CapExceededError, ValidationError
 from grassmann_lab.fields import GF
-from grassmann_lab.grassmannian import (GrassmannianSpec, adjacent, apartment_from_frame,
-                                        distance, distance_rows, iter_rref_bases, pg_points,
-                                        star, top)
+from grassmann_lab.grassmannian import (GrassmannianSpec, distance, distance_rows,
+                                        iter_rref_bases, pg_points)
 from grassmann_lab.johnson import johnson_distance, johnson_vertices
 from grassmann_lab.subspaces import Subspace, annihilator
+
+from helpers import adjacent, apartment_from_frame, star, top
 
 F2 = GF.get(2)
 F3 = GF.get(3)

@@ -10,15 +10,15 @@ import grassmann_lab
 from grassmann_lab import oracle
 from grassmann_lab.config import caps, set_caps
 from grassmann_lab.embeddings import build_sum_construction, classify, rebuild
-from grassmann_lab.errors import InternalInvariantError, ValidationError
+from grassmann_lab.errors import ClassificationError, InternalInvariantError, ValidationError
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import GrassmannianSpec, pg_points
 from grassmann_lab.johnson import JohnsonAut, johnson_aut_group, johnson_vertices
-from grassmann_lab.oracle import (SearchConfig, cross_validate, enumerate_apartments,
-                                  enumerate_embeddings, orbit_closure, pgl_generators)
+from grassmann_lab.oracle import SearchConfig, cross_validate, enumerate_embeddings
 from grassmann_lab.subspaces import Subspace
 
-from helpers import frame_count
+from helpers import (enumerate_apartments, frame_count, image_subspace_sets, orbit_closure,
+                     pgl_generators)
 
 F2 = GF.get(2)
 
@@ -59,12 +59,12 @@ def test_enumerate_embeddings_main_configuration():
     assert result.complete
     assert result.nodes <= 10_000_000
     assert len(result.images) == 840
-    assert result.image_subspace_sets() == enumerate_apartments(F2, 4, 2)
+    assert image_subspace_sets(result) == enumerate_apartments(F2, 4, 2)
 
 
 def test_every_constructed_image_is_found_by_the_oracle():
     result = enumerate_embeddings(SearchConfig(l=4, m=2, n=4, k=2, p=2))
-    oracle_sets = result.image_subspace_sets()
+    oracle_sets = image_subspace_sets(result)
     frames = [
         [unit(0, 4), unit(1, 4), unit(2, 4), unit(3, 4)],
         [unit(0, 4), unit(1, 4), unit(2, 4), (1, 1, 1, 1)],
@@ -130,6 +130,67 @@ def test_cross_validate_main_configuration():
     assert report.apartment_match is True
     assert report.tag_histogram == {"parabolic-apartment": 840}
     assert report.summary()["ok"] is True
+
+
+def test_a_missing_apartment_fails_the_count():
+    # every image left still classifies, so only the count can catch the gap
+    cfg = SearchConfig(l=4, m=2, n=4, k=2, p=2)
+    result = enumerate_embeddings(cfg)
+    result.images.remove(min(result.images))
+    report = cross_validate(cfg, result)
+    assert report.complete and report.all_classified is True
+    assert report.image_count == 839
+    assert report.apartment_match is False
+    assert report.ok is False
+
+
+def test_the_apartment_count_rests_on_the_classification(monkeypatch):
+    # the count proves nothing about an image the classifier refused
+    cfg = SearchConfig(l=4, m=2, n=4, k=2, p=2)
+    result = enumerate_embeddings(cfg)
+    vertex_0 = result.spec.by_id(0)
+
+    def refuse_one(members, table):
+        if vertex_0 in members:
+            raise ClassificationError("refused")
+        return classify(members, table=table)
+
+    monkeypatch.setattr(oracle, "classify", refuse_one)
+    report = cross_validate(cfg, result)
+    assert report.image_count == 840 and report.all_classified is False
+    assert report.apartment_match is False
+
+
+@pytest.mark.parametrize("p,images", [(2, 144), (3, 2_916)])
+def test_reduced_search_counts_the_apartments_through_vertex_0(p, images):
+    # frames * C(4, 2) / |G(4, 2, q)|: 840 * 6 / 35 and 63,180 * 6 / 130
+    cfg = SearchConfig(l=4, m=2, n=4, k=2, p=p, symmetry_reduction=True)
+    result = enumerate_embeddings(cfg)
+    report = cross_validate(cfg, result)
+    assert images == frame_count(4, p) * 6 // len(result.spec)
+    assert report.image_count == images
+    assert report.apartment_match is True and report.ok
+    if p == 2:
+        # the set equality the count stands for, by brute force
+        vertex_0 = result.spec.by_id(0)
+        assert image_subspace_sets(result) == {
+            a for a in enumerate_apartments(F2, 4, 2) if vertex_0 in a}
+
+
+def test_labeled_search_counts_each_apartment_once():
+    # pinned at vertex 0, each image is reached by the 48 / 6 automorphisms
+    # of J(4, 2) that fix the first Johnson vertex, and counted once
+    cfg = SearchConfig(l=4, m=2, n=4, k=2, p=2, dedupe=False, symmetry_reduction=True)
+    report = cross_validate(cfg)
+    assert report.image_count == 144 * 8
+    assert report.apartment_match is True and report.ok
+
+
+def test_a_search_stopped_by_its_budget_has_no_apartment_count():
+    report = cross_validate(SearchConfig(l=4, m=2, n=4, k=2, p=2, budget=1_000))
+    assert report.complete is False
+    assert report.apartment_match is None
+    assert report.ok is False
 
 
 def test_preflight_rejects_one_corrupted_symmetric_distance():

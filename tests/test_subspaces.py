@@ -297,6 +297,50 @@ def test_intersect_many_does_not_depend_on_the_order(family, rng):
     assert meet == expected
 
 
+# the exhaustive GF(2) laws, drawn over every field of MEET_FIELDS -------------
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(subspace_families(min_size=3, max_size=3))
+def test_modular_law(family):
+    # with s inside w: (s + u) meet w == s + (u meet w)
+    _, _, (s, u, t) = family
+    w = sum_subspaces(s, t)
+    assert intersect_subspaces(sum_subspaces(s, u), w) == sum_subspaces(
+        s, intersect_subspaces(u, w))
+    total, meet = sum_subspaces(s, u), intersect_subspaces(s, u)
+    assert total.dim + meet.dim == s.dim + u.dim
+    assert total.contains(s) and total.contains(u)
+    assert s.contains(meet) and u.contains(meet)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(subspace_families())
+def test_annihilator_involution_and_inclusion_reversal(family):
+    F, n, (s, t) = family
+    ann = annihilator(s)
+    assert ann.dim == n - s.dim
+    assert annihilator(ann) == s
+    assert all(linalg.dot(F, phi, v) == 0 for phi in ann.rows for v in s.rows)
+    u = sum_subspaces(s, t)  # u contains s
+    assert ann.contains(annihilator(u))
+    assert annihilator(u) == intersect_subspaces(ann, annihilator(t))
+    assert annihilator(intersect_subspaces(s, t)) == sum_subspaces(ann, annihilator(t))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(subspace_families(min_size=1, max_size=1), st.data())
+def test_contragredient_law(family, data):
+    F, n, (s,) = family
+    entry = st.integers(0, F.q - 1)
+    matrix = data.draw(st.tuples(*[st.tuples(*[entry] * n)] * n)
+                       .filter(lambda m: linalg.is_invertible(F, m)))
+    u = SemilinearMap(F, matrix, data.draw(st.integers(0, F.e - 1)))
+    ud = contragredient(u)
+    assert ud.apply(annihilator(s)) == annihilator(u.apply(s))
+    assert contragredient(ud) == u
+
+
 # points over a base -----------------------------------------------------------
 
 FRAME_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
