@@ -19,7 +19,7 @@ from .errors import SchemaError
 from .fields import GF
 from .independence import Ambient, PointSet
 from .johnson import vertex_from_indices, vertex_indices
-from .rigidity import ExtensionWitness, NotExtendable, RigidityReport, SigmaDiagnostics
+from .rigidity import ExtensionWitness, RigidityReport, SigmaDiagnostics
 from .subspaces import Subspace
 
 SCHEMA_VERSION = 1

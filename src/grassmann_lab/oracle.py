@@ -28,6 +28,7 @@ from .errors import InternalInvariantError, ValidationError
 from .fields import GF
 from .grassmannian import GrassmannianSpec
 from .johnson import johnson_diameter, johnson_distance, johnson_vertices
+from .subspaces import memoized
 
 
 @dataclass(frozen=True)
@@ -376,27 +377,28 @@ def cross_validate(cfg: SearchConfig,
     if classifiable:
         # ids follow RREF rows, so the searched table's rows are in classify's order
         dmat = spec.distance_matrix()
-        for image in sorted(result.images):
-            ids = sorted(image)
-            members = frozenset(spec.by_id(i) for i in ids)
-            try:
-                cls = classify(members, table=[bytes(dmat[i][j] for j in ids) for i in ids])
-            except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-                failures.append(json.dumps({
-                    "image_ids": list(image),
-                    "rows": [[list(r) for r in spec.by_id(i).rows] for i in image],
-                    "error": str(exc)}))
-                continue
-            histogram[cls.case] = histogram.get(cls.case, 0) + 1
-            if cfg.l == 2 * cfg.m:
-                if (cls.case != "parabolic-apartment"
-                        or cls.m_space.dim != cfg.k - cfg.m
-                        or cls.n_space.dim != cfg.k + cfg.m):
+        with memoized():
+            for image in sorted(result.images):
+                ids = sorted(image)
+                members = frozenset(spec.by_id(i) for i in ids)
+                try:
+                    cls = classify(members, table=[bytes(dmat[i][j] for j in ids) for i in ids])
+                except Exception as exc:  # noqa: BLE001 - reported, not swallowed
                     failures.append(json.dumps({
                         "image_ids": list(image),
-                        "error": f"expected parabolic apartment dims "
-                                 f"({cfg.k - cfg.m},{cfg.k + cfg.m}), got case {cls.case} "
-                                 f"dims ({cls.m_space.dim},{cls.n_space.dim})"}))
+                        "rows": [[list(r) for r in spec.by_id(i).rows] for i in image],
+                        "error": str(exc)}))
+                    continue
+                histogram[cls.case] = histogram.get(cls.case, 0) + 1
+                if cfg.l == 2 * cfg.m:
+                    if (cls.case != "parabolic-apartment"
+                            or cls.m_space.dim != cfg.k - cfg.m
+                            or cls.n_space.dim != cfg.k + cfg.m):
+                        failures.append(json.dumps({
+                            "image_ids": list(image),
+                            "error": f"expected parabolic apartment dims "
+                                     f"({cfg.k - cfg.m},{cfg.k + cfg.m}), got case {cls.case} "
+                                     f"dims ({cls.m_space.dim},{cls.n_space.dim})"}))
         all_classified = not failures
     apartment_match = None
     if (classifiable and result.complete

@@ -9,6 +9,8 @@ makes the double annihilator literally the identity.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
@@ -107,6 +109,35 @@ class Subspace:
                 f"ambient mismatch: {self.ambient_dim} vs {other.ambient_dim}")
 
 
+_MEMO = contextvars.ContextVar("subspaces.memo", default=None)  # a dict inside memoized()
+
+
+@contextlib.contextmanager
+def memoized():
+    """Inside the block, each pair's sum or meet is computed once."""
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+def _pairwise(op):
+    """op(s, u), looked up in the memo of an enclosing memoized() block.
+    Keys are pairs only, so the memo stays bounded by the lattice's pairs."""
+    @functools.wraps(op)
+    def lookup(s: Subspace, u: Subspace) -> Subspace:
+        memo = _MEMO.get()
+        if memo is None:
+            return op(s, u)
+        out = memo.get((op, s, u))
+        if out is None:
+            out = memo[op, s, u] = op(s, u)
+        return out
+    return lookup
+
+
+@_pairwise
 def sum_subspaces(s: Subspace, u: Subspace) -> Subspace:
     return sum_many(s.field, s.ambient_dim, (s, u))
 
@@ -133,6 +164,7 @@ def annihilator(s: Subspace) -> Subspace:
     return Subspace(s.field, s.ambient_dim, rows)
 
 
+@_pairwise
 def intersect_subspaces(s: Subspace, u: Subspace) -> Subspace:
     """The Zassenhaus meet: one rref of the rows [x | x] of s over [y | 0]
     of u.  A combination (x + y | x) has left half 0 exactly when x = -y

@@ -2,7 +2,8 @@
 
 None of these is on a code path of the package: each rebuilds by brute
 force something the package decides another way, so tests can compare
-the two.
+the two.  The last section counts eliminations, so tests can pin by
+count what the package's pair memo saves.
 """
 
 import itertools
@@ -173,3 +174,32 @@ def orbit_closure(spec: GrassmannianSpec, images: set[tuple[int, ...]]
                     nxt.append(moved)
         frontier = nxt
     return closed
+
+
+# elimination counts ---------------------------------------------------------
+
+
+def rref_calls(fn):
+    """fn()'s result, and how many times it called linalg.rref."""
+    calls = 0
+    real = linalg.rref
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    linalg.rref = counting
+    try:
+        result = fn()
+    finally:
+        linalg.rref = real
+    return result, calls
+
+
+def memo_active() -> bool:
+    """Whether a subspaces.memoized() block is in force: then a repeated
+    sum and meet of one pair eliminate once each, not twice."""
+    F = GF.get(2)
+    a, b = Subspace.line(F, (1, 0, 0)), Subspace.line(F, (0, 1, 0))
+    return rref_calls(lambda: [op(a, b) for op in (sum_subspaces, intersect_subspaces) * 2])[1] < 4

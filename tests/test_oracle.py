@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import subprocess
@@ -17,8 +18,8 @@ from grassmann_lab.johnson import JohnsonAut, johnson_aut_group, johnson_vertice
 from grassmann_lab.oracle import SearchConfig, cross_validate, enumerate_embeddings
 from grassmann_lab.subspaces import Subspace
 
-from helpers import (enumerate_apartments, frame_count, image_subspace_sets, orbit_closure,
-                     pgl_generators)
+from helpers import (enumerate_apartments, frame_count, image_subspace_sets, memo_active,
+                     orbit_closure, pgl_generators, rref_calls)
 
 F2 = GF.get(2)
 
@@ -240,6 +241,59 @@ def test_cross_validate_classifies_from_the_search_table(monkeypatch):
             computed = classify(members)
             assert classification_to_json(handed) == classification_to_json(computed)
             assert list(rebuild(handed).items()) == list(rebuild(computed).items())
+
+
+@pytest.mark.parametrize("l,unmemoized,bound", [(4, 21_840, 6_000), (5, 20_160, 2_000)])
+def test_cross_validate_eliminates_each_pair_once(l, unmemoized, bound):
+    # images share edges and star centers, so one memo of pairwise sums and
+    # meets per call cuts the eliminations of the classify loop; unmemoized
+    # is the count when every image computed each of its pairs again
+    cfg = SearchConfig(l=l, m=2, n=4, k=2, p=2)
+    result = enumerate_embeddings(cfg)
+    report, calls = rref_calls(lambda: cross_validate(cfg, result))
+    assert report.ok
+    assert calls <= bound < unmemoized
+
+
+def test_memoized_classifications_equal_the_plain_ones():
+    from grassmann_lab.jsonio import classification_to_json
+    from grassmann_lab.subspaces import memoized
+
+    result = enumerate_embeddings(SearchConfig(l=5, m=2, n=4, k=2, p=2))
+    images = [frozenset(map(result.spec.by_id, image)) for image in sorted(result.images)]
+    plain = [classification_to_json(classify(image)) for image in images]
+    with memoized():
+        assert [classification_to_json(classify(image)) for image in images] == plain
+
+
+def test_no_memo_outlives_cross_validate(monkeypatch):
+    cfg = SearchConfig(l=5, m=2, n=4, k=2, p=2)
+    result = enumerate_embeddings(cfg)
+    assert cross_validate(cfg, result).ok
+    assert not memo_active()
+
+    class Interrupt(BaseException):
+        pass
+
+    def interrupt(members, table):
+        assert memo_active()
+        raise Interrupt
+
+    # the per-image `except Exception` does not catch it, so the loop raises
+    monkeypatch.setattr(oracle, "classify", interrupt)
+    with pytest.raises(Interrupt):
+        cross_validate(cfg, result)
+    assert not memo_active()
+
+
+def test_cross_validate_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        cross_validate(SearchConfig(l=5, m=2, n=4, k=2, p=2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cross_validate_skips_classification_for_degenerate_m():

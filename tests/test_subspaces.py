@@ -11,7 +11,9 @@ from grassmann_lab.grassmannian import GrassmannianSpec, iter_rref_bases
 from grassmann_lab.independence import m_dependency_witness, point_set
 from grassmann_lab.subspaces import (SemilinearMap, Subspace, annihilator, contragredient,
                                      frame, from_coords_in, intersect_many, intersect_subspaces,
-                                     lift_from_quotient, sum_many, sum_subspaces)
+                                     lift_from_quotient, memoized, sum_many, sum_subspaces)
+
+from helpers import memo_active
 
 F2 = GF.get(2)
 F4 = GF.get(2, 2)
@@ -260,6 +262,20 @@ def test_sums_canonicalize_like_from_rows(family):
     assert sum_many(F, n, spaces) == expected
     if len(spaces) == 2:
         assert sum_subspaces(*spaces) == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(subspace_families())
+def test_memoized_sums_and_meets_equal_the_plain_ones(family):
+    _, _, (s, u) = family
+    plain = sum_subspaces(s, u), intersect_subspaces(s, u)
+    assert not memo_active()
+    with memoized():
+        assert memo_active()
+        for _ in range(2):
+            assert (sum_subspaces(s, u), intersect_subspaces(s, u)) == plain
+            assert (sum_subspaces(u, s), intersect_subspaces(u, s)) == plain
+    assert not memo_active()
 
 
 @pytest.mark.parametrize("p,e", MEET_FIELDS)
