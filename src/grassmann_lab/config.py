@@ -54,9 +54,9 @@ def check_ambient_dim(n: int):
         raise CapExceededError(f"ambient dimension {n} exceeds cap {_current.n_max}")
 
 
-def caps_from_env(var: str = "GRASSMANN_LAB_CAPS") -> Caps:
-    """Apply overrides from a ``key=value`` comma list in the environment."""
-    raw = os.environ.get(var)
+def caps_from_env() -> Caps:
+    """Apply overrides from a ``key=value`` comma list in GRASSMANN_LAB_CAPS."""
+    raw = os.environ.get("GRASSMANN_LAB_CAPS")
     if not raw:
         return _current
     known = {"q": "q_max", "n": "n_max", "graph": "graph_vertex_max"}
@@ -68,9 +68,9 @@ def caps_from_env(var: str = "GRASSMANN_LAB_CAPS") -> Caps:
         key, _, value = part.partition("=")
         key = key.strip().lower()
         if key not in known:
-            raise ValidationError(f"unknown cap {key!r} in {var}")
+            raise ValidationError(f"unknown cap {key!r} in GRASSMANN_LAB_CAPS")
         try:
             updates[known[key]] = int(value)
         except ValueError as exc:
-            raise ValidationError(f"cap {key!r} in {var} is not an integer") from exc
-    return set_caps(**{k: v for k, v in updates.items()})
+            raise ValidationError(f"cap {key!r} in GRASSMANN_LAB_CAPS is not an integer") from exc
+    return set_caps(**updates)

@@ -41,8 +41,8 @@ def grassmann_dot(spec: GrassmannianSpec) -> str:
                   _subspace_nodes(spec.subspaces), spec.distance_matrix())
 
 
-def induced_dot(subspaces, name: str = "induced") -> str:
+def induced_dot(subspaces) -> str:
     """The restriction of the Grassmann graph to the given subspaces,
     ordered canonically by their RREF rows."""
     members = sorted(frozenset(subspaces), key=lambda s: s.rows)
-    return _graph(name, _subspace_nodes(members), distance_rows(members))
+    return _graph("induced", _subspace_nodes(members), distance_rows(members))

@@ -37,8 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from .errors import (ClassificationError, InternalInvariantError, NotIsometricError,
-                     ValidationError)
+from .errors import ClassificationError, NotIsometricError, ValidationError
 from .fields import GF
 from .grassmannian import distance_rows
 from .independence import PointSet, m_dependency_witness, point_set
@@ -55,8 +54,6 @@ class EmbeddingInstance:
     """
 
     def __init__(self, l: int, m: int, assignment: dict[int, Subspace]):
-        if not 0 < m < l:
-            raise ValidationError(f"need 0 < m < l, got l={l}, m={m}")
         vertices = johnson_vertices(l, m)
         missing = [v for v in vertices if v not in assignment]
         if missing:
@@ -217,8 +214,8 @@ class Classification:
     For a labeled input the generators keep the ground order of its
     complement-normalized instance (m <= l - m), with one exception: when
     l == 2m and Johnson stars land in tops, star_points[j] lies in every
-    image of a vertex avoiding j.  A bare input has no labels to keep.
-    See rebuild.
+    image of a vertex avoiding j, and descent_trace[0] holds the top
+    points.  A bare input has no labels to keep.  See rebuild.
     """
 
     case: str
@@ -253,23 +250,13 @@ class Classification:
 
 
 def rebuild(cls: Classification) -> dict[int, Subspace]:
-    """Reconstruct the labeled map from the recovered generators: each
-    m-subset goes to the sum of its star points or, on a top-type
-    classification, to the meet of its top points, both built by
-    _subset_sums.  Its values are exactly cls.image; the map
-    is not re-verified, since classify already checked it or its input.
-    classify builds it once, for the exact rebuild that certifies it.
-
-    For a labeled inst, rebuild(classify(inst)) equals the map of
-    inst.normalized() on star-type and top-type images and on a J(2m, m)
-    image whose Johnson stars land in stars.  On a J(2m, m) image whose
-    Johnson stars land in tops it is that map after complementation:
-    vertex v goes to the input's image of the complement of v.
-    """
+    """The labeled map that certified cls: for a labeled inst,
+    rebuild(classify(inst)) equals inst.normalized().assignment."""
     return dict(cls.labeled)
 
 
-def _check_classification_params(l: int, m: int, k: int, n: int):
+def check_classification_params(l: int, m: int, k: int, n: int):
+    """Raise ValidationError unless classify accepts J(l, m) in G(n, k)."""
     if n < 4 or l < 4:
         raise ValidationError(f"classification needs n >= 4 and l >= 4, got n={n}, l={l}")
     if not 1 < k < n - 1:
@@ -299,7 +286,7 @@ def classify(obj, *, table=None) -> Classification:
         if defect is not None:
             raise NotIsometricError(defect)
         norm = obj.normalized()
-        _check_classification_params(norm.l, norm.m, norm.k, norm.n)
+        check_classification_params(norm.l, norm.m, norm.k, norm.n)
         # Theorem 4: Johnson stars all land in stars (case A) or all in tops
         # (case B), so the star over the core {0..m-2} decides the case: its
         # l-m+1 >= 3 members span more than k+1 dimensions only in a star.
@@ -378,7 +365,7 @@ def _classify_bare(image: frozenset[Subspace], n: int, k: int, table) -> Classif
     if len(valencies) != 1:
         raise ClassificationError("the induced graph is not regular")
     l, m = _johnson_parameters(len(members), valencies.pop())
-    _check_classification_params(l, m, k, n)
+    check_classification_params(l, m, k, n)
     edges = _adjacent_pairs(members, table)
     # each edge lies in one Johnson star and one Johnson top: its meet is the
     # center of a Grassmann star and its sum the cover of a Grassmann top, so
@@ -437,23 +424,14 @@ def _assemble(image, generators: tuple[Subspace, ...], l: int, m: int, k: int,
     trace = tuple(frozenset(level.values()) for level in levels)
     if trace[-1] != image:
         raise ClassificationError("rebuilt image differs from the input image")
-    labeled = levels[-1]
     others = None
     case = "top" if top else "star"
     if l == 2 * m:
-        if span.dim != k + sign * m:
-            raise InternalInvariantError("apartment span has the wrong dimension")
         others = tuple(join_many(field, n, generators[:j] + generators[j + 1:])
                        for j in range(l))
         case = "parabolic-apartment"
-        if top:
-            # rebuild sums star points over v; star point j is the meet of
-            # the top points but j, so that sum is the meet of the top
-            # points outside v, which the builder put at the complement of v
-            full_set = (1 << l) - 1
-            labeled = {v: labeled[full_set ^ v] for v in labeled}
     star_points, top_points = (others, generators) if top else (generators, others)
     m_space, n_space = (span, base) if top else (base, span)
     full = (l == n and m_space.dim == 0 and n_space.dim == n)
     return Classification(case, l, m, k, n, field, m_space, n_space, star_points,
-                          top_points, full, trace, frozenset(image), labeled)
+                          top_points, full, trace, frozenset(image), levels[-1])

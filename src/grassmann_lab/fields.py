@@ -169,9 +169,6 @@ class GF:
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
-
     def neg(self, a: int) -> int:
         return self._neg[a]
 

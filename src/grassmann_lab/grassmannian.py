@@ -65,13 +65,7 @@ def pg_points(field: GF, dim: int) -> list[Subspace]:
     if count > caps().graph_vertex_max:
         raise CapExceededError(f"PG({dim - 1}, {field.q}) with {count} points exceeds "
                                f"cap {caps().graph_vertex_max}")
-    points = []
-    for lead in range(dim):
-        tail = dim - lead - 1
-        for rest in itertools.product(field.elements(), repeat=tail):
-            vec = (0,) * lead + (1,) + rest
-            points.append(Subspace(field, dim, (vec,)))
-    return points
+    return [Subspace(field, dim, rows) for rows in iter_rref_bases(field, dim, 1)]
 
 
 @functools.cache

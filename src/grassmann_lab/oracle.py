@@ -16,14 +16,13 @@ exactly one leaf instead of once per automorphism; the labeled search
 
 from __future__ import annotations
 
-import json
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 
 from .config import caps, set_caps
-from .embeddings import classify
+from .embeddings import check_classification_params, classify
 from .errors import InternalInvariantError, ValidationError
 from .fields import GF
 from .grassmannian import GrassmannianSpec
@@ -269,7 +268,7 @@ class CrossValidationReport:
     apartment_match: bool | None
     parabolic_dims_ok: bool | None
     tag_histogram: dict[str, int]
-    failures: list[str]
+    failures: list[dict]
 
     @property
     def ok(self) -> bool:
@@ -344,9 +343,11 @@ def _apartment_count(spec: GrassmannianSpec, through_vertex_0: bool) -> int:
 def cross_validate(cfg: SearchConfig,
                    result: OracleResult | None = None) -> CrossValidationReport:
     """Feed every enumerated image to the classifier and check the global
-    shape of the answer: no rejections, exact rebuilds (the classifier
-    certifies those internally), parabolic dimensions when l == 2m, and
-    when n == 2k == l == 2m, that the images are exactly the apartments.
+    shape of the answer: no rejections, and when n == 2k == l == 2m, that
+    the images are exactly the apartments.  An accepted image is rebuilt
+    exactly and, when l == 2m, is a parabolic apartment of dimensions
+    (k - m, k + m): the classifier certifies both, so parabolic_dims_ok
+    is all_classified there.
 
     The apartment check is a count resting on the classification.  At
     l == 2m every image must classify as a parabolic apartment with
@@ -360,7 +361,7 @@ def cross_validate(cfg: SearchConfig,
     budget has no count to match: the check is None.
 
     Classification checks are skipped (reported as None) at parameters
-    outside the classifier's hypotheses, e.g. m == 1 probes.
+    that check_classification_params refuses, e.g. m == 1 probes.
     """
     if result is None:
         result = enumerate_embeddings(cfg)
@@ -369,12 +370,13 @@ def cross_validate(cfg: SearchConfig,
     # no nodes read none
     bfs_ok = _bfs_distances_agree(spec) if result.nodes else None
     histogram: dict[str, int] = {}
-    failures: list[str] = []
-    m_prime = min(cfg.m, cfg.l - cfg.m)
-    classifiable = (1 < cfg.m < cfg.l - 1 and 1 < cfg.k < cfg.n - 1
-                    and m_prime <= min(cfg.k, cfg.n - cfg.k))
+    failures: list[dict] = []
     all_classified: bool | None = None
-    if classifiable:
+    try:
+        check_classification_params(cfg.l, cfg.m, cfg.k, cfg.n)
+    except ValidationError:
+        pass  # outside the classifier's hypotheses: nothing to classify
+    else:
         # ids follow RREF rows, so the searched table's rows are in classify's order
         dmat = spec.distance_matrix()
         with memoized():
@@ -384,33 +386,22 @@ def cross_validate(cfg: SearchConfig,
                 try:
                     cls = classify(members, table=[bytes(dmat[i][j] for j in ids) for i in ids])
                 except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-                    failures.append(json.dumps({
+                    failures.append({
                         "image_ids": list(image),
                         "rows": [[list(r) for r in spec.by_id(i).rows] for i in image],
-                        "error": str(exc)}))
+                        "error": str(exc)})
                     continue
                 histogram[cls.case] = histogram.get(cls.case, 0) + 1
-                if cfg.l == 2 * cfg.m:
-                    if (cls.case != "parabolic-apartment"
-                            or cls.m_space.dim != cfg.k - cfg.m
-                            or cls.n_space.dim != cfg.k + cfg.m):
-                        failures.append(json.dumps({
-                            "image_ids": list(image),
-                            "error": f"expected parabolic apartment dims "
-                                     f"({cfg.k - cfg.m},{cfg.k + cfg.m}), got case {cls.case} "
-                                     f"dims ({cls.m_space.dim},{cls.n_space.dim})"}))
         all_classified = not failures
     apartment_match = None
-    if (classifiable and result.complete
+    if (all_classified is not None and result.complete
             and cfg.n == 2 * cfg.k and cfg.l == cfg.n and cfg.m == cfg.k):
         # the labeled search reaches each image once per labeling
         distinct = (len(result.images) if cfg.dedupe
                     else len(set(map(frozenset, result.images))))
         apartment_match = (all_classified
                            and distinct == _apartment_count(spec, cfg.symmetry_reduction))
-    parabolic_ok = None
-    if classifiable and cfg.l == 2 * cfg.m:
-        parabolic_ok = all_classified
+    parabolic_ok = all_classified if cfg.l == 2 * cfg.m else None
     return CrossValidationReport(
         cfg, len(result.images), result.nodes, result.complete, bfs_ok,
         all_classified, apartment_match, parabolic_ok, histogram, failures)

@@ -46,7 +46,6 @@ class SigmaDiagnostics:
 class ExtensionWitness:
     kind: str  # "semilinear", or "duality": map read as V -> V*
     map: SemilinearMap
-    certificate: tuple[tuple[int, bool], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -165,27 +164,20 @@ def induced_by_semilinear(points, perm) -> ExtensionWitness | NotExtendable:
     witness_map, diagnostics, _ = solve_semilinear_mapping(F, pts[0].ambient_dim, pairs)
     if witness_map is None:
         return NotExtendable(_NO_SEMILINEAR, diagnostics)
-    certificate = []
     for i, p in enumerate(pts):
-        ok = witness_map.apply(p) == pts[perm[i]]
-        certificate.append((i, ok))
-        if not ok:
+        if witness_map.apply(p) != pts[perm[i]]:
             raise InternalInvariantError("solver produced a map that fails on the points")
-    return ExtensionWitness("semilinear", witness_map, tuple(certificate))
+    return ExtensionWitness("semilinear", witness_map)
 
 
 # embedding-level extension -------------------------------------------------
 
 
-def _verify_on_image(cls: Classification, aut: JohnsonAut, action) -> tuple[tuple[int, bool], ...]:
+def _verify_on_image(cls: Classification, aut: JohnsonAut, action) -> None:
     assignment = rebuild(cls)
-    certificate = []
     for vertex, space in assignment.items():
-        ok = action(space) == assignment[aut.apply(vertex)]
-        certificate.append((vertex, ok))
-        if not ok:
+        if action(space) != assignment[aut.apply(vertex)]:
             raise InternalInvariantError("witness fails to realize the automorphism")
-    return tuple(certificate)
 
 
 def extend_automorphism(subject, aut: JohnsonAut) -> ExtensionWitness | NotExtendable:
@@ -223,10 +215,11 @@ def extend_automorphism(subject, aut: JohnsonAut) -> ExtensionWitness | NotExten
     if smap is None:
         return NotExtendable(reason, diagnostics)
     if aut.complement:
-        certificate = _verify_on_image(cls, aut, lambda s: annihilator(smap.apply(s)))
-        return ExtensionWitness("duality", smap, certificate)
+        _verify_on_image(cls, aut, lambda s: annihilator(smap.apply(s)))
+        return ExtensionWitness("duality", smap)
     full = smap if cls.star_points is not None else contragredient(smap)
-    return ExtensionWitness("semilinear", full, _verify_on_image(cls, aut, full.apply))
+    _verify_on_image(cls, aut, full.apply)
+    return ExtensionWitness("semilinear", full)
 
 
 # the rigidity verdict -------------------------------------------------------

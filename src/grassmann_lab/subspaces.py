@@ -88,9 +88,6 @@ class Subspace:
         self._check_compatible(other)
         return linalg.rank(self.field, self.rows + other.rows) == self.dim
 
-    def __le__(self, other: "Subspace") -> bool:
-        return other.contains(self)
-
     def vectors(self):
         """All q^dim vectors, for exhaustive checks at tiny sizes."""
         F, n = self.field, self.ambient_dim

@@ -377,13 +377,24 @@ def test_caps_env_variable(tmp_path, capsys, monkeypatch):
         set_caps(q_max=16)
 
 
-def _malformed(tmp_path, case):
-    """Write one malformed input document; returns the subcommand to run."""
+def _malformed(tmp_path, monkeypatch, case):
+    """Write one malformed input document, or set a malformed environment;
+    returns the subcommand to run."""
     path = tmp_path / "input.json"
     if case == "export-json-without-p":
         return ["export", "--graph", "grassmann", "--format", "json"]
     if case == "export-without-nk":
         return ["export", "--graph", "grassmann", "--p", 2]
+    if case == "johnson-export-without-lm":
+        return ["export", "--graph", "johnson", "--l", 4]
+    if case == "export-without-input-or-graph":
+        return ["export"]
+    if case == "build-sum-with-m-1":
+        return ["build", "sum", "--p", 2, "--n", 4, "--k", 2, "--m", 1, "--l", 4]
+    if case.startswith("caps-env-"):
+        monkeypatch.setenv("GRASSMANN_LAB_CAPS", {"caps-env-unknown-key": "z=3",
+                                                  "caps-env-not-integer": "q=abc"}[case])
+        return ["export", "--graph", "johnson", "--l", 4, "--m", 2]
     # past the ambient dimension cap of 8, like a Grassmannian export
     if case == "build-apartment-past-n-cap":
         return ["build", "apartment", "--p", 2, "--n", 10, "--k", 2]
@@ -420,11 +431,22 @@ def _malformed(tmp_path, case):
     if case == "deeply-nested":
         path.write_text("[" * 100_000 + "]" * 100_000)
         return ["classify", "--input", path]
-    if case == "pointset-version":
+    if case == "pointset-version" or case.startswith("points-"):
+        # the five points of a 4-independent set for build sum over GF(2) in F^4
+        ambient = {"kind": "primal", "dim": 4, "p": 2, "e": 1}
+        points = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 1]]
+        version = 99 if case == "pointset-version" else 1
+        if case == "points-other-field":
+            ambient["p"] = 3
+        elif case == "points-other-dimension":
+            ambient["dim"] = 3
+            points = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+        elif case == "points-kind-other":
+            ambient["kind"] = "other"
+        elif case == "points-wrong-length":
+            points[2] = points[2][:3]
         path.write_text(json.dumps(
-            {"schema_version": 99, "ambient": {"kind": "primal", "dim": 4, "p": 2, "e": 1},
-             "points": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
-                        [1, 1, 1, 1]]}))
+            {"schema_version": version, "ambient": ambient, "points": points}))
         return ["build", "sum", "--n", 4, "--k", 2, "--p", 2, "--points", path]
     emb = tmp_path / "emb.json"
     assert run(["build", "apartment", "--n", 4, "--k", 2, "--p", 2, "--output", emb]) == 0
@@ -439,12 +461,30 @@ def _malformed(tmp_path, case):
         doc["map"].append(dict(doc["map"][0]))
         doc["map"][0] = {"vertex": doc["map"][0]["vertex"],
                          "subspace": [[1, 1, 0, 0], [0, 0, 1, 0]]}
+    elif case == "params-not-object":
+        doc["params"] = 5
+    elif case == "params-l-string":
+        doc["params"]["l"] = "4"
+    elif case == "map-not-list":
+        doc["map"] = {}
+    elif case == "map-entry-missing":
+        del doc["map"][3]
+    elif case == "vertex-short":
+        doc["map"][0]["vertex"] = doc["map"][0]["vertex"][:1]
+    elif case == "subspace-not-list":
+        doc["map"][0]["subspace"] = 5
+    elif case == "subspace-row-non-integer":
+        doc["map"][0]["subspace"][0][0] = 0.5
+    elif case == "subspace-wrong-dimension":
+        doc["map"][0]["subspace"] = doc["map"][0]["subspace"][:1]
     else:
         cls_path = tmp_path / "cls.json"
         assert run(["classify", "--input", emb, "--output", cls_path]) == 0
         doc = json.loads(cls_path.read_text())
         if case == "star-points-number":
             doc["star_points"] = 5
+        elif case == "classification-without-points":
+            doc["star_points"] = doc["top_points"] = None
         elif case == "classification-params":
             # generators of J(4, 2) under another document's claims
             doc["params"].update(l=9, m=3)
@@ -470,9 +510,18 @@ def _malformed(tmp_path, case):
                                   "oracle-jsonl-in-missing-dir",
                                   "embedding-past-vertex-cap-classify",
                                   "embedding-past-vertex-cap-rigidity",
-                                  "embedding-past-vertex-cap-export"])
-def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, case):
-    argv = _malformed(tmp_path, case)
+                                  "embedding-past-vertex-cap-export",
+                                  "points-other-field", "points-other-dimension",
+                                  "points-kind-other", "points-wrong-length",
+                                  "build-sum-with-m-1", "johnson-export-without-lm",
+                                  "export-without-input-or-graph", "caps-env-unknown-key",
+                                  "caps-env-not-integer", "params-not-object",
+                                  "params-l-string", "map-not-list", "map-entry-missing",
+                                  "vertex-short", "subspace-not-list",
+                                  "subspace-row-non-integer", "subspace-wrong-dimension",
+                                  "classification-without-points"])
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case):
+    argv = _malformed(tmp_path, monkeypatch, case)
     capsys.readouterr()
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -165,10 +165,9 @@ def test_clique_independence_on_a_line():
 def test_classify_case_and_rebuild_labels():
     # Johnson stars land in stars (case A) for the apartment and the J(5,2)
     # simplex image, in tops (case B) for the annihilated apartment and the
-    # annihilated simplex image.  The rebuild keeps the input labels except
-    # at l = 2m in case B, where it complements them; at l = 2m both cases
-    # read "parabolic-apartment", so the labels are what tells them apart.
-    full = (1 << 4) - 1
+    # annihilated simplex image.  The rebuild keeps the input labels in
+    # both cases; at l = 2m both read "parabolic-apartment", and the first
+    # level of the descent trace tells them apart.
     apartment = apartment_instance(F2, 4, 2)
     cls = classify(apartment)
     assert cls.case == "parabolic-apartment"
@@ -178,7 +177,8 @@ def test_classify_case_and_rebuild_labels():
     assert dual.assignment == {v: annihilator(s) for v, s in apartment.assignment.items()}
     dual_cls = classify(dual)
     assert dual_cls.case == "parabolic-apartment"
-    assert rebuild(dual_cls) == {full ^ v: s for v, s in dual.assignment.items()}
+    assert rebuild(dual_cls) == dual.assignment
+    assert dual_cls.descent_trace[0] == frozenset(dual_cls.top_points)
     gens = simplex_lines(F2, 4)
     simplex = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
     simplex_top = build_dual_construction(Subspace.full(F2, 4),
@@ -187,6 +187,25 @@ def test_classify_case_and_rebuild_labels():
         cls = classify(inst)
         assert cls.case == case
         assert rebuild(cls) == inst.assignment
+
+
+def test_assemble_refuses_generators_that_do_not_rebuild_the_image():
+    # J(4, 2) in G(4, 2): star points are lines over the zero space that
+    # span F^4, and their sums must be the image
+    image = apartment_instance(F2, 4, 2).image
+    cases = [
+        # lines over the zero space, where k = 3 asks for a base line
+        (basis_lines(F2, 4), 3, "0-dimensional base, expected 1"),
+        # the simplex of F^3 spans 3 dimensions, not 4
+        ([Subspace.line(F2, row + (0,)) for row in
+          ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))], 2, "span dimension 3"),
+        # another frame rebuilds another apartment
+        (basis_lines(F2, 4)[:3] + [Subspace.line(F2, (1, 1, 1, 1))], 2,
+         "rebuilt image differs"),
+    ]
+    for generators, k, message in cases:
+        with pytest.raises(ClassificationError, match=message):
+            embeddings._assemble(image, tuple(generators), 4, 2, k, False)
 
 
 def test_classify_apartment_full():
@@ -262,7 +281,8 @@ def test_dual_construction_is_the_annihilated_sum_construction():
 def _assert_annihilated(cls, dual_cls, labeled: bool):
     """dual_cls classifies the annihilated image of cls: the sides swap and
     every recovered space is annihilated; a labeled pair keeps the ground
-    order of its generators, and at l = 2m the dual map is complemented."""
+    order of its generators, and annihilation commutes with rebuild label
+    by label."""
     ann = annihilator
     cases = {"star": "top", "top": "star", "parabolic-apartment": "parabolic-apartment"}
     assert dual_cls.case == cases[cls.case]
@@ -274,9 +294,7 @@ def _assert_annihilated(cls, dual_cls, labeled: bool):
     assert dual_cls.top_points == tuple(ann(t) for t in cls.star_points)
     assert dual_cls.descent_trace == tuple(frozenset(ann(s) for s in level)
                                            for level in cls.descent_trace)
-    full = (1 << cls.l) - 1 if cls.l == 2 * cls.m else 0
-    assert rebuild(dual_cls) == {v: ann(s) for v, s in
-                                 ((v, rebuild(cls)[full ^ v]) for v in rebuild(cls))}
+    assert rebuild(dual_cls) == {v: ann(s) for v, s in rebuild(cls).items()}
 
 
 def test_classify_dual_commutes_with_annihilator():
@@ -459,7 +477,7 @@ def test_classify_rejects_degenerate_parameters():
     gens5 = basis_lines(F2, 5)
     inst53 = build_sum_construction(Subspace.zero(F2, 5), gens5, 2)
     # J(5,2) with m' = 2 <= min(2, 3): accepted
-    assert classify(inst53).case == "parabolic-apartment" or True
+    assert classify(inst53).case == "star"
 
 
 def test_classify_diameter_guard():
@@ -470,8 +488,8 @@ def test_classify_diameter_guard():
     assert cls.m == 3
     with pytest.raises(ValidationError):
         # fabricate parameters l=8, m=4 against k=3: diameter obstruction message
-        from grassmann_lab.embeddings import _check_classification_params
-        _check_classification_params(8, 4, 3, 6)
+        from grassmann_lab.embeddings import check_classification_params
+        check_classification_params(8, 4, 3, 6)
 
 
 def test_clique_independence_characterizes_parabolic_apartments():

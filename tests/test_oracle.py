@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 import grassmann_lab
 from grassmann_lab import oracle
+from grassmann_lab.cli import main
 from grassmann_lab.config import caps, set_caps
 from grassmann_lab.embeddings import build_sum_construction, classify, rebuild
 from grassmann_lab.errors import ClassificationError, InternalInvariantError, ValidationError
@@ -145,21 +147,34 @@ def test_a_missing_apartment_fails_the_count():
     assert report.ok is False
 
 
-def test_the_apartment_count_rests_on_the_classification(monkeypatch):
-    # the count proves nothing about an image the classifier refused
-    cfg = SearchConfig(l=4, m=2, n=4, k=2, p=2)
-    result = enumerate_embeddings(cfg)
-    vertex_0 = result.spec.by_id(0)
-
+def _refuse_images_through(monkeypatch, vertex):
+    """Make the oracle's classifier refuse every image holding vertex."""
     def refuse_one(members, table):
-        if vertex_0 in members:
+        if vertex in members:
             raise ClassificationError("refused")
         return classify(members, table=table)
 
     monkeypatch.setattr(oracle, "classify", refuse_one)
+
+
+def test_the_apartment_count_rests_on_the_classification(monkeypatch):
+    # the count proves nothing about an image the classifier refused
+    cfg = SearchConfig(l=4, m=2, n=4, k=2, p=2)
+    result = enumerate_embeddings(cfg)
+    _refuse_images_through(monkeypatch, result.spec.by_id(0))
     report = cross_validate(cfg, result)
     assert report.image_count == 840 and report.all_classified is False
     assert report.apartment_match is False
+
+
+def test_a_failing_summary_lists_its_failures_as_objects(monkeypatch, capsys):
+    vertex_0 = GrassmannianSpec(F2, 4, 2).by_id(0)
+    _refuse_images_through(monkeypatch, vertex_0)
+    assert main(["oracle", "--l", "4", "--m", "2", "--n", "4", "--k", "2", "--p", "2"]) == 4
+    failure = json.loads(capsys.readouterr().out)["failures"][0]
+    assert failure["error"] == "refused"
+    assert 0 in failure["image_ids"] and len(failure["rows"]) == len(failure["image_ids"]) == 6
+    assert [list(r) for r in vertex_0.rows] in failure["rows"]
 
 
 @pytest.mark.parametrize("p,images", [(2, 144), (3, 2_916)])

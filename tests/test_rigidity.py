@@ -63,6 +63,17 @@ def test_x6_transposition_not_extendable():
     assert [(d.sigma, d.kind, d.point) for d in outcome.diagnostics] == [(None, "basis", 4)]
 
 
+def test_no_frobenius_twist_swaps_two_frame_points_over_gf4():
+    # points 0-3 are a frame of F4^3, so a map swapping points 0 and 1 sends
+    # point 4 = (1, w, w) to a multiple of (s(w), 1, s(w)) for its twist s:
+    # equal first and third coordinates, which (1, w, w) does not have
+    ps = point_set(F4, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 2)])
+    outcome = induced_by_semilinear(ps, (1, 0, 2, 3, 4))
+    assert isinstance(outcome, NotExtendable)
+    assert [(d.sigma, d.kind, d.point, d.searched) for d in outcome.diagnostics] == [
+        (0, "ratio", 4, 5), (1, "ratio", 4, 5)]
+
+
 def test_x6_other_transpositions_extendable():
     ps = x6_points()
     for perm in [(1, 0, 2, 3, 4, 5), (0, 1, 2, 4, 3, 5)]:
