@@ -11,25 +11,36 @@ def _rows_label(s: Subspace) -> str:
     return "[" + ";".join(",".join(str(x) for x in row) for row in s.rows) + "]"
 
 
-def _graph(name: str, attributes, rows) -> str:
-    """One node per attribute string, then one edge per entry equal to 1
-    above the diagonal of the distance rows."""
+# translates a distance row to a numeral with "1" exactly at the entries 1
+_ADJACENT = bytes(49 if x == 1 else 48 for x in range(256))
+
+
+def _graph(name: str, attributes, neighbours) -> str:
+    """One node per attribute string, then one edge i -- j per bit j > i of
+    neighbours[i], the int bitset of the vertices adjacent to vertex i."""
     lines = [f"graph {name} {{"]
     lines += [f"  {i} [{attrs}];" for i, attrs in enumerate(attributes)]
-    for i, row in enumerate(rows):
-        j = row.find(1, i + 1)
+    for i, adjacent in enumerate(neighbours):
+        # character j of the reversed numeral is bit i + 1 + j
+        above = format(adjacent >> i + 1, "b")[::-1]
+        j = above.find("1")
         while j >= 0:
-            lines.append(f"  {i} -- {j};")
-            j = row.find(1, j + 1)
+            lines.append(f"  {i} -- {i + 1 + j};")
+            j = above.find("1", j + 1)
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _adjacent(rows):
+    """The bitset of the entries equal to 1 in each distance row."""
+    return (int(bytes(row).translate(_ADJACENT)[::-1], 2) for row in rows)
 
 
 def johnson_dot(l: int, m: int) -> str:
     vertices = johnson_vertices(l, m)
     labels = ('label="{' + ",".join(map(str, vertex_indices(v))) + '}"' for v in vertices)
     rows = (bytes(johnson_distance(a, b, m) for b in vertices) for a in vertices)
-    return _graph(f"johnson_{l}_{m}", labels, rows)
+    return _graph(f"johnson_{l}_{m}", labels, _adjacent(rows))
 
 
 def _subspace_nodes(spaces):
@@ -37,12 +48,14 @@ def _subspace_nodes(spaces):
 
 
 def grassmann_dot(spec: GrassmannianSpec) -> str:
+    # a one-vertex Grassmannian has no class at distance 1
     return _graph(f"grassmann_{spec.n}_{spec.k}_q{spec.field.q}",
-                  _subspace_nodes(spec.subspaces), spec.distance_matrix())
+                  _subspace_nodes(spec.subspaces),
+                  ((classes + (0,))[1] for classes in spec.distance_sets()))
 
 
 def induced_dot(subspaces) -> str:
     """The restriction of the Grassmann graph to the given subspaces,
     ordered canonically by their RREF rows."""
     members = sorted(frozenset(subspaces), key=lambda s: s.rows)
-    return _graph("induced", _subspace_nodes(members), distance_rows(members))
+    return _graph("induced", _subspace_nodes(members), _adjacent(distance_rows(members)))

@@ -4,6 +4,16 @@ Vertices are adjacent when their intersection has dimension k-1, and the
 graph distance is k - dim(S meet U).  This module enumerates the
 vertices and projective points, indexes them densely, and gives
 distances by elimination or by point incidence.
+
+The distance table is built from point incidence.  A d-dimensional
+subspace holds [d]_q = (q^d - 1)/(q - 1) projective points, so the number
+of points two vertices share is [dim(S meet U)]_q (Brouwer, Cohen &
+Neumaier, *Distance-Regular Graphs*, 1989, section 9.3).  For each vertex
+those counts are summed against every vertex at once, as bitsets: one
+big-int carry-save pass per point of the vertex, O(V [k]_q) big-int
+operations in all for V vertices, and no elimination or per-pair loop.
+The classes at each distance are the primary table; the byte matrix is
+derived from them on request.
 """
 
 from __future__ import annotations
@@ -77,9 +87,9 @@ def _lead_one_vectors(field: GF, dim: int) -> tuple[tuple[linalg.Vector, ...], d
     return vectors, {v: b for b, v in enumerate(vectors)}
 
 
-def point_mask(s: Subspace) -> int:
-    """The projective points of s as an int with one bit per point of
-    F_q^n, numbered in :func:`pg_points` order.
+def _point_ids(s: Subspace) -> list[int]:
+    """The positions in :func:`pg_points` order of the projective points
+    of s.
 
     A coefficient vector c whose first nonzero entry is 1 gives the span
     vector c·rows whose first nonzero entry is 1 too, because the rows are
@@ -87,8 +97,14 @@ def point_mask(s: Subspace) -> int:
     """
     F = s.field
     coeffs = _lead_one_vectors(F, s.dim)[0]
-    bit = _lead_one_vectors(F, s.ambient_dim)[1]
-    return sum(1 << bit[linalg.vecmat(F, c, s.rows)] for c in coeffs)
+    position = _lead_one_vectors(F, s.ambient_dim)[1]
+    return [position[linalg.vecmat(F, c, s.rows)] for c in coeffs]
+
+
+def point_mask(s: Subspace) -> int:
+    """The projective points of s as an int with one bit per point of
+    F_q^n, numbered in :func:`pg_points` order."""
+    return sum(1 << p for p in _point_ids(s))
 
 
 class GrassmannianSpec:
@@ -132,44 +148,73 @@ class GrassmannianSpec:
     def by_id(self, i: int) -> Subspace:
         return self.subspaces[i]
 
-    def distance_matrix(self) -> list[bytes]:
-        """Row i is a bytes object with the distance from vertex i to every
-        vertex; computed once, by point incidence.
+    def distance_sets(self) -> list[tuple[int, ...]]:
+        """distance_sets()[i][d] is the int bitset of vertex ids at distance
+        d from vertex i (bit j set for vertex j), for d = 0..min(k, n - k);
+        computed once, by point incidence.  The oracle prunes with these.
 
-        A d-dimensional subspace holds (q^d - 1)/(q - 1) projective points,
-        so the number of points two vertices share gives the dimension d of
-        their meet, and their distance is k - d (Brouwer, Cohen & Neumaier,
-        *Distance-Regular Graphs*, 1989, section 9.3).  Each entry is one
-        popcount of two point masks; no elimination, one path for every q.
+        star[p] is the bitset of vertices through projective point p.  For
+        each vertex S, adding the stars of its [k]_q points counts, for
+        every vertex T at once, the points that T shares with S.  The sum
+        runs in a bit-sliced counter: plane j holds binary digit j of every
+        count, and adding a star is a carry-save pass over the planes.  A
+        count of (q^d - 1)/(q - 1) means dim(S meet T) = d, so the class at
+        distance k - d is the set of vertices whose digits spell that count.
         """
-        if self._dist is None:
+        if self._dist_sets is None:
             if len(self.subspaces) == 1:
                 # k == 0 or k == n: one vertex, and listing the points of
                 # F_q^n could cost far more than any cap allows
-                self._dist = [bytes(1)]
-                return self._dist
-            q, k = self.field.q, self.k
-            lut = bytearray((q ** k - 1) // (q - 1) + 1)
-            for d in range(k + 1):
-                lut[(q ** d - 1) // (q - 1)] = k - d
-            masks = [point_mask(s) for s in self.subspaces]
-            self._dist = [bytes([lut[(mi & mj).bit_count()] for mj in masks])
-                          for mi in masks]
-        return self._dist
-
-    def distance_sets(self) -> list[tuple[int, ...]]:
-        """distance_sets()[i][d] is the int bitset of vertex ids at distance
-        d from vertex i (bit j set for vertex j); the oracle prunes with
-        these."""
-        if self._dist_sets is None:
-            diam = min(self.k, self.n - self.k)
-            # row.translate(digits[d]) has "1" where the row holds d and "0"
-            # elsewhere; reversed, it is that bitset written in binary
-            digits = [bytes(49 if x == d else 48 for x in range(256))
-                      for d in range(diam + 1)]
-            self._dist_sets = [tuple(int(row.translate(t)[::-1], 2) for t in digits)
-                               for row in self.distance_matrix()]
+                self._dist_sets = [(1,)]
+                return self._dist_sets
+            q, k, size = self.field.q, self.k, len(self.subspaces)
+            points = [_point_ids(s) for s in self.subspaces]
+            star = [0] * ((q ** self.n - 1) // (q - 1))
+            for i, pts in enumerate(points):
+                for p in pts:
+                    star[p] |= 1 << i
+            full = (1 << size) - 1
+            width = ((q ** k - 1) // (q - 1)).bit_length()
+            counts = [(q ** (k - d) - 1) // (q - 1)
+                      for d in range(min(k, self.n - k) + 1)]
+            sets = []
+            for pts in points:
+                planes = [0] * width
+                for p in pts:
+                    carry, j = star[p], 0
+                    while carry:
+                        planes[j], carry = planes[j] ^ carry, planes[j] & carry
+                        j += 1
+                off = [full ^ plane for plane in planes]
+                classes = []
+                for count in counts:
+                    match = full
+                    for j in range(width):
+                        match &= planes[j] if count >> j & 1 else off[j]
+                    classes.append(match)
+                sets.append(tuple(classes))
+            # assigned whole, so a concurrent reader never sees a partial table
+            self._dist_sets = sets
         return self._dist_sets
+
+    def distance_matrix(self) -> list[bytes]:
+        """Row i is a bytes object with the distance from vertex i to every
+        vertex, derived once from :meth:`distance_sets`.
+
+        format writes a class as a numeral of "0" and "1" characters, one
+        per vertex; read back as bytes, less the all-"0" numeral, it holds
+        byte 1 exactly at the class's vertices.  d times that, summed over
+        the disjoint classes, is the row, least significant byte first.
+        """
+        if self._dist is None:
+            size = len(self.subspaces)
+            zeros = int.from_bytes(b"0" * size, "big")
+            spread = f"0{size}b"
+            self._dist = [
+                sum(d * (int.from_bytes(format(bits, spread).encode(), "big") - zeros)
+                    for d, bits in enumerate(classes[1:], 1)).to_bytes(size, "little")
+                for classes in self.distance_sets()]
+        return self._dist
 
 
 def distance(s: Subspace, u: Subspace) -> int:

@@ -361,7 +361,9 @@ def cross_validate(cfg: SearchConfig,
     budget has no count to match: the check is None.
 
     Classification checks are skipped (reported as None) at parameters
-    that check_classification_params refuses, e.g. m == 1 probes.
+    that check_classification_params refuses, e.g. m == 1 probes, and
+    after a search stopped by its budget: it found only some of the
+    images, so classifying those would certify nothing about the rest.
     """
     if result is None:
         result = enumerate_embeddings(cfg)
@@ -375,8 +377,10 @@ def cross_validate(cfg: SearchConfig,
     try:
         check_classification_params(cfg.l, cfg.m, cfg.k, cfg.n)
     except ValidationError:
-        pass  # outside the classifier's hypotheses: nothing to classify
+        classifiable = False  # outside the classifier's hypotheses
     else:
+        classifiable = result.complete
+    if classifiable:
         # ids follow RREF rows, so the searched table's rows are in classify's order
         dmat = spec.distance_matrix()
         with memoized():
@@ -394,7 +398,7 @@ def cross_validate(cfg: SearchConfig,
                 histogram[cls.case] = histogram.get(cls.case, 0) + 1
         all_classified = not failures
     apartment_match = None
-    if (all_classified is not None and result.complete
+    if (all_classified is not None
             and cfg.n == 2 * cfg.k and cfg.l == cfg.n and cfg.m == cfg.k):
         # the labeled search reaches each image once per labeling
         distinct = (len(result.images) if cfg.dedupe

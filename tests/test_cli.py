@@ -251,6 +251,21 @@ def test_oracle_past_its_budget_at_n_equal_2k_exits_3_with_one_line():
     assert summary["complete"] is False and summary["apartment_match"] is None
 
 
+def test_oracle_stopped_by_its_budget_classifies_none_of_its_images():
+    # 100,000 nodes find thousands of images, which classifying would take
+    # seconds to certify nothing about; a child process, so a regression
+    # fails at the timeout
+    proc = _cli_in_child(["oracle", "--l", 6, "--m", 3, "--n", 6, "--k", 3, "--p", 2,
+                          "--budget", 100_000], timeout=30)
+    assert proc.returncode == 3
+    assert proc.stderr.strip().splitlines() == [
+        "error: enumeration exceeded the budget of 100000 nodes"]
+    summary = json.loads(proc.stdout)
+    assert summary["image_count"] > 0 and summary["bfs_agrees"] is True
+    assert summary["all_classified"] is None and summary["parabolic_dims_ok"] is None
+    assert summary["tag_histogram"] == {} and summary["ok"] is False
+
+
 @pytest.mark.parametrize("option", ["--jsonl", "--output"])
 def test_oracle_refuses_an_unwritable_path_before_the_search(tmp_path, capsys, monkeypatch,
                                                              option):
@@ -496,30 +511,58 @@ def _malformed(tmp_path, monkeypatch, case):
     return ["rigidity" if case.startswith("classification") else "classify", "--input", path]
 
 
-@pytest.mark.parametrize("case", ["missing-file", "top-level-number", "deeply-nested",
-                                  "star-points-number", "vertex-true", "embedding-version",
-                                  "repeated-vertex", "classification-version",
-                                  "classification-params",
-                                  "pointset-version", "export-json-without-p",
-                                  "export-without-nk", "build-apartment-past-n-cap",
-                                  "build-sum-past-n-cap", "johnson-export-past-vertex-cap",
-                                  "build-apartment-with-m-and-l",
-                                  "build-simplex-faces-with-budget",
-                                  "build-apartment-with-points",
-                                  "build-output-in-missing-dir", "export-dot-in-missing-dir",
-                                  "oracle-jsonl-in-missing-dir",
-                                  "embedding-past-vertex-cap-classify",
-                                  "embedding-past-vertex-cap-rigidity",
-                                  "embedding-past-vertex-cap-export",
-                                  "points-other-field", "points-other-dimension",
-                                  "points-kind-other", "points-wrong-length",
-                                  "build-sum-with-m-1", "johnson-export-without-lm",
-                                  "export-without-input-or-graph", "caps-env-unknown-key",
-                                  "caps-env-not-integer", "params-not-object",
-                                  "params-l-string", "map-not-list", "map-entry-missing",
-                                  "vertex-short", "subspace-not-list",
-                                  "subspace-row-non-integer", "subspace-wrong-dimension",
-                                  "classification-without-points"])
+# case -> a fragment of its one line of error, so a case that reaches
+# another refusal than the one it was written for fails
+MALFORMED = {
+    "missing-file": "input.json: cannot read (No such file or directory)",
+    "top-level-number": "input.json: expected a JSON object at the top level",
+    "deeply-nested": "input.json: JSON nested too deeply",
+    "star-points-number": "classification.star_points: expected a list of subspaces",
+    "vertex-true": "embedding.map[2].vertex: expected indices in [0, 4)",
+    "embedding-version": "embedding: unsupported schema_version, expected 1",
+    "repeated-vertex": "embedding.map[6].vertex: repeats an earlier entry's vertex",
+    "classification-version": "classification: unsupported schema_version, expected 1",
+    "classification-params":
+        "classification.case: does not match the classification of its generators",
+    "pointset-version": "pointset: unsupported schema_version, expected 1",
+    "export-json-without-p": "grassmann export needs --p, --n, --k",
+    "export-without-nk": "grassmann export needs --n, --k",
+    "build-apartment-past-n-cap": "ambient dimension 10 exceeds cap 8",
+    "build-sum-past-n-cap": "ambient dimension 12 exceeds cap 8",
+    "johnson-export-past-vertex-cap":
+        "J(40, 20) has 137846528820 vertices, above the cap of 100000",
+    "build-apartment-with-m-and-l": "build apartment fixes its points; it takes no --m, --l",
+    "build-simplex-faces-with-budget":
+        "build simplex-faces fixes its points; it takes no --budget",
+    "build-apartment-with-points": "build apartment fixes its points; it takes no --points",
+    "build-output-in-missing-dir": "no-such-dir/out: cannot write (No such file or directory)",
+    "export-dot-in-missing-dir": "no-such-dir/out: cannot write (No such file or directory)",
+    "oracle-jsonl-in-missing-dir": "no-such-dir/out: cannot write (No such file or directory)",
+    "embedding-past-vertex-cap-classify": "J(60, 30) has 118264581564861424 vertices",
+    "embedding-past-vertex-cap-rigidity": "J(60, 30) has 118264581564861424 vertices",
+    "embedding-past-vertex-cap-export": "J(60, 30) has 118264581564861424 vertices",
+    "points-other-field": "point set field GF(3) does not match --p/--e",
+    "points-other-dimension": "point set coordinate dimension 3, expected 4",
+    "points-kind-other": "pointset.ambient.kind: must be 'primal' or 'dual'",
+    "points-wrong-length": "pointset.points[2]: expected 4 coordinates",
+    "build-sum-with-m-1": "sum construction needs 1 < m <= k, got m=1",
+    "johnson-export-without-lm": "johnson export needs --l and --m",
+    "export-without-input-or-graph": "export needs --input or --graph",
+    "caps-env-unknown-key": "unknown cap 'z' in GRASSMANN_LAB_CAPS",
+    "caps-env-not-integer": "cap 'q' in GRASSMANN_LAB_CAPS is not an integer",
+    "params-not-object": "embedding.params: expected an object",
+    "params-l-string": "embedding.params: field 'l' must be an integer",
+    "map-not-list": "embedding.map: expected a list",
+    "map-entry-missing": "assignment misses vertex 0x9",
+    "vertex-short": "embedding.map[0].vertex: expected 2 distinct indices",
+    "subspace-not-list": "embedding.map[0].subspace: expected a list of rows",
+    "subspace-row-non-integer": "embedding.map[0].subspace[0]: rows must be lists of integers",
+    "subspace-wrong-dimension": "embedding.map[0].subspace: expected dimension 2",
+    "classification-without-points": "classification: needs star_points or top_points",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case):
     argv = _malformed(tmp_path, monkeypatch, case)
     capsys.readouterr()
@@ -528,6 +571,7 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, ca
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert MALFORMED[case] in lines[0]
 
 
 @pytest.mark.parametrize("kind", ["simplex-faces", "dual"])

@@ -1,11 +1,11 @@
 """Byte-level pins on CLI output.
 
-The sha256 of every document written by ``build``, ``classify`` and
-``rigidity --dump-certificates`` is pinned for a fixed set of requests, so
-a refactor of the construction, classification or rigidity code must
-reproduce the old output exactly.  Rigidity runs twice per image, once on
-the embedding and once on the classification document, and both runs must
-write the same bytes.
+The sha256 of every document written by ``build``, ``classify``,
+``rigidity --dump-certificates`` and DOT ``export`` is pinned for a fixed
+set of requests, so a refactor of the construction, classification,
+rigidity or distance-table code must reproduce the old output exactly.
+Rigidity runs twice per image, once on the embedding and once on the
+classification document, and both runs must write the same bytes.
 """
 
 import hashlib
@@ -203,3 +203,41 @@ def test_preset_is_the_default_construction_on_its_points(name, tmp_path):
     assert main(["build", side, *argv[1:], "--m", str(m), "--points", str(points),
                  "--output", str(explicit)]) == 0
     assert preset.read_bytes() == explicit.read_bytes()
+
+
+# DOT exports: name -> (argv, sha256 of stdout).  An induced export
+# reads a built embedding, whose build arguments stand in for --input
+DOT_REQUESTS = {
+    "grassmann-q2-n4-k2": (
+        ["export", "--graph", "grassmann", "--n", 4, "--k", 2, "--p", 2],
+        "768d3eefc32fbfd97a38ca350006f417dd24129474d94e30220c58e9fcd1d9f2"),
+    "grassmann-q2-n6-k3": (
+        ["export", "--graph", "grassmann", "--n", 6, "--k", 3, "--p", 2],
+        "0ebc226d09cd44ba3e8943052505a722e0a6fc43c27fb6a4b30a8a90e3840386"),
+    "grassmann-q3-n5-k2": (
+        ["export", "--graph", "grassmann", "--n", 5, "--k", 2, "--p", 3],
+        "e18847c7959ef6ce8119b2b2d8e609a292d9ae0edfc129b116d17090473d2022"),
+    "grassmann-q4-n4-k2": (
+        ["export", "--graph", "grassmann", "--n", 4, "--k", 2, "--p", 2, "--e", 2],
+        "28d9692e6d964473bf28d314d6b3848a7f1ac0f02c8714c4b54934558a827af7"),
+    "johnson-l5-m2": (
+        ["export", "--graph", "johnson", "--l", 5, "--m", 2],
+        "9ea7c9ce7d5058648ae4d25ee3974338e6936db2ea9949f6151bc016003ae410"),
+    "induced-dual-q2-n4-k2-l5": (
+        ["build", "dual", "--p", 2, "--n", 4, "--k", 2, "--l", 5],
+        "ec0ea53083a4d1a2251c54f442a3d7ceb0454a30191c1593552cd756a576599f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOT_REQUESTS))
+def test_dot_export_is_pinned(name, tmp_path, capsys):
+    argv, digest = DOT_REQUESTS[name]
+    argv = [str(a) for a in argv]
+    if argv[0] == "build":
+        emb = tmp_path / "embedding.json"
+        assert main([*argv, "--output", str(emb)]) == 0
+        argv = ["export", "--input", str(emb)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

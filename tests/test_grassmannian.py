@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -91,13 +92,33 @@ def test_distance_formula_equals_bfs(n, k, q):
             assert lengths[dst] == dmat[src][dst]
 
 
-@pytest.mark.parametrize("n,k,p,e", [(4, 2, 2, 1), (5, 2, 2, 1), (4, 2, 3, 1), (4, 2, 2, 2)])
+@pytest.mark.parametrize("n,k,p,e", [(4, 2, 2, 1), (5, 2, 2, 1), (4, 2, 3, 1), (4, 2, 2, 2),
+                                     (5, 3, 2, 1)])
 def test_point_incidence_table_equals_rank_distance(n, k, p, e):
     spec = GrassmannianSpec(GF.get(p, e), n, k)
     dmat = spec.distance_matrix()
     assert all(isinstance(row, bytes) for row in dmat)
     for i, a in enumerate(spec.subspaces):
         assert list(dmat[i]) == [distance(a, b) for b in spec.subspaces]
+
+
+@pytest.mark.parametrize("n,k,p,e", [(6, 3, 2, 1), (4, 2, 2, 3), (4, 2, 3, 2)])
+def test_point_incidence_classes_agree_with_rank_distance_on_sampled_pairs(n, k, p, e):
+    # 1,395, 4,745 and 7,462 vertices: too many for a full pairwise check,
+    # so 2,000 seeded pairs, over GF(8) and GF(9) where Frobenius twists act.
+    # Uniform pairs are nearly all at the diameter, so half the pairs take j
+    # from a random class of i, at or after a random vertex
+    spec = GrassmannianSpec(GF.get(p, e), n, k)
+    sets = spec.distance_sets()
+    rng = random.Random(f"{n},{k},{p},{e}")
+    for _ in range(1000):
+        i, uniform = rng.randrange(len(spec)), rng.randrange(len(spec))
+        bits = sets[i][rng.randrange(len(sets[i]))]
+        start = rng.randrange(len(spec))
+        after = bits >> start << start or bits
+        for j in (uniform, (after & -after).bit_length() - 1):
+            d = distance(spec.by_id(i), spec.by_id(j))
+            assert [c >> j & 1 for c in sets[i]] == [int(x == d) for x in range(len(sets[i]))]
 
 
 @pytest.mark.parametrize("n,k,p,e", [(4, 2, 2, 1), (5, 2, 2, 1), (4, 2, 3, 1), (4, 2, 2, 2),

@@ -209,20 +209,40 @@ def test_a_search_stopped_by_its_budget_has_no_apartment_count():
     assert report.ok is False
 
 
+def test_a_search_stopped_by_its_budget_classifies_nothing(monkeypatch):
+    # the images of a stopped search are only some of them, so the report
+    # leaves every classification check open, the parabolic one of l == 2m
+    # too; the preflight still runs
+    cfg = SearchConfig(l=4, m=2, n=4, k=2, p=2, budget=1_000)
+    result = enumerate_embeddings(cfg)
+    assert not result.complete and result.images
+    calls = []
+    monkeypatch.setattr(oracle, "classify", lambda *a, **kw: calls.append(1))
+    report = cross_validate(cfg, result)
+    assert calls == []
+    assert report.bfs_agrees is True
+    assert (report.all_classified, report.parabolic_dims_ok, report.apartment_match) == (
+        None, None, None)
+    assert report.tag_histogram == {} and report.failures == []
+    assert report.ok is False
+
+
 def test_preflight_rejects_one_corrupted_symmetric_distance():
-    # the preflight walks the bitsets built from the distance table, so a
-    # wrong entry written before they are built must show; G(6,3,2) has
+    # the preflight walks the distance bitsets the search reads, so one
+    # pair moved between classes in both its rows must show; G(6,3,2) has
     # diameter 3, while in a diameter-2 graph a 1 <-> 2 swap is again a
     # consistent metric
     for n, k in ((4, 0), (4, 1), (4, 2)):
         assert oracle._bfs_distances_agree(GrassmannianSpec(F2, n, k))
     spec = GrassmannianSpec(F2, 6, 3)
-    clean = spec.distance_matrix()
+    clean = spec.distance_sets()
     for was, now in ((3, 1), (1, 3)):
-        j = clean[0].index(was)
-        table = [bytearray(row) for row in clean]
-        table[0][j] = table[j][0] = now
-        spec._dist, spec._dist_sets = [bytes(row) for row in table], None
+        j = (clean[0][was] & -clean[0][was]).bit_length() - 1
+        sets = [list(row) for row in clean]
+        for row, other in ((0, j), (j, 0)):
+            sets[row][was] ^= 1 << other
+            sets[row][now] ^= 1 << other
+        spec._dist_sets = [tuple(row) for row in sets]
         assert not oracle._bfs_distances_agree(spec), (was, now)
 
 
