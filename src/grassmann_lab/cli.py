@@ -3,6 +3,11 @@
 Exit codes: 0 success, 2 validation or precondition failure, 3 a
 budgeted search that ran out of nodes without a certificate, 4 internal
 invariant violation.  All outputs are deterministic: nothing is sampled.
+
+Each command runs inside one subspaces.memoized() block, so the sums,
+meets, frames and annihilators that its loader, constructor, classifier
+and rigidity solver share are computed once per command.  The memo ends
+with the command.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .jsonio import dump_json, load_json
 from .linalg import identity, nullspace
 from .oracle import SearchConfig, cross_validate, enumerate_embeddings
 from .rigidity import is_rigid
-from .subspaces import Subspace, from_coords_in, lift_from_quotient
+from .subspaces import Subspace, from_coords_in, lift_from_quotient, memoized
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -77,15 +82,17 @@ def _open_output(path: str):
         raise ValidationError(f"{path}: cannot write ({exc.strerror})") from exc
 
 
-def _emit(text: str, path: str | None) -> None:
-    """Write a document to path, or to stdout.  A closed stdout ends the
+def _emit(document, path: str | None) -> None:
+    """Write a document, a string or an iterator of text chunks, to path or
+    to stdout, chunk by chunk as they come.  A closed stdout ends the
     output quietly: the command still returns its own exit code."""
+    chunks = (document,) if isinstance(document, str) else document
     if path:
         with _open_output(path) as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         return
     try:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone; point fd 1 at devnull so the flush at exit cannot fail
@@ -207,16 +214,16 @@ def cmd_export(args) -> int:
         _emit(dump_json(jsonio.index_table_to_json(_grassmannian(args))), args.dot)
         return EXIT_OK
     if args.input:
-        text = dot_export.induced_dot(_load_embedding_or_classification(args.input).image)
+        chunks = dot_export.induced_dot(_load_embedding_or_classification(args.input).image)
     elif args.graph == "johnson":
         if args.l is None or args.m is None:
             raise ValidationError("johnson export needs --l and --m")
-        text = dot_export.johnson_dot(args.l, args.m)
+        chunks = dot_export.johnson_dot(args.l, args.m)
     elif args.graph == "grassmann":
-        text = dot_export.grassmann_dot(_grassmannian(args))
+        chunks = dot_export.grassmann_dot(_grassmannian(args))
     else:
         raise ValidationError("export needs --input or --graph")
-    _emit(text, args.dot)
+    _emit(chunks, args.dot)
     return EXIT_OK
 
 
@@ -284,15 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; the caps in force before the call are in force
-    after it, whatever --q-cap, --n-cap or GRASSMANN_LAB_CAPS set."""
+    """Run one command inside one memo; the caps in force before the call
+    are in force after it, whatever --q-cap, --n-cap or GRASSMANN_LAB_CAPS
+    set."""
     args = build_parser().parse_args(argv)
     found = caps()
     try:
         caps_from_env()
         set_caps(q_max=args.q_cap, n_max=args.n_cap)
-        # looked up per call, so a cmd_* function rebound on the module runs
-        return globals()[f"cmd_{args.command}"](args)
+        with memoized():
+            # looked up per call, so a cmd_* function rebound on the module runs
+            return globals()[f"cmd_{args.command}"](args)
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -1,4 +1,8 @@
-"""DOT export with stable ordering, so outputs diff cleanly."""
+"""DOT export with stable ordering, so outputs diff cleanly.
+
+Each export returns its document as an iterator of text chunks, one per
+node and one per vertex's edges, so a writer holds one chunk at a time.
+"""
 
 from __future__ import annotations
 
@@ -15,20 +19,23 @@ def _rows_label(s: Subspace) -> str:
 _ADJACENT = bytes(49 if x == 1 else 48 for x in range(256))
 
 
-def _graph(name: str, attributes, neighbours) -> str:
+def _graph(name: str, attributes, neighbours):
     """One node per attribute string, then one edge i -- j per bit j > i of
-    neighbours[i], the int bitset of the vertices adjacent to vertex i."""
-    lines = [f"graph {name} {{"]
-    lines += [f"  {i} [{attrs}];" for i, attrs in enumerate(attributes)]
+    neighbours[i], the int bitset of the vertices adjacent to vertex i;
+    yielded as one chunk per node and one per vertex's edges."""
+    yield f"graph {name} {{\n"
+    for i, attrs in enumerate(attributes):
+        yield f"  {i} [{attrs}];\n"
     for i, adjacent in enumerate(neighbours):
         # character j of the reversed numeral is bit i + 1 + j
         above = format(adjacent >> i + 1, "b")[::-1]
+        edges = []
         j = above.find("1")
         while j >= 0:
-            lines.append(f"  {i} -- {i + 1 + j};")
+            edges.append(f"  {i} -- {i + 1 + j};\n")
             j = above.find("1", j + 1)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield "".join(edges)
+    yield "}\n"
 
 
 def _adjacent(rows):

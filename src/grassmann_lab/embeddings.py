@@ -191,7 +191,7 @@ def build_dual_construction(n_space: Subspace, generators, k: int) -> EmbeddingI
             raise ValidationError("generators must be hyperplanes of the cover space")
     if l <= m:
         raise ValidationError(f"need more than m={m} generators, got {l}")
-    _certify_independent(annihilator(n_space), [annihilator(g) for g in generators], m)
+    _certify_independent(annihilator(n_space), tuple(map(annihilator, generators)), m)
     return EmbeddingInstance(l, m, _subset_sums(generators, m, intersect_subspaces)[-1])
 
 
@@ -245,7 +245,7 @@ class Classification:
         n_space, in the coordinates of their frame (subspaces.frame)."""
         if self.top_points is None:
             raise ValidationError("no dual generators on a star-type classification")
-        duals = [annihilator(y) for y in self.top_points]
+        duals = tuple(map(annihilator, self.top_points))
         return point_set(self.field, frame(annihilator(self.n_space), duals)[2], "dual")
 
 

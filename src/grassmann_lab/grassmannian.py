@@ -67,19 +67,24 @@ def iter_rref_bases(field: GF, n: int, k: int):
             yield tuple(tuple(row) for row in rows)
 
 
-def pg_points(field: GF, dim: int) -> list[Subspace]:
-    """All points of the projective space of F_q^dim, via normalized
-    representatives (first nonzero coordinate 1).  PG(dim-1, q) is the
-    Grassmannian of lines, so its size is held to the same vertex cap."""
+def check_pg_cap(field: GF, dim: int) -> None:
+    """PG(dim-1, q) is the Grassmannian of lines, so its [dim]_q points are
+    held to the same vertex cap."""
     count = (field.q ** dim - 1) // (field.q - 1)
     if count > caps().graph_vertex_max:
         raise CapExceededError(f"PG({dim - 1}, {field.q}) with {count} points exceeds "
                                f"cap {caps().graph_vertex_max}")
+
+
+def pg_points(field: GF, dim: int) -> list[Subspace]:
+    """All points of the projective space of F_q^dim, via normalized
+    representatives (first nonzero coordinate 1), within the vertex cap."""
+    check_pg_cap(field, dim)
     return [Subspace(field, dim, rows) for rows in iter_rref_bases(field, dim, 1)]
 
 
 @functools.cache
-def _lead_one_vectors(field: GF, dim: int) -> tuple[tuple[linalg.Vector, ...], dict]:
+def lead_one_vectors(field: GF, dim: int) -> tuple[tuple[linalg.Vector, ...], dict]:
     """The vectors of F_q^dim whose first nonzero entry is 1, in
     :func:`pg_points` order, and the inverse map vector -> position;
     memoized per (field, dim)."""
@@ -96,8 +101,8 @@ def _point_ids(s: Subspace) -> list[int]:
     in RREF; so each point is built once, already normalized.
     """
     F = s.field
-    coeffs = _lead_one_vectors(F, s.dim)[0]
-    position = _lead_one_vectors(F, s.ambient_dim)[1]
+    coeffs = lead_one_vectors(F, s.dim)[0]
+    position = lead_one_vectors(F, s.ambient_dim)[1]
     return [position[linalg.vecmat(F, c, s.rows)] for c in coeffs]
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import ValidationError
 from .fields import GF
-from .grassmannian import pg_points, point_mask
+from .grassmannian import check_pg_cap, lead_one_vectors, point_mask
 from .subspaces import Subspace
 
 
@@ -147,7 +147,8 @@ def search_m_independent(ambient: Ambient, m: int, target_size: int,
     Extends greedily by the next projective point avoiding every span of
     m-1 already-chosen points, backtracking when stuck.  The forbidden
     points are kept per depth as a point bitset (bit i for the i-th point
-    of :func:`pg_points`, as in :func:`point_mask`), so the next candidate
+    of :func:`~grassmannian.pg_points`, as in :func:`point_mask`, read as
+    vectors from the memoized point table), so the next candidate
     is the lowest free bit at or above the scan start, found in one step;
     every point the scan passes over counts as one node.  Spans are
     memoized per sorted index tuple: a span of two points is its line's
@@ -164,7 +165,9 @@ def search_m_independent(ambient: Ambient, m: int, target_size: int,
     if budget < 0:
         raise ValidationError(f"need a budget of at least 0 nodes, got {budget}")
     F, d = ambient.field, ambient.dim
-    universe = pg_points(F, d)
+    # the table outlives the call, so the cap is checked on every call
+    check_pg_cap(F, d)
+    universe = lead_one_vectors(F, d)[0]
     count = len(universe)
     everything = (1 << count) - 1
     line_cache: dict[tuple[int, int], int] = {}
@@ -174,7 +177,7 @@ def search_m_independent(ambient: Ambient, m: int, target_size: int,
         key = (a, b) if a < b else (b, a)
         mask = line_cache.get(key)
         if mask is None:
-            rows = (universe[a].rows[0], universe[b].rows[0])
+            rows = (universe[a], universe[b])
             mask = line_cache[key] = point_mask(Subspace.from_rows(F, d, rows))
         return mask
 
@@ -215,7 +218,8 @@ def search_m_independent(ambient: Ambient, m: int, target_size: int,
     forbidden_stack: list[int] = [0]
     while True:
         if len(chosen) == target_size:
-            points = tuple(universe[i] for i in chosen)
+            # a vector led by 1 is the RREF basis of its point
+            points = tuple(Subspace(F, d, (universe[i],)) for i in chosen)
             return SearchResult("found", PointSet(ambient, points), nodes)
         forbidden = forbidden_stack[-1]
         free = (everything & ~forbidden) >> start << start

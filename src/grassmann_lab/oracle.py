@@ -17,8 +17,6 @@ exactly one leaf instead of once per automorphism; the labeled search
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 
 from .config import caps, set_caps
@@ -237,6 +235,10 @@ def enumerate_embeddings(cfg: SearchConfig) -> OracleResult:
     if len(initial) > cfg.budget:
         return OracleResult(set(), 0, False, spec)
     if cfg.jobs > 1 and len(initial) > 1:
+        # imported here: the pool costs every one-job process its start-up time
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [initial[i::cfg.jobs] for i in range(cfg.jobs)]
         # spawn on every platform, so workers see only what args carry
         with ProcessPoolExecutor(max_workers=cfg.jobs,

@@ -8,6 +8,12 @@ semilinear map sends these points over M onto those points over M', and
 by the fundamental theorem of projective geometry a frame of the points
 answers that exactly, one Frobenius twist at a time.  Witnesses are never
 trusted from the solver; every one is re-verified on the whole image.
+
+The generators of one image share its per-image data: the meet of the
+sources, their frame, the annihilated top points and the inverse of the
+completed source basis.  Inside a subspaces.memoized() block, as the CLI
+runs every command, each is computed once per image, not once per
+generator; the verification on the whole image still runs per generator.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from .fields import GF
 from .independence import PointSet, is_independent, simplex_rank
 from .johnson import JohnsonAut, johnson_aut_group
 from .linalg import frobenius_vec
-from .subspaces import (SemilinearMap, Subspace, annihilator, complement_columns,
-                        contragredient, frame, intersect_many)
+from .subspaces import (SemilinearMap, annihilator, contragredient, frame, intersect_many,
+                        memo)
 
 _NO_SEMILINEAR = "no invertible semilinear solution for any field automorphism"
 
@@ -83,16 +89,25 @@ def _propagate(F: GF, t: int, supports, coords, coords_image):
     return scale, None, searched
 
 
+def _completed(F: GF, d: int, rows) -> linalg.Matrix:
+    """rows, then the standard basis vectors at the non-pivot columns of
+    their span: a basis of F^d when rows are independent."""
+    pivots = linalg.rref(F, rows)[2]
+    eye = linalg.identity(d)
+    return rows + tuple(eye[c] for c in range(d) if c not in pivots)
+
+
+@memo
+def _source_inverse(F: GF, d: int, source) -> linalg.Matrix:
+    return linalg.inverse(F, _completed(F, d, source))
+
+
 def _map_sending(F: GF, d: int, source, image, t: int) -> SemilinearMap:
     """The semilinear map with twist t sending source[i] to image[i], and
     the standard complement of the span of source (the standard basis
     vectors at the non-pivot columns) onto that of image."""
-    eye, completed = linalg.identity(d), []
-    for rows in (source, image):
-        free = complement_columns(Subspace.from_rows(F, d, rows))
-        completed.append(rows + tuple(eye[c] for c in free))
-    twisted = tuple(frobenius_vec(F, row, t) for row in linalg.inverse(F, completed[0]))
-    return SemilinearMap(F, linalg.matmul(F, twisted, completed[1]), t)
+    twisted = tuple(frobenius_vec(F, row, t) for row in _source_inverse(F, d, source))
+    return SemilinearMap(F, linalg.matmul(F, twisted, _completed(F, d, image)), t)
 
 
 def solve_semilinear_mapping(F: GF, d: int, pairs
@@ -115,7 +130,7 @@ def solve_semilinear_mapping(F: GF, d: int, pairs
     """
     if any(src.dim != dst.dim for src, dst in pairs):
         raise ValidationError("each source must have the dimension of its target")
-    sources, targets = [src for src, _ in pairs], [dst for _, dst in pairs]
+    sources, targets = tuple(src for src, _ in pairs), tuple(dst for _, dst in pairs)
     meet = intersect_many(F, d, sources)
     # targets permuting the sources (every ground transposition's) share their meet
     meet_image = meet if set(targets) == set(sources) else intersect_many(F, d, targets)
@@ -202,13 +217,13 @@ def extend_automorphism(subject, aut: JohnsonAut) -> ExtensionWitness | NotExten
             return NotExtendable(
                 "complement requires a duality of the Grassmann graph, "
                 "which exists only when n = 2k", (SigmaDiagnostics(None, "span", None, 0),))
-        sources, targets = cls.star_points, [annihilator(t) for t in cls.top_points]
+        sources, targets = cls.star_points, tuple(map(annihilator, cls.top_points))
         reason = "no duality realizes the complement automorphism"
     else:
         if cls.star_points is not None:
             sources = cls.star_points
         else:
-            sources = [annihilator(t) for t in cls.top_points]
+            sources = tuple(map(annihilator, cls.top_points))
         targets, reason = sources, _NO_SEMILINEAR
     pairs = [(sources[j], targets[perm[j]]) for j in range(cls.l)]
     smap, diagnostics, _ = solve_semilinear_mapping(F, cls.n, pairs)

@@ -60,8 +60,7 @@ class Subspace:
                 raise ValidationError("entry outside field range")
         if not rows:
             return Subspace(field, ambient_dim, ())
-        reduced, rank, _ = linalg.rref(field, rows)
-        return Subspace(field, ambient_dim, reduced[:rank])
+        return _span(field, ambient_dim, rows)
 
     @staticmethod
     def zero(field: GF, ambient_dim: int) -> "Subspace":
@@ -111,7 +110,10 @@ _MEMO = contextvars.ContextVar("subspaces.memo", default=None)  # a dict inside 
 
 @contextlib.contextmanager
 def memoized():
-    """Inside the block, each pair's sum or meet is computed once."""
+    """Inside the block, each memoized function runs once per distinct
+    arguments: pairwise sums and meets, frames, annihilators and the
+    rigidity solver's source inverses.  The memo is dropped when the block
+    ends, so it lives for one request, never for the process."""
     token = _MEMO.set({})
     try:
         yield
@@ -119,22 +121,24 @@ def memoized():
         _MEMO.reset(token)
 
 
-def _pairwise(op):
-    """op(s, u), looked up in the memo of an enclosing memoized() block.
-    Keys are pairs only, so the memo stays bounded by the lattice's pairs."""
-    @functools.wraps(op)
-    def lookup(s: Subspace, u: Subspace) -> Subspace:
-        memo = _MEMO.get()
-        if memo is None:
-            return op(s, u)
-        out = memo.get((op, s, u))
+def memo(fn):
+    """fn(*args), looked up in the memo of an enclosing memoized() block.
+    For pure functions of hashable arguments with immutable results, which
+    callers then share; outside a block fn runs as it is."""
+    @functools.wraps(fn)
+    def lookup(*args):
+        table = _MEMO.get()
+        if table is None:
+            return fn(*args)
+        key = (fn, *args)
+        out = table.get(key)
         if out is None:
-            out = memo[op, s, u] = op(s, u)
+            out = table[key] = fn(*args)
         return out
     return lookup
 
 
-@_pairwise
+@memo
 def sum_subspaces(s: Subspace, u: Subspace) -> Subspace:
     return sum_many(s.field, s.ambient_dim, (s, u))
 
@@ -148,10 +152,16 @@ def sum_many(field: GF, ambient_dim: int, spaces) -> Subspace:
             raise ValidationError(
                 f"a space of {sp.field}^{sp.ambient_dim} in a sum over {field}^{ambient_dim}")
         rows += sp.rows
-    reduced, rank, _ = linalg.rref(field, tuple(rows))
+    return _span(field, ambient_dim, tuple(rows))
+
+
+def _span(field: GF, ambient_dim: int, rows: Matrix) -> Subspace:
+    """The span of rows the package made itself: one rref, no entry checks."""
+    reduced, rank, _ = linalg.rref(field, rows)
     return Subspace(field, ambient_dim, reduced[:rank])
 
 
+@memo
 def annihilator(s: Subspace) -> Subspace:
     """All dual vectors vanishing on s, in standard dual coordinates.
 
@@ -161,7 +171,7 @@ def annihilator(s: Subspace) -> Subspace:
     return Subspace(s.field, s.ambient_dim, rows)
 
 
-@_pairwise
+@memo
 def intersect_subspaces(s: Subspace, u: Subspace) -> Subspace:
     """The Zassenhaus meet: one rref of the rows [x | x] of s over [y | 0]
     of u.  A combination (x + y | x) has left half 0 exactly when x = -y
@@ -193,11 +203,12 @@ def complement_columns(m: Subspace) -> tuple[int, ...]:
     return tuple(c for c in range(m.ambient_dim) if c not in pivots)
 
 
-def frame(base: Subspace, spaces):
+@memo
+def frame(base: Subspace, spaces: tuple[Subspace, ...]):
     """The spaces, each containing base with at most one dimension more,
     as points over base: a representative of each (zero for base itself),
     the greedy basis of the points as point indices, and each point's
-    coordinates in that basis modulo base.
+    coordinates in that basis modulo base, all as tuples.
 
     One rref of base's rows and the representatives, taken as columns,
     gives both: its pivots past base's rows are the basis, and column j
@@ -211,8 +222,8 @@ def frame(base: Subspace, spaces):
         reps.append(next((row for row in s.rows if not base.contains_vector(row)),
                          (0,) * base.ambient_dim))
     reduced, rank, pivots = linalg.rref(base.field, linalg.transpose(base.rows + tuple(reps)))
-    coords = [tuple(reduced[i][h + j] for i in range(h, rank)) for j in range(len(reps))]
-    return reps, tuple(p - h for p in pivots[h:]), coords
+    coords = tuple(tuple(reduced[i][h + j] for i in range(h, rank)) for j in range(len(reps)))
+    return tuple(reps), tuple(p - h for p in pivots[h:]), coords
 
 
 def lift_from_quotient(m: Subspace, rows_q: Matrix) -> Subspace:
@@ -261,10 +272,9 @@ class SemilinearMap:
                              self.matrix)
 
     def apply(self, s: Subspace) -> Subspace:
-        if s.ambient_dim != self.dim:
-            raise ValidationError("dimension mismatch applying semilinear map")
-        return Subspace.from_rows(
-            s.field, s.ambient_dim, tuple(self.apply_vector(r) for r in s.rows))
+        if s.ambient_dim != self.dim or s.field != self.field:
+            raise ValidationError("dimension or field mismatch applying semilinear map")
+        return _span(s.field, s.ambient_dim, tuple(self.apply_vector(r) for r in s.rows))
 
     def inverse(self) -> "SemilinearMap":
         # (sigma, A)^-1 = (sigma^-1, sigma^-1(A^-1)) since

@@ -3,7 +3,7 @@
 None of these is on a code path of the package: each rebuilds by brute
 force something the package decides another way, so tests can compare
 the two.  The last section counts eliminations, so tests can pin by
-count what the package's pair memo saves.
+count what the package's memo saves.
 """
 
 import itertools

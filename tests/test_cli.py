@@ -8,8 +8,12 @@ from pathlib import Path
 import pytest
 
 import grassmann_lab
+from grassmann_lab import cli
 from grassmann_lab.cli import main
+from grassmann_lab.errors import InternalInvariantError
 from grassmann_lab.independence import search_m_independent
+
+from helpers import memo_active, rref_calls
 
 
 def run(args):
@@ -605,3 +609,63 @@ def test_isometry_passes_per_cli_request(tmp_path, capsys, monkeypatch, kind):
         counts[name] = len(calls)
     capsys.readouterr()
     assert counts == {name: 0 if name == "export embedding" else 1 for name in requests}
+
+
+def test_one_job_import_loads_no_process_pool():
+    # the pool modules are imported only by an oracle run with --jobs > 1
+    env = dict(os.environ, PYTHONPATH=str(Path(grassmann_lab.__file__).parents[1]))
+    code = ("import sys, grassmann_lab.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_each_command_runs_inside_one_memo_that_ends_with_it(tmp_path, monkeypatch):
+    emb = tmp_path / "apartment.json"
+    assert run(["build", "apartment", "--n", 4, "--k", 2, "--p", 2, "--output", emb]) == 0
+    assert not memo_active()
+    # exit 2: a refused request
+    assert run(["build", "apartment", "--n", 4, "--k", 2, "--p", 2, "--m", 3]) == 2
+    assert not memo_active()
+    # exit 3: a point search out of budget (PG(3, 4) has no 6-arc)
+    assert run(["build", "sum", "--p", 2, "--e", 2, "--n", 4, "--k", 2, "--l", 6,
+                "--budget", 100]) == 3
+    assert not memo_active()
+    seen = []
+
+    def broken(args):
+        seen.append(memo_active())
+        raise InternalInvariantError("planted")
+
+    monkeypatch.setattr(cli, "cmd_classify", broken)
+    assert run(["classify", "--input", emb]) == 4
+    assert seen == [True]
+    assert not memo_active()
+
+
+# rref calls of `rigidity --input <classification>`: (without the
+# per-request memo, with it).  Without it, each generator's solve recomputed
+# the meet of the sources, their frame, the annihilated top points and the
+# source inverse, and the loader's constructor and classifier each made
+# their own sums
+RIGIDITY_RREF_CALLS = {
+    "gf3-star-j62-in-g63": (["build", "sum", "--p", 3, "--n", 6, "--k", 3, "--m", 2,
+                             "--l", 6], 189, 137),
+    "gf4-top-j62-in-g63": (["build", "dual", "--p", 2, "--e", 2, "--n", 6, "--k", 3,
+                            "--m", 2, "--l", 6], 282, 158),
+    "gf2-j42-in-g63": (["build", "sum", "--p", 2, "--n", 6, "--k", 3, "--m", 2,
+                        "--l", 4], 118, 90),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RIGIDITY_RREF_CALLS))
+def test_rigidity_request_eliminations_are_pinned(name, tmp_path, capsys):
+    build, unmemoized, pinned = RIGIDITY_RREF_CALLS[name]
+    emb, cls = tmp_path / "emb.json", tmp_path / "cls.json"
+    assert run([*build, "--output", emb]) == 0
+    assert run(["classify", "--input", emb, "--output", cls]) == 0
+    rc, calls = rref_calls(lambda: run(["rigidity", "--input", cls, "--dump-certificates"]))
+    assert rc == 0
+    assert calls == pinned < unmemoized

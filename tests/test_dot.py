@@ -18,28 +18,36 @@ def unit(i, n):
 
 
 def test_johnson_dot_shape():
-    text = johnson_dot(4, 2)
+    text = "".join(johnson_dot(4, 2))
     assert text.startswith("graph johnson_4_2 {")
     assert text.count("--") == 12
     assert '{0,1}' in text
-    assert johnson_dot(4, 2) == text  # stable
+    assert "".join(johnson_dot(4, 2)) == text  # stable
 
 
 def test_grassmann_dot_shape():
     spec = GrassmannianSpec(F2, 4, 2)
-    text = grassmann_dot(spec)
+    text = "".join(grassmann_dot(spec))
     assert text.count("[label") == 35
     # 35 vertices of degree 18 -> 315 edges
     assert text.count(" -- ") == 35 * 18 // 2
-    assert grassmann_dot(spec) == text
+    assert "".join(grassmann_dot(spec)) == text
 
 
 def test_induced_dot_is_order_independent():
     frame = [Subspace.line(F2, unit(i, 4)) for i in range(4)]
     apt = apartment_from_frame(frame, 2)
-    text = induced_dot(apt)
-    assert text == induced_dot(sorted(apt, key=lambda s: s.rows, reverse=True))
+    text = "".join(induced_dot(apt))
+    assert text == "".join(induced_dot(sorted(apt, key=lambda s: s.rows, reverse=True)))
     assert text.count(" -- ") == 12
+
+
+def test_dot_export_streams_one_chunk_per_node_and_per_vertex():
+    chunks = list(grassmann_dot(GrassmannianSpec(F2, 4, 2)))
+    # header, 35 nodes, 35 edge chunks, closing brace
+    assert len(chunks) == 1 + 35 + 35 + 1
+    assert chunks[0] == "graph grassmann_4_2_q2 {\n" and chunks[-1] == "}\n"
+    assert all(chunk.endswith("\n") for chunk in chunks[:-1] if chunk)
 
 
 # sha256 of `export --graph grassmann --n 4 --k 2`, taken from the rank-based

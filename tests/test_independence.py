@@ -5,7 +5,8 @@ import random
 import pytest
 
 from grassmann_lab import linalg
-from grassmann_lab.errors import ValidationError
+from grassmann_lab.config import caps, set_caps
+from grassmann_lab.errors import CapExceededError, ValidationError
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import pg_points, point_mask
 from grassmann_lab.independence import (Ambient, PointSet, canonical_simplex,
@@ -124,6 +125,23 @@ def test_search_refuses_a_negative_budget():
         search_m_independent(Ambient("primal", F2, 4), 4, 5, budget=-1)
 
 
+def test_search_keeps_the_point_cap_once_the_point_table_is_cached():
+    # the search reads the point vectors from a table cached across calls,
+    # so the cap on PG(3, 2), with [4]_2 = 15 points, must not rest on
+    # building that table
+    ambient = Ambient("primal", F2, 4)
+    assert search_m_independent(ambient, 4, 5).status == "found"
+    saved = caps()
+    try:
+        set_caps(graph_vertex_max=14)
+        with pytest.raises(CapExceededError, match="PG\\(3, 2\\) with 15 points"):
+            search_m_independent(ambient, 4, 5)
+    finally:
+        set_caps(q_max=saved.q_max, n_max=saved.n_max,
+                 graph_vertex_max=saved.graph_vertex_max)
+    assert search_m_independent(ambient, 4, 5).status == "found"
+
+
 def test_annihilator_transfers_m_independence():
     # points against their annihilator hyperplanes, exhaustively in F_2^4:
     # spans of j points have dimension j exactly when the corresponding
@@ -192,6 +210,9 @@ def test_search_status_nodes_and_points_are_pinned(case, expected):
     result = search_m_independent(Ambient("primal", GF.get(p, e), d), m, size, budget)
     reps = None if result.points is None else list(result.points.representatives())
     assert (result.status, result.nodes, reps) == expected
+    if result.points is not None:
+        # each found point is the canonical subspace of its table vector
+        assert set(result.points) <= set(pg_points(GF.get(p, e), d))
 
 
 def _reference_search(ambient, m, target_size, budget):

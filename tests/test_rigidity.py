@@ -12,11 +12,14 @@ from grassmann_lab.fields import GF
 from grassmann_lab.independence import (Ambient, canonical_simplex, point_set,
                                         search_m_independent)
 from grassmann_lab.johnson import JohnsonAut
-from grassmann_lab.jsonio import rigidity_report_to_json
+from grassmann_lab.cli import main
+from grassmann_lab.jsonio import (classification_from_json, classification_to_json,
+                                  embedding_from_json, rigidity_report_to_json)
 from grassmann_lab.rigidity import (ExtensionWitness, NotExtendable, extend_automorphism,
                                     induced_by_semilinear, is_rigid,
                                     solve_semilinear_mapping)
-from grassmann_lab.subspaces import Subspace, annihilator, contragredient, sum_subspaces
+from grassmann_lab.subspaces import (Subspace, annihilator, contragredient, memoized,
+                                     sum_subspaces)
 
 F2 = GF.get(2)
 F3 = GF.get(3)
@@ -492,3 +495,44 @@ def test_solver_agrees_with_brute_force_over_distinct_meets():
         smap = _check_against_brute_force(F, 4, group, index, list(zip(sources, targets)))
         answers.add(smap is not None)
     assert answers == {True, False}
+
+
+# build requests whose classification and rigidity report must not depend on
+# the memo: (build argv, case, is_rigid)
+MEMO_CASES = {
+    "gf2-star-simplex": (["sum", "--p", 2, "--n", 5, "--k", 2, "--l", 6], "star", True),
+    "gf3-star-not-extendable": (["sum", "--p", 3, "--n", 5, "--k", 2, "--l", 6], "star", False),
+    "gf4-top": (["dual", "--p", 2, "--e", 2, "--n", 6, "--k", 3, "--m", 2, "--l", 6],
+                "top", True),
+    "gf9-top": (["dual", "--p", 3, "--e", 2, "--n", 5, "--k", 3, "--l", 5], "top", True),
+    "gf3-duality-at-n-2k": (["apartment", "--p", 3, "--n", 4, "--k", 2],
+                            "parabolic-apartment", True),
+    "gf2-complement-needs-n-2k": (["sum", "--p", 2, "--n", 5, "--k", 2, "--m", 2, "--l", 4],
+                                  "parabolic-apartment", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_CASES))
+def test_classification_and_report_are_the_same_inside_a_memo(name, tmp_path):
+    build, case, rigid = MEMO_CASES[name]
+    path = tmp_path / "emb.json"
+    assert main(["build", *map(str, build), "--output", str(path)]) == 0
+    inst = embedding_from_json(json.loads(path.read_text()))
+
+    def documents(loaded):
+        cls = classify(loaded)
+        # the stored classification reloaded, as `rigidity --input` reads it
+        report = is_rigid(classification_from_json(classification_to_json(cls)))
+        return json.dumps([classification_to_json(cls), rigidity_report_to_json(report, True)],
+                          sort_keys=True)
+
+    plain = documents(inst)
+    with memoized():
+        assert documents(inst) == plain
+    cls_doc, report_doc = json.loads(plain)
+    assert cls_doc["case"] == case
+    assert report_doc["is_rigid"] is rigid
+    if not rigid:
+        # refusals carry their solver records, and those are compared too
+        refusals = [entry for entry in report_doc["per_automorphism"] if "witness" not in entry]
+        assert refusals and all(entry.get("diagnostics") for entry in refusals)

@@ -124,6 +124,11 @@ def test_apply_semilinear_identity_and_permutation():
     swap01 = SemilinearMap(F2, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
     e0 = Subspace.line(F2, unit(0, 3))
     assert swap01.apply(e0) == Subspace.line(F2, unit(1, 3))
+    # apply canonicalizes its rows without entry checks, so it refuses a
+    # space over another field and a space of another dimension up front
+    for other in (Subspace.line(F4, (1, 2, 3)), Subspace.line(F2, (1, 0))):
+        with pytest.raises(ValidationError, match="mismatch applying semilinear map"):
+            swap01.apply(other)
 
 
 def test_apply_semilinear_respects_sums_and_intersections():
@@ -276,6 +281,24 @@ def test_memoized_sums_and_meets_equal_the_plain_ones(family):
             assert (sum_subspaces(s, u), intersect_subspaces(s, u)) == plain
             assert (sum_subspaces(u, s), intersect_subspaces(u, s)) == plain
     assert not memo_active()
+
+
+def test_memoized_frames_and_annihilators_are_shared_immutable_values():
+    base = Subspace.line(F4, (1, 0, 0, 0))
+    spaces = tuple(sum_subspaces(base, Subspace.line(F4, v))
+                   for v in [(0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0), (0, 1, 2, 0)])
+    plain = frame(base, spaces)
+    with memoized():
+        shared = frame(base, spaces)
+        # one entry, handed to every caller, so no caller may change it
+        assert frame(base, spaces) is shared
+        assert shared == plain
+        assert isinstance(shared, tuple)
+        assert all(isinstance(part, tuple) for part in shared)
+        assert all(isinstance(rep, tuple) for rep in shared[0])
+        assert all(isinstance(coords, tuple) for coords in shared[2])
+        assert annihilator(base) is annihilator(base)
+    assert annihilator(base) is not annihilator(base)
 
 
 @pytest.mark.parametrize("p,e", MEET_FIELDS)
