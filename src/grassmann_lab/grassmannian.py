@@ -92,7 +92,7 @@ def lead_one_vectors(field: GF, dim: int) -> tuple[tuple[linalg.Vector, ...], di
     return vectors, {v: b for b, v in enumerate(vectors)}
 
 
-def _point_ids(s: Subspace) -> list[int]:
+def point_ids(s: Subspace) -> list[int]:
     """The positions in :func:`pg_points` order of the projective points
     of s.
 
@@ -109,7 +109,7 @@ def _point_ids(s: Subspace) -> list[int]:
 def point_mask(s: Subspace) -> int:
     """The projective points of s as an int with one bit per point of
     F_q^n, numbered in :func:`pg_points` order."""
-    return sum(1 << p for p in _point_ids(s))
+    return sum(1 << p for p in point_ids(s))
 
 
 class GrassmannianSpec:
@@ -173,7 +173,7 @@ class GrassmannianSpec:
                 self._dist_sets = [(1,)]
                 return self._dist_sets
             q, k, size = self.field.q, self.k, len(self.subspaces)
-            points = [_point_ids(s) for s in self.subspaces]
+            points = [point_ids(s) for s in self.subspaces]
             star = [0] * ((q ** self.n - 1) // (q - 1))
             for i, pts in enumerate(points):
                 for p in pts:

@@ -10,6 +10,9 @@ A set is m-independent when every m of its points span an m-dimensional
 subspace.  An s-simplex is an s-independent set of s+1 points that is
 not independent; its canonical form is s basis points together with
 their sum.
+
+The search for an m-independent set, :func:`search_m_independent`, is
+forward-checked; its docstring gives the rule it prunes by.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import ValidationError
 from .fields import GF
-from .grassmannian import check_pg_cap, lead_one_vectors, point_mask
+from .grassmannian import check_pg_cap, lead_one_vectors, point_ids
 from .subspaces import Subspace
 
 
@@ -140,23 +143,91 @@ class SearchResult:
         return self.status == "found"
 
 
+def _free_by_lines(row: dict[int, int], line, cand: int, above: int, avoid: int) -> int:
+    """The points of above whose line to cand misses avoid: one line lookup
+    per point of above.  row holds the lines through cand computed so far,
+    keyed by their other points; line(cand, p) computes a missing one."""
+    free = 0
+    while above:
+        low = above & -above
+        above ^= low
+        point = low.bit_length() - 1
+        try:
+            mask = row[point]
+        except KeyError:
+            mask = line(cand, point)
+        if not mask & avoid:
+            free |= low
+    return free
+
+
+def _join(row: dict[int, int], line, cand: int, span: int) -> int:
+    """cand and the lines from cand to every point of span, which is the
+    span of cand and S when span is that of S: one line lookup per point of
+    span, with row and line as in :func:`_free_by_lines`."""
+    joined = 1 << cand
+    while span:
+        low = span & -span
+        span ^= low
+        point = low.bit_length() - 1
+        try:
+            joined |= row[point]
+        except KeyError:
+            joined |= line(cand, point)
+    return joined
+
+
+def _free_by_join(row: dict[int, int], line, cand: int, above: int, avoid: int) -> int:
+    """The points of :func:`_free_by_lines`, as those of above off every
+    line from cand to a point of avoid: one line lookup per point of avoid."""
+    return above & ~_join(row, line, cand, avoid)
+
+
 def search_m_independent(ambient: Ambient, m: int, target_size: int,
                          budget: int = 1_000_000) -> SearchResult:
     """Backtracking search for an m-independent set of the target size.
 
-    Extends greedily by the next projective point avoiding every span of
-    m-1 already-chosen points, backtracking when stuck.  The forbidden
-    points are kept per depth as a point bitset (bit i for the i-th point
-    of :func:`~grassmannian.pg_points`, as in :func:`point_mask`, read as
-    vectors from the memoized point table), so the next candidate
-    is the lowest free bit at or above the scan start, found in one step;
-    every point the scan passes over counts as one node.  Spans are
-    memoized per sorted index tuple: a span of two points is its line's
-    :func:`point_mask`, memoized per pair, and span(S + c) of three or
-    more points is the union of the lines from c to the points of
-    span(S), with no elimination.
-    Exhausting the whole tree certifies infeasibility; exhausting the node
-    budget does not, and is reported as "unknown" with budget + 1 nodes.
+    Extends the chosen set S by its lowest free point above the last one,
+    backtracking when none is left.  A point is free when it lies in the
+    span of no m - 1 points of S (of S itself while S is smaller).  Point
+    sets are bitsets (bit i for the i-th point of
+    :func:`~grassmannian.pg_points`, as in :func:`~grassmannian.point_mask`);
+    the scan jumps to the lowest free bit, and every point it passes over
+    counts as one node.  Exhausting the whole tree certifies
+    infeasibility; exhausting the node budget does not, and is reported as
+    "unknown" with budget + 1 nodes.
+
+    The search is forward-checked.  Each node keeps R, its free points
+    above its last chosen point, and levels L_1, ..., L_(m-2): L_i is the
+    union of the spans of the i-subsets of S, or span(S) while S has fewer
+    than i points.  Lemma: if c is outside span(T) and c' != c, then c'
+    lies in span(T + c) exactly when the line through c and c' meets
+    span(T).  (If c' = t + ac with t in span(T), then t != 0 as c' != c,
+    and t = c' - ac is on the line.  If t = bc + b'c' is in span(T), then
+    b' != 0 as c is outside span(T), so c' = (t - bc)/b' is in span(T + c).)
+    A free point c is outside X = L_(m-2), so once c joins S the free
+    points are
+
+        R' = {c' in R : c' > c, the line through c and c' misses X},
+
+    and each L_i grows by the join of c with L_(i-1): c and the lines from
+    c to the points of L_(i-1), with L_0 empty (X is empty for m <= 2).
+    R' comes from whichever filter takes fewer line lookups: one per
+    point of R above c (:func:`_free_by_lines`) or one per point of X
+    (:func:`_free_by_join`), ties to the first.  The pick compares point
+    counts, so it is deterministic.
+
+    Leaf level: a node two levels above the target does not push its
+    children.  For each child c it computes R'; the lowest point of a
+    nonempty R' completes a found set, and a child with an empty R' is
+    charged the count - c - 1 points its scan would pass over.  The tree,
+    every node count, the found set and the budget cut-off are those of
+    the plain scan.
+
+    Lines are memoized per call: a point that looks a line up gets a dict
+    from the points of the lines through it to those lines, and a computed
+    line goes into the dicts of all its points that have one.  No other
+    span is built by elimination.
     """
     if target_size < 1:
         raise ValidationError("target size must be positive")
@@ -169,73 +240,90 @@ def search_m_independent(ambient: Ambient, m: int, target_size: int,
     check_pg_cap(F, d)
     universe = lead_one_vectors(F, d)[0]
     count = len(universe)
-    everything = (1 << count) - 1
-    line_cache: dict[tuple[int, int], int] = {}
-    span_cache: dict[tuple[int, ...], int] = {}
+    rows: list[dict[int, int] | None] = [None] * count
+
+    def line_row(a: int) -> dict[int, int]:
+        row = rows[a]
+        if row is None:
+            row = rows[a] = {}
+        return row
 
     def line(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        mask = line_cache.get(key)
-        if mask is None:
-            rows = (universe[a], universe[b])
-            mask = line_cache[key] = point_mask(Subspace.from_rows(F, d, rows))
+        """Compute the line through a and b, which row a lacks."""
+        on_line = point_ids(Subspace.from_rows(F, d, (universe[a], universe[b])))
+        mask = sum(1 << p for p in on_line)
+        for x in on_line:
+            row = rows[x]
+            if row is not None:
+                for p in on_line:
+                    row[p] = mask
         return mask
 
-    def span_points(indices: tuple[int, ...]) -> int:
-        # called on a memo miss; the prefix is joined in a plain loop, since
-        # a closure that calls itself would keep the memo in a reference cycle
-        if len(indices) == 1:
-            mask = 1 << indices[0]
-        else:
-            mask = line(indices[0], indices[1])
-            for c in indices[2:]:
-                rest, mask = mask, 0
-                while rest:
-                    low = rest & -rest
-                    mask |= line(low.bit_length() - 1, c)
-                    rest ^= low
-        span_cache[indices] = mask
-        return mask
+    def child_free(cand: int, above: int) -> int:
+        """R' once cand joins chosen, from above = the points of R above cand."""
+        if not above:
+            return 0
+        x = level_stack[-1][-1]
+        filtered = _free_by_lines if above.bit_count() <= x.bit_count() else _free_by_join
+        return filtered(line_row(cand), line, cand, above, x)
 
-    def forbidden_after(chosen: list[int], forbidden: int, cand: int) -> int:
-        """Points unusable once cand joins chosen.  Candidates rise, so
-        chosen + cand is already a sorted span key."""
-        if m == 1:
-            return forbidden | 1 << cand
-        cached = span_cache.get
-        if len(chosen) < m - 2:
-            key = (*chosen, cand)
-            mask = cached(key)
-            return span_points(key) if mask is None else mask
-        for subset in itertools.combinations(chosen, m - 2):
-            key = subset + (cand,)
-            mask = cached(key)
-            forbidden |= span_points(key) if mask is None else mask
-        return forbidden
+    def child_levels(cand: int) -> tuple[int, ...]:
+        """L_0, ..., L_(m-2) once cand joins chosen."""
+        levels = level_stack[-1]
+        row = line_row(cand)
+        return (0, *[upper | _join(row, line, cand, lower)
+                     for lower, upper in zip(levels, levels[1:])])
+
+    def found(indices) -> SearchResult:
+        # a vector led by 1 is the RREF basis of its point
+        points = tuple(Subspace(F, d, (universe[i],)) for i in indices)
+        return SearchResult("found", PointSet(ambient, points), nodes)
 
     nodes = start = 0
     chosen: list[int] = []
-    forbidden_stack: list[int] = [0]
+    r_stack = [(1 << count) - 1]
+    level_stack = [(0,) * max(1, m - 1)]
+    leaf_parent = target_size - 2
     while True:
-        if len(chosen) == target_size:
-            # a vector led by 1 is the RREF basis of its point
-            points = tuple(Subspace(F, d, (universe[i],)) for i in chosen)
-            return SearchResult("found", PointSet(ambient, points), nodes)
-        forbidden = forbidden_stack[-1]
-        free = (everything & ~forbidden) >> start << start
-        if free:
+        free = r_stack[-1] >> start << start
+        depth = len(chosen)
+        if depth == leaf_parent:
+            while free:
+                low = free & -free
+                free ^= low
+                cand = low.bit_length() - 1
+                child = child_free(cand, free)
+                if child:
+                    # the child's scan stops at its lowest free point
+                    last = (child & -child).bit_length() - 1
+                    nodes += last - start + 1
+                    if nodes > budget:
+                        return SearchResult("unknown", None, budget + 1)
+                    return found((*chosen, cand, last))
+                # the scans of this node up to cand and of the child to the end
+                nodes += count - start
+                if nodes > budget:
+                    return SearchResult("unknown", None, budget + 1)
+                start = cand + 1
+        elif free:
             cand = (free & -free).bit_length() - 1
             nodes += cand - start + 1
-        else:
-            nodes += count - start
+            if nodes > budget:
+                return SearchResult("unknown", None, budget + 1)
+            if depth + 1 == target_size:  # a target of one point
+                return found((cand,))
+            child = child_free(cand, free ^ (free & -free))
+            r_stack.append(child)
+            # a child without free points has no children to read its levels
+            level_stack.append(child_levels(cand) if child else None)
+            chosen.append(cand)
+            start = cand + 1
+            continue
+        nodes += count - start
         if nodes > budget:
             return SearchResult("unknown", None, budget + 1)
-        if free:
-            forbidden_stack.append(forbidden_after(chosen, forbidden, cand))
-            chosen.append(cand)
-        elif not chosen:
+        if not chosen:
             return SearchResult("infeasible", None, nodes)
-        else:
-            cand = chosen.pop()
-            forbidden_stack.pop()
-        start = cand + 1
+        start = chosen.pop() + 1
+        r_stack.pop()
+        level_stack.pop()

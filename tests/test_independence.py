@@ -1,10 +1,11 @@
+import collections
 import gc
 import itertools
 import random
 
 import pytest
 
-from grassmann_lab import linalg
+from grassmann_lab import independence, linalg
 from grassmann_lab.config import caps, set_caps
 from grassmann_lab.errors import CapExceededError, ValidationError
 from grassmann_lab.fields import GF
@@ -201,6 +202,18 @@ SEARCH_PINS = [
      ("found", 20, [(1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (0, 1, 2), (0, 1, 3)])),
     ((3, 1, 4, 4, 6, 1000), ("unknown", 1001, None)),
     ((2, 1, 4, 4, 5, 3), ("unknown", 4, None)),
+    # the searches of perfbench's `points` requests, at the CLI's build budget
+    ((3, 1, 4, 4, 6, 2 * 10**6), ("infeasible", 1151612, None)),
+    ((2, 1, 5, 4, 7, 2 * 10**6), ("infeasible", 918638, None)),
+    ((2, 2, 4, 4, 6, 100_000), ("unknown", 100001, None)),
+    # found sets in PG(4, 4) and PG(3, 9) past leaves charged for whole scans
+    ((2, 2, 5, 4, 11, 10**6),
+     ("found", 635, [(1, 0, 0, 0, 0), (1, 0, 0, 0, 1), (1, 0, 0, 1, 0), (1, 0, 1, 0, 0),
+                     (1, 0, 1, 1, 2), (1, 1, 0, 0, 0), (1, 1, 0, 1, 3), (1, 1, 1, 2, 0),
+                     (1, 1, 2, 0, 1), (1, 3, 3, 2, 3), (0, 1, 2, 3, 2)])),
+    ((3, 2, 4, 4, 10, 10**6),
+     ("found", 5838, [(1, 0, 0, 0), (1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0), (1, 1, 1, 1),
+                      (1, 1, 2, 3), (1, 2, 6, 4), (1, 3, 7, 1), (1, 4, 1, 2), (0, 1, 7, 2)])),
 ]
 
 
@@ -271,20 +284,43 @@ def _search(ambient, m, size, budget):
 # (p, e) -> ambient dimensions; PG(d-1, q) stays under a few hundred points
 REFERENCE_FIELDS = {(2, 1): (3, 4, 5), (3, 1): (3, 4), (2, 2): (3, 4), (5, 1): (3, 4),
                     (2, 3): (2, 3), (3, 2): (2, 3)}
+# (p, e, d) -> the m tried in the bigger spaces PG(4, 3) and PG(4, 4), up
+# to m = 6 > d, with budgets up to 20,000 nodes
+BIGGER_SPACES = {(3, 1, 5): (3, 4, 5, 6), (2, 2, 5): (3, 4, 5, 6)}
+# (p, e, {d: m range}, the largest budget tried)
+REFERENCE_CASES = (
+    [(p, e, {d: range(1, d + 1) for d in dims}, 100_000)
+     for (p, e), dims in REFERENCE_FIELDS.items()]
+    + [(p, e, {d: ms}, 20_000) for (p, e, d), ms in BIGGER_SPACES.items()])
+REFERENCE_IDS = ([f"GF({p ** e})" for p, e in REFERENCE_FIELDS]
+                 + [f"GF({p ** e})-d{d}" for p, e, d in BIGGER_SPACES])
 
 
-@pytest.mark.parametrize("p,e", list(REFERENCE_FIELDS),
-                         ids=[f"GF({p ** e})" for p, e in REFERENCE_FIELDS])
-def test_search_matches_the_per_candidate_reference(p, e):
+@pytest.fixture
+def filter_calls(monkeypatch):
+    """Counts the calls of each filter of the forward check that test
+    against a nonempty X."""
+    calls = collections.Counter()
+    for name in ("_free_by_lines", "_free_by_join"):
+        def counted(row, line, cand, above, avoid, _name=name,
+                    _filter=getattr(independence, name)):
+            calls[_name] += avoid != 0
+            return _filter(row, line, cand, above, avoid)
+        monkeypatch.setattr(independence, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("p,e,m_ranges,top_budget", REFERENCE_CASES, ids=REFERENCE_IDS)
+def test_search_matches_the_per_candidate_reference(p, e, m_ranges, top_budget, filter_calls):
     rng = random.Random(p * 100 + e)
     F = GF.get(p, e)
     statuses = set()
-    for d in REFERENCE_FIELDS[p, e]:
+    for d, ms in m_ranges.items():
         ambient = Ambient("primal", F, d)
-        for m in range(1, d + 1):
+        for m in ms:
             # a size that usually fits, and one that often does not
             for size in (m + rng.randint(0, 2), m + rng.randint(2, F.q + 2)):
-                budget = rng.choice([rng.randint(0, 40), rng.randint(100, 3000), 100_000])
+                budget = rng.choice([rng.randint(0, 40), rng.randint(100, 3000), top_budget])
                 expected = _reference_search(ambient, m, size, budget)
                 assert _search(ambient, m, size, budget) == expected, (d, m, size, budget)
                 statuses.add(expected[0])
@@ -295,15 +331,21 @@ def test_search_matches_the_per_candidate_reference(p, e):
                     assert (_search(ambient, m, size, tight)
                             == _reference_search(ambient, m, size, tight)), (d, m, size, tight)
     assert {"found", "unknown"} <= statuses
+    if any((p, e, d) in BIGGER_SPACES for d in m_ranges):
+        # both filters run in these searches
+        assert filter_calls["_free_by_lines"] and filter_calls["_free_by_join"], filter_calls
 
 
 def test_search_leaves_no_reference_cycle():
-    # the span memos must be freed when the search returns, not at the next
-    # cyclic collection
-    gc.collect()
-    gc.disable()
-    try:
-        search_m_independent(Ambient("primal", GF.get(2, 2), 4), 4, 6, budget=100_000)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    # the line memo must be freed when the search returns, not at the next
+    # cyclic collection, for m = 4 and m = 6
+    for p, e, d, m, size, budget in [(2, 2, 4, 4, 6, 100_000), (2, 2, 5, 6, 9, 20_000)]:
+        ambient = Ambient("primal", GF.get(p, e), d)
+        search_m_independent(ambient, m, size, budget=0)  # builds the point table
+        gc.collect()
+        gc.disable()
+        try:
+            search_m_independent(ambient, m, size, budget=budget)
+            assert gc.collect() == 0, (p, e, d, m)
+        finally:
+            gc.enable()
