@@ -159,7 +159,7 @@ class GF:
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
 
     def __eq__(self, other):
-        return isinstance(other, GF) and (self.p, self.e) == (other.p, other.e)
+        return self is other or (isinstance(other, GF) and (self.p, self.e) == (other.p, other.e))
 
     def __hash__(self):
         return hash((self.p, self.e))

@@ -88,7 +88,8 @@ def lead_one_vectors(field: GF, dim: int) -> tuple[tuple[linalg.Vector, ...], di
     """The vectors of F_q^dim whose first nonzero entry is 1, in
     :func:`pg_points` order, and the inverse map vector -> position;
     memoized per (field, dim)."""
-    vectors = tuple(p.rows[0] for p in pg_points(field, dim))
+    check_pg_cap(field, dim)
+    vectors = tuple(rows[0] for rows in iter_rref_bases(field, dim, 1))
     return vectors, {v: b for b, v in enumerate(vectors)}
 
 

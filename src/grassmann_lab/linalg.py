@@ -35,22 +35,17 @@ def vec_scale(F: GF, c: int, x: Vector) -> Vector:
     return tuple(F.mul(c, a) for a in x)
 
 
-def dot(F: GF, x: Vector, y: Vector) -> int:
-    acc = 0
-    for a, b in zip(x, y):
-        acc = F.add(acc, F.mul(a, b))
-    return acc
-
-
 def vecmat(F: GF, x: Vector, a: Matrix) -> Vector:
     """Row vector times matrix."""
+    add, mul = F._add, F._mul
     cols = len(a[0]) if a else 0
     out = [0] * cols
     for xi, row in zip(x, a):
         if xi:
+            scale = mul[xi]
             for j, rj in enumerate(row):
                 if rj:
-                    out[j] = F.add(out[j], F.mul(xi, rj))
+                    out[j] = add[out[j]][scale[rj]]
     return tuple(out)
 
 

@@ -33,6 +33,32 @@ def johnson_adjacent(a: int, b: int, m: int) -> bool:
     return johnson_distance(a, b, m) == 1
 
 
+def dot(F: GF, x, y) -> int:
+    """The bilinear form sum x_i y_i over F."""
+    acc = 0
+    for a, b in zip(x, y):
+        acc = F.add(acc, F.mul(a, b))
+    return acc
+
+
+def reference_graph(name: str, attributes, neighbours):
+    """The chunks of dot._graph, written with one str.find per edge and
+    one f-string per edge line."""
+    yield f"graph {name} {{\n"
+    for i, attrs in enumerate(attributes):
+        yield f"  {i} [{attrs}];\n"
+    for i, adjacent in enumerate(neighbours):
+        # character j of the reversed numeral is bit i + 1 + j
+        above = format(adjacent >> i + 1, "b")[::-1]
+        edges = []
+        j = above.find("1")
+        while j >= 0:
+            edges.append(f"  {i} -- {i + 1 + j};\n")
+            j = above.find("1", j + 1)
+        yield "".join(edges)
+    yield "}\n"
+
+
 # Grassmann graph cliques and apartments -----------------------------------
 
 

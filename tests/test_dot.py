@@ -1,14 +1,15 @@
 import hashlib
+import random
 
 import pytest
 
 from grassmann_lab.cli import main
-from grassmann_lab.dot import grassmann_dot, induced_dot, johnson_dot
+from grassmann_lab.dot import _graph, grassmann_dot, induced_dot, johnson_dot
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import GrassmannianSpec
 from grassmann_lab.subspaces import Subspace
 
-from helpers import apartment_from_frame
+from helpers import apartment_from_frame, reference_graph
 
 F2 = GF.get(2)
 
@@ -48,6 +49,39 @@ def test_dot_export_streams_one_chunk_per_node_and_per_vertex():
     assert len(chunks) == 1 + 35 + 35 + 1
     assert chunks[0] == "graph grassmann_4_2_q2 {\n" and chunks[-1] == "}\n"
     assert all(chunk.endswith("\n") for chunk in chunks[:-1] if chunk)
+
+
+def _neighbour_lists():
+    """Neighbour bitsets that reach each edge of the run-length writer:
+    rows with no bit above i, a first neighbour i + 1 (an empty run), the
+    last vertex (the highest id the edge strings must reach), every bit
+    set (the vertex's own bit too), and seeded rows, dense over 40 vertices
+    and sparse over more than 4,000."""
+    rng = random.Random(24)
+    size, big = 40, 4321
+    full = (1 << size) - 1
+    return {
+        "no-neighbours": [0] * size,
+        "only-lower": [(1 << i) - 1 for i in range(size)],
+        "next": [1 << i + 1 for i in range(size - 1)] + [1 << size - 2],
+        "last": [1 << size - 1] * (size - 1) + [full >> 1],
+        "all-ones": [full] * size,
+        "random-dense": [rng.getrandbits(size) for _ in range(size)],
+        "random-sparse": [sum(1 << rng.randrange(big) for _ in range(rng.randrange(6)))
+                          | (1 << big - 1 if i % 7 == 0 else 0) for i in range(big)],
+    }
+
+
+NEIGHBOUR_LISTS = _neighbour_lists()
+
+
+@pytest.mark.parametrize("name", sorted(NEIGHBOUR_LISTS))
+def test_graph_writer_matches_the_per_edge_reference(name):
+    rows = NEIGHBOUR_LISTS[name]
+    labels = [f'label="{i}"' for i in range(len(rows))]
+    chunks = list(_graph("g", labels, rows))
+    assert chunks == list(reference_graph("g", labels, rows))
+    assert len(chunks) == 2 * len(rows) + 2
 
 
 # sha256 of `export --graph grassmann --n 4 --k 2`, taken from the rank-based

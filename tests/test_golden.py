@@ -211,6 +211,9 @@ DOT_REQUESTS = {
     "grassmann-q2-n4-k2": (
         ["export", "--graph", "grassmann", "--n", 4, "--k", 2, "--p", 2],
         "768d3eefc32fbfd97a38ca350006f417dd24129474d94e30220c58e9fcd1d9f2"),
+    "grassmann-q2-n6-k2": (
+        ["export", "--graph", "grassmann", "--n", 6, "--k", 2, "--p", 2],
+        "e5b6a672573cea07734ffdfa74a5cbbbaf63b2446de92ebf215e0fdea82a9aa6"),
     "grassmann-q2-n6-k3": (
         ["export", "--graph", "grassmann", "--n", 6, "--k", 3, "--p", 2],
         "0ebc226d09cd44ba3e8943052505a722e0a6fc43c27fb6a4b30a8a90e3840386"),

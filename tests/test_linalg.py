@@ -9,6 +9,8 @@ from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import pg_points, point_mask
 from grassmann_lab.subspaces import Subspace
 
+from helpers import dot
+
 # every field with q <= 16; GF(2) has no separate path of its own
 FIELDS_UP_TO_16 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                    (11, 1), (13, 1), (2, 4)]
@@ -89,7 +91,7 @@ def test_nullspace_annihilates():
     assert len(basis) == 2
     for v in basis:
         for r in rows:
-            assert linalg.dot(F, r, v) == 0
+            assert dot(F, r, v) == 0
     # canonical: nullspace of the nullspace-orthogonal system recovers nothing new
     again, rank, _ = linalg.rref(F, basis)
     assert again[:rank] == basis
@@ -120,7 +122,7 @@ def test_vecmat_matches_matvec_transpose():
     F = GF.get(3)
     x = (1, 2, 0)
     a = ((1, 0, 2, 1), (2, 2, 0, 1), (0, 1, 1, 1))
-    matvec = tuple(linalg.dot(F, col, x) for col in linalg.transpose(a))
+    matvec = tuple(dot(F, col, x) for col in linalg.transpose(a))
     assert linalg.vecmat(F, x, a) == matvec
 
 
