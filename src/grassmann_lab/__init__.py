@@ -18,9 +18,8 @@ from .grassmannian import (GrassmannianSpec, distance, gaussian_binomial, iter_r
 from .independence import (Ambient, PointSet, SearchResult, canonical_simplex,
                            is_independent, m_dependency_witness, point_set,
                            search_m_independent, simplex_rank)
-from .johnson import (JohnsonAut, johnson_aut_group, johnson_aut_group_order,
-                      johnson_distance, johnson_vertices, transposition_aut,
-                      vertex_from_indices, vertex_indices)
+from .johnson import (JohnsonAut, johnson_aut_group, johnson_distance, johnson_vertices,
+                      transposition_aut, vertex_from_indices, vertex_indices)
 from .oracle import (CrossValidationReport, OracleResult, SearchConfig, cross_validate,
                      enumerate_embeddings)
 from .rigidity import (ExtensionWitness, NotExtendable, RigidityReport, extend_automorphism,

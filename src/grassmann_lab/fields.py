@@ -200,9 +200,6 @@ class GF:
     def elements(self) -> range:
         return range(self.q)
 
-    def units(self) -> range:
-        return range(1, self.q)
-
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Polynomial residue coefficients of a, constant term first."""
         return _digits(a, self.p, self.e)

@@ -107,12 +107,6 @@ def point_ids(s: Subspace) -> list[int]:
     return [position[linalg.vecmat(F, c, s.rows)] for c in coeffs]
 
 
-def point_mask(s: Subspace) -> int:
-    """The projective points of s as an int with one bit per point of
-    F_q^n, numbered in :func:`pg_points` order."""
-    return sum(1 << p for p in point_ids(s))
-
-
 class GrassmannianSpec:
     """An enumerated Grassmannian with a dense, deterministic vertex index.
 
@@ -144,12 +138,6 @@ class GrassmannianSpec:
 
     def __len__(self):
         return len(self.subspaces)
-
-    def id_of(self, s: Subspace) -> int:
-        try:
-            return self.index[s]
-        except KeyError:
-            raise ValidationError("subspace is not a vertex of this Grassmannian") from None
 
     def by_id(self, i: int) -> Subspace:
         return self.subspaces[i]

@@ -191,7 +191,8 @@ def search_m_independent(ambient: Ambient, m: int, target_size: int,
     backtracking when none is left.  A point is free when it lies in the
     span of no m - 1 points of S (of S itself while S is smaller).  Point
     sets are bitsets (bit i for the i-th point of
-    :func:`~grassmannian.pg_points`, as in :func:`~grassmannian.point_mask`);
+    :func:`~grassmannian.pg_points`, the numbering of
+    :func:`~grassmannian.point_ids`);
     the scan jumps to the lowest free bit, and every point it passes over
     counts as one node.  Exhausting the whole tree certifies
     infeasibility; exhausting the node budget does not, and is reported as

@@ -91,9 +91,3 @@ def johnson_aut_group(l: int, m: int) -> list[JohnsonAut]:
     if l == 2 * m:
         gens.append(JohnsonAut(tuple(range(l)), complement=True))
     return gens
-
-
-def johnson_aut_group_order(l: int, m: int) -> int:
-    if not 1 < m < l - 1:
-        raise ValidationError(f"automorphism dichotomy needs 1 < m < l-1, got l={l}, m={m}")
-    return math.factorial(l) * (2 if l == 2 * m else 1)

@@ -76,13 +76,6 @@ def _subspaces_from_json(raw, field: GF, n: int, context: str) -> list[Subspace]
 # point sets ----------------------------------------------------------------
 
 
-def pointset_to_json(ps: PointSet) -> dict:
-    return {"schema_version": SCHEMA_VERSION,
-            "ambient": {"kind": ps.ambient.kind, "dim": ps.ambient.dim,
-                        "p": ps.ambient.field.p, "e": ps.ambient.field.e},
-            "points": [list(p.rows[0]) for p in ps.points]}
-
-
 def pointset_from_json(obj: dict) -> PointSet:
     _check_schema_version(obj, "pointset")
     amb = _need(obj, "ambient", "pointset")

@@ -27,10 +27,6 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
-def vec_add(F: GF, x: Vector, y: Vector) -> Vector:
-    return tuple(F.add(a, b) for a, b in zip(x, y))
-
-
 def vec_scale(F: GF, c: int, x: Vector) -> Vector:
     return tuple(F.mul(c, a) for a in x)
 

@@ -8,15 +8,18 @@ F_q^n count in closed form.  Budgets are counted in search nodes, never
 in wall time, so runs reproduce exactly.
 
 Two embeddings with the same image differ by an automorphism of
-J(l, m).  The deduplicating search breaks that whole group along a
-stabilizer chain of its vertex order, so each image is reached by
-exactly one leaf instead of once per automorphism; the labeled search
-(dedupe=False) still visits every embedding.
+J(l, m).  The search breaks that whole group along a stabilizer chain of
+its vertex order, so each image is reached by exactly one leaf instead
+of once per automorphism, and a second leaf on one image is an internal
+error.  With ``jobs`` above 1, worker processes search below the first
+vertex's candidates, and the answer, node count and budget stop
+included, is the one-job search's.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, field as dc_field
 
 from .config import caps, set_caps
@@ -37,7 +40,6 @@ class SearchConfig:
     p: int
     e: int = 1
     budget: int = 10_000_000
-    dedupe: bool = True
     symmetry_reduction: bool = False
     jobs: int = 1
 
@@ -132,29 +134,36 @@ def _chain_floors(order: list[int], l: int, m: int) -> list[list[int]]:
     return floors
 
 
-def _search(spec: GrassmannianSpec, l: int, m: int, budget: int,
-            initial_candidates, dedupe: bool) -> tuple[set[tuple[int, ...]], int, bool]:
-    """Place order[0], order[1], ... on Grassmannian ids at the exact
-    Johnson distances from every earlier placement.
-
-    With dedupe, the stabilizer-chain floors of :func:`_chain_floors` keep
-    one labeling per image: at each depth one mask drops every candidate
-    at or below the largest placement that must stay below it, so each
-    image is reached by exactly one leaf, and a repeated image raises
-    InternalInvariantError.  Without dedupe every labeled embedding is a
-    leaf.
-    """
+def _plan(l: int, m: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The Johnson distances between the vertices of :func:`_bfs_vertex_order`,
+    by depth, and the chain floors of that order: what :func:`_search`
+    reads of J(l, m)."""
     order = _bfs_vertex_order(l, m)
-    nv = len(order)
     jdist = [[johnson_distance(a, b, m) for b in order] for a in order]
+    return jdist, _chain_floors(order, l, m)
+
+
+def _search(spec: GrassmannianSpec, plan, budget: int,
+            roots) -> tuple[set[tuple[int, ...]], int, bool]:
+    """Place order[0], order[1], ... on Grassmannian ids at the exact
+    Johnson distances from every earlier placement, order[0] on each of
+    ``roots`` in ascending order.
+
+    The stabilizer-chain floors of :func:`_chain_floors` keep one labeling
+    per image: at each depth one mask drops every candidate at or below
+    the largest placement that must stay below it, so each image is
+    reached by exactly one leaf, stored as its sorted ids, and a repeated
+    image raises InternalInvariantError.
+    """
+    jdist, floors = plan
+    nv = len(jdist)
     dsets = spec.distance_sets()
-    floors = _chain_floors(order, l, m) if dedupe else [[] for _ in order]
     images: set[tuple[int, ...]] = set()
     placed = [0] * nv
     nodes = 0
     complete = True
     t = 0
-    stack = [iter(sorted(initial_candidates))]
+    stack = [iter(sorted(roots))]
     while stack:
         try:
             cand = next(stack[-1])
@@ -168,15 +177,11 @@ def _search(spec: GrassmannianSpec, l: int, m: int, budget: int,
             break
         placed[t] = cand
         if t == nv - 1:
-            if dedupe:
-                image = tuple(sorted(placed))
-                if image in images:
-                    raise InternalInvariantError(
-                        f"image {list(image)} reached by a second leaf; "
-                        f"the symmetry-breaking floors are not complete")
-            else:
-                # each labeled embedding, in the search's vertex order
-                image = tuple(placed)
+            image = tuple(sorted(placed))
+            if image in images:
+                raise InternalInvariantError(
+                    f"image {list(image)} reached by a second leaf; "
+                    f"the symmetry-breaking floors are not complete")
             images.add(image)
             continue
         t += 1
@@ -204,11 +209,69 @@ def _iter_bits(bits: int):
         bits ^= low
 
 
-def _search_worker(args) -> tuple[set[tuple[int, ...]], int, bool]:
-    worker_caps, cfg, chunk = args
+def _search_worker(args) -> dict[int, tuple[set[tuple[int, ...]], int]]:
+    """Per root of a chunk, ascending, its images and nodes, each root
+    searched under what its predecessors left of the budget, up to the
+    first root that the rest of the budget does not finish."""
+    worker_caps, cfg, roots = args
     set_caps(**asdict(worker_caps))
     spec = GrassmannianSpec(cfg.field(), cfg.n, cfg.k)
-    return _search(spec, cfg.l, cfg.m, cfg.budget, chunk, cfg.dedupe)
+    plan = _plan(cfg.l, cfg.m)
+    left = cfg.budget
+    done = {}
+    for root in roots:
+        images, nodes, complete = _search(spec, plan, left, [root])
+        if not complete:
+            break
+        done[root] = images, nodes
+        left -= nodes
+    return done
+
+
+def _merge(images: set[tuple[int, ...]], part: set[tuple[int, ...]]):
+    if not images.isdisjoint(part):
+        raise InternalInvariantError(
+            f"image {list(min(images & part))} reached below two roots; "
+            f"the symmetry-breaking floors are not complete")
+    images |= part
+
+
+def _search_in_workers(spec: GrassmannianSpec, cfg: SearchConfig, plan,
+                       roots: list[int]) -> tuple[set[tuple[int, ...]], int, bool]:
+    """The serial search over ``roots``, node count included, from roots
+    searched in worker processes.
+
+    Walking the roots in ascending order, the workers' result for a root
+    stands in for the serial search's while the nodes of it and of the
+    roots before it fit the budget.  A worker spends on a root's
+    predecessors at most what the serial search does, so it finishes
+    every root that the serial search finishes; from the first root that
+    the serial search would not finish, the rest is searched here with
+    what is left of the budget, which bounds that extra run too.
+    """
+    # imported here: the pool costs every one-job process its start-up time
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunks = [roots[i::cfg.jobs] for i in range(min(cfg.jobs, len(roots)))]
+    # spawn on every platform, so workers see only what args carry; spawn
+    # starts a process per submitted chunk up to max_workers
+    with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        done = {}
+        for part in pool.map(_search_worker, [(caps(), cfg, chunk) for chunk in chunks]):
+            done.update(part)
+    images: set[tuple[int, ...]] = set()
+    nodes = 0
+    for i, root in enumerate(roots):
+        if root not in done or nodes + done[root][1] > cfg.budget:
+            rest, rest_nodes, complete = _search(spec, plan, cfg.budget - nodes, roots[i:])
+            _merge(images, rest)
+            return images, nodes + rest_nodes, complete
+        part, part_nodes = done.pop(root)
+        _merge(images, part)
+        nodes += part_nodes
+    return images, nodes, True
 
 
 def enumerate_embeddings(cfg: SearchConfig) -> OracleResult:
@@ -234,26 +297,12 @@ def enumerate_embeddings(cfg: SearchConfig) -> OracleResult:
     # preflight: even placing the first vertex exceeds the budget
     if len(initial) > cfg.budget:
         return OracleResult(set(), 0, False, spec)
+    plan = _plan(cfg.l, cfg.m)
     if cfg.jobs > 1 and len(initial) > 1:
-        # imported here: the pool costs every one-job process its start-up time
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [initial[i::cfg.jobs] for i in range(cfg.jobs)]
-        # spawn on every platform, so workers see only what args carry
-        with ProcessPoolExecutor(max_workers=cfg.jobs,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            parts = list(pool.map(_search_worker,
-                                  [(caps(), cfg, chunk) for chunk in chunks if chunk]))
+        images, nodes, complete = _search_in_workers(spec, cfg, plan, initial)
     else:
-        parts = [_search(spec, cfg.l, cfg.m, cfg.budget, initial, cfg.dedupe)]
-    # merged into the first part's own set: a copy would double the peak
-    images, nodes, complete = parts[0]
-    for part_images, part_nodes, part_complete in parts[1:]:
-        images |= part_images
-        nodes += part_nodes
-        complete = complete and part_complete
-    return OracleResult(images, nodes, complete and nodes <= cfg.budget, spec)
+        images, nodes, complete = _search(spec, plan, cfg.budget, initial)
+    return OracleResult(images, nodes, complete, spec)
 
 
 # cross validation ---------------------------------------------------------
@@ -387,10 +436,10 @@ def cross_validate(cfg: SearchConfig,
         dmat = spec.distance_matrix()
         with memoized():
             for image in sorted(result.images):
-                ids = sorted(image)
-                members = frozenset(spec.by_id(i) for i in ids)
+                members = frozenset(spec.by_id(i) for i in image)
                 try:
-                    cls = classify(members, table=[bytes(dmat[i][j] for j in ids) for i in ids])
+                    cls = classify(members,
+                                   table=[bytes(dmat[i][j] for j in image) for i in image])
                 except Exception as exc:  # noqa: BLE001 - reported, not swallowed
                     failures.append({
                         "image_ids": list(image),
@@ -402,11 +451,8 @@ def cross_validate(cfg: SearchConfig,
     apartment_match = None
     if (all_classified is not None
             and cfg.n == 2 * cfg.k and cfg.l == cfg.n and cfg.m == cfg.k):
-        # the labeled search reaches each image once per labeling
-        distinct = (len(result.images) if cfg.dedupe
-                    else len(set(map(frozenset, result.images))))
-        apartment_match = (all_classified
-                           and distinct == _apartment_count(spec, cfg.symmetry_reduction))
+        apartment_match = (all_classified and len(result.images)
+                           == _apartment_count(spec, cfg.symmetry_reduction))
     parabolic_ok = all_classified if cfg.l == 2 * cfg.m else None
     return CrossValidationReport(
         cfg, len(result.images), result.nodes, result.complete, bfs_ok,

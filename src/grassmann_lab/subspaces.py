@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-import itertools
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
@@ -86,16 +85,6 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         self._check_compatible(other)
         return linalg.rank(self.field, self.rows + other.rows) == self.dim
-
-    def vectors(self):
-        """All q^dim vectors, for exhaustive checks at tiny sizes."""
-        F, n = self.field, self.ambient_dim
-        for coeffs in itertools.product(F.elements(), repeat=self.dim):
-            v = (0,) * n
-            for c, row in zip(coeffs, self.rows):
-                if c:
-                    v = linalg.vec_add(F, v, linalg.vec_scale(F, c, row))
-            yield v
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field:
@@ -275,15 +264,6 @@ class SemilinearMap:
         if s.ambient_dim != self.dim or s.field != self.field:
             raise ValidationError("dimension or field mismatch applying semilinear map")
         return _span(s.field, s.ambient_dim, tuple(self.apply_vector(r) for r in s.rows))
-
-    def inverse(self) -> "SemilinearMap":
-        # (sigma, A)^-1 = (sigma^-1, sigma^-1(A^-1)) since
-        # x = sigma(y) A  <=>  y = sigma^-1(x A^-1).
-        F = self.field
-        t_inv = (-self.sigma) % F.e
-        inv_m = linalg.inverse(F, self.matrix)
-        twisted = tuple(linalg.frobenius_vec(F, row, t_inv) for row in inv_m)
-        return SemilinearMap(F, twisted, t_inv)
 
 
 def contragredient(u: SemilinearMap) -> SemilinearMap:

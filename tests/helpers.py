@@ -6,14 +6,17 @@ the two.  The last section counts eliminations, so tests can pin by
 count what the package's memo saves.
 """
 
+import functools
 import itertools
 import math
 
 from grassmann_lab import linalg
 from grassmann_lab.errors import ValidationError
 from grassmann_lab.fields import GF
-from grassmann_lab.grassmannian import GrassmannianSpec, distance, distance_rows, pg_points
-from grassmann_lab.johnson import johnson_distance
+from grassmann_lab.grassmannian import (GrassmannianSpec, distance, distance_rows, pg_points,
+                                        point_ids)
+from grassmann_lab.independence import PointSet
+from grassmann_lab.johnson import johnson_distance, johnson_vertices
 from grassmann_lab.subspaces import (SemilinearMap, Subspace, from_coords_in, intersect_many,
                                      intersect_subspaces, lift_from_quotient, sum_many,
                                      sum_subspaces)
@@ -31,6 +34,38 @@ def frame_count(n, q):
 def johnson_adjacent(a: int, b: int, m: int) -> bool:
     """Whether the J(l, m) vertices a and b (bitmasks) are adjacent."""
     return johnson_distance(a, b, m) == 1
+
+
+def johnson_aut_group_order(l: int, m: int) -> int:
+    """|Aut J(l, m)| for 1 < m < l - 1: l! ground-set permutations, doubled
+    by complementation when l == 2m."""
+    if not 1 < m < l - 1:
+        raise ValidationError(f"automorphism dichotomy needs 1 < m < l-1, got l={l}, m={m}")
+    return math.factorial(l) * (2 if l == 2 * m else 1)
+
+
+def vectors(s: Subspace):
+    """All q^dim vectors of s, for exhaustive checks at tiny sizes."""
+    F, n = s.field, s.ambient_dim
+    for coeffs in itertools.product(F.elements(), repeat=s.dim):
+        v = (0,) * n
+        for c, row in zip(coeffs, s.rows):
+            v = tuple(F.add(a, F.mul(c, b)) for a, b in zip(v, row))
+        yield v
+
+
+def point_mask(s: Subspace) -> int:
+    """The projective points of s as an int with one bit per point of
+    F_q^n, numbered in pg_points order."""
+    return sum(1 << p for p in point_ids(s))
+
+
+def pointset_to_json(ps: PointSet) -> dict:
+    """The pointset document that jsonio.pointset_from_json reads."""
+    return {"schema_version": 1,
+            "ambient": {"kind": ps.ambient.kind, "dim": ps.ambient.dim,
+                        "p": ps.ambient.field.p, "e": ps.ambient.field.e},
+            "points": [list(p.rows[0]) for p in ps.points]}
 
 
 def dot(F: GF, x, y) -> int:
@@ -162,6 +197,49 @@ def image_subspace_sets(result) -> set[frozenset[Subspace]]:
     return {frozenset(result.spec.by_id(i) for i in image) for image in result.images}
 
 
+def labeled_embeddings(spec: GrassmannianSpec, l: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Every isometric embedding of J(l, m) into spec's Grassmann graph, as
+    the ids of the Johnson vertices in lexicographic order; memoized per
+    field, n, k, l and m.
+
+    A plain recursive backtracker over rank distances (distance_rows), with
+    no symmetry breaking: each image is reached once per automorphism of
+    J(l, m).  It shares neither the oracle's distance bitsets nor its
+    search loop, so the oracle's one-leaf-per-image search can be checked
+    against its projections.
+    """
+    return _labeled_embeddings(spec.field, spec.n, spec.k, l, m)
+
+
+@functools.cache
+def _labeled_embeddings(field: GF, n: int, k: int, l: int, m: int
+                        ) -> tuple[tuple[int, ...], ...]:
+    spaces = GrassmannianSpec(field, n, k).subspaces
+    # around[i][d]: the ids at distance d from id i
+    around = [[{j for j, dj in enumerate(row) if dj == d} for d in range(max(row) + 1)]
+              for row in distance_rows(spaces)]
+    vertices = johnson_vertices(l, m)
+    jdist = [[johnson_distance(a, b, m) for b in vertices] for a in vertices]
+    found = []
+    placed: list[int] = []
+
+    def extend():
+        t = len(placed)
+        if t == len(vertices):
+            found.append(tuple(placed))
+            return
+        want = jdist[t]
+        cands = (set.intersection(*[around[p][want[s]] for s, p in enumerate(placed)])
+                 if placed else range(len(spaces)))
+        for c in sorted(cands):
+            placed.append(c)
+            extend()
+            placed.pop()
+
+    extend()
+    return tuple(found)
+
+
 def pgl_generators(field: GF, n: int) -> list[SemilinearMap]:
     """Generators of the semilinear automorphism group of F_q^n: an n-cycle,
     one transvection, a primitive scaling (q > 2), and Frobenius (e > 1)."""
@@ -172,7 +250,7 @@ def pgl_generators(field: GF, n: int) -> list[SemilinearMap]:
         tuple(1 if j == i or (i == 0 and j == 1) else 0 for j in range(n)) for i in range(n))
     gens.append(SemilinearMap(field, transvection, 0))
     if field.q > 2:
-        unit = next(a for a in field.units() if a != 1)
+        unit = next(a for a in range(1, field.q) if a != 1)
         # any non-identity unit works together with the transvections
         diag = tuple(tuple((unit if i == 0 else 1) if i == j else 0 for j in range(n))
                      for i in range(n))
@@ -186,7 +264,7 @@ def orbit_closure(spec: GrassmannianSpec, images: set[tuple[int, ...]]
                   ) -> set[tuple[int, ...]]:
     """Close a set of id-tuple images under the semilinear automorphism
     group, by breadth-first orbit expansion over generator action tables."""
-    tables = [[spec.id_of(g.apply(spec.by_id(i))) for i in range(len(spec))]
+    tables = [[spec.index[g.apply(spec.by_id(i))] for i in range(len(spec))]
               for g in pgl_generators(spec.field, spec.n)]
     closed = set(images)
     frontier = list(images)

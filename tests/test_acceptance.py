@@ -16,7 +16,7 @@ from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import GrassmannianSpec, iter_rref_bases
 from grassmann_lab.independence import Ambient, search_m_independent
 from grassmann_lab.jsonio import rigidity_report_to_json
-from grassmann_lab.johnson import johnson_aut_group_order, johnson_vertices
+from grassmann_lab.johnson import johnson_vertices
 from grassmann_lab.linalg import nullspace
 from grassmann_lab.oracle import SearchConfig, enumerate_embeddings
 from grassmann_lab.rigidity import ExtensionWitness, NotExtendable, is_rigid
@@ -24,7 +24,7 @@ from grassmann_lab.subspaces import (Subspace, annihilator, from_coords_in,
                                      lift_from_quotient, sum_many)
 
 from helpers import (enumerate_apartments, frame_count, image_subspace_sets,
-                     johnson_adjacent, star, top)
+                     johnson_adjacent, johnson_aut_group_order, star, top)
 
 F2 = GF.get(2)
 

@@ -76,7 +76,7 @@ def test_coeffs_round_trip():
 
 def test_pow_and_div():
     F = GF.get(3, 2)
-    for a in F.units():
+    for a in range(1, F.q):
         assert F.pow(a, F.q - 1) == 1
         assert F.mul(a, F.inv(a)) == 1
         assert F.pow(a, -1) == F.inv(a)

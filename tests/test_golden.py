@@ -16,8 +16,9 @@ import pytest
 from grassmann_lab.cli import main
 from grassmann_lab.fields import GF
 from grassmann_lab.independence import canonical_simplex, point_set
-from grassmann_lab.jsonio import pointset_to_json
 from grassmann_lab.linalg import identity
+
+from helpers import pointset_to_json
 
 # name -> (build arguments, apply the Frobenius x -> x^p to every entry
 # of the built document before classifying it)

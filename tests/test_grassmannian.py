@@ -60,7 +60,7 @@ def test_enumeration_matches_oracle_and_is_duplicate_free(n, k, q):
     assert len(bases) == len(set(bases)) == q_binomial(n, k, q)
     spec = GrassmannianSpec(field, n, k)
     assert len(spec) == q_binomial(n, k, q)
-    assert [spec.id_of(s) for s in spec.subspaces] == list(range(len(spec)))
+    assert [spec.index[s] for s in spec.subspaces] == list(range(len(spec)))
     # deterministic order: sorted by canonical rows
     assert list(spec.subspaces) == sorted(spec.subspaces, key=lambda s: s.rows)
 
@@ -185,10 +185,10 @@ def test_maximal_cliques_are_exactly_stars_and_tops():
     named = set()
     for m_rows in iter_rref_bases(F2, 4, 1):
         members = star(Subspace(F2, 4, m_rows))
-        named.add(frozenset(spec.id_of(s) for s in members))
+        named.add(frozenset(spec.index[s] for s in members))
     for n_rows in iter_rref_bases(F2, 4, 3):
         members = top(Subspace(F2, 4, n_rows))
-        named.add(frozenset(spec.id_of(s) for s in members))
+        named.add(frozenset(spec.index[s] for s in members))
     assert found == named
     assert len(named) == 15 + 15
 

@@ -9,11 +9,13 @@ from grassmann_lab import independence, linalg
 from grassmann_lab.config import caps, set_caps
 from grassmann_lab.errors import CapExceededError, ValidationError
 from grassmann_lab.fields import GF
-from grassmann_lab.grassmannian import pg_points, point_mask
+from grassmann_lab.grassmannian import pg_points
 from grassmann_lab.independence import (Ambient, PointSet, canonical_simplex,
                                         is_independent, m_dependency_witness,
                                         point_set, search_m_independent, simplex_rank)
 from grassmann_lab.subspaces import Subspace, annihilator, intersect_many
+
+from helpers import point_mask
 
 F2 = GF.get(2)
 F3 = GF.get(3)

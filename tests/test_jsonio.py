@@ -8,6 +8,8 @@ from grassmann_lab.independence import canonical_simplex
 from grassmann_lab.rigidity import is_rigid
 from grassmann_lab.subspaces import Subspace
 
+from helpers import pointset_to_json
+
 F2 = GF.get(2)
 
 
@@ -22,7 +24,7 @@ def apartment_instance():
 
 def test_pointset_round_trip():
     ps = canonical_simplex(F2, 4, 3)
-    obj = jsonio.pointset_to_json(ps)
+    obj = pointset_to_json(ps)
     assert obj["schema_version"] == 1
     back = jsonio.pointset_from_json(obj)
     assert back.points == ps.points

@@ -6,10 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from grassmann_lab import linalg
 from grassmann_lab.fields import GF
-from grassmann_lab.grassmannian import pg_points, point_mask
+from grassmann_lab.grassmannian import pg_points
 from grassmann_lab.subspaces import Subspace
 
-from helpers import dot
+from helpers import dot, point_mask, vectors
 
 # every field with q <= 16; GF(2) has no separate path of its own
 FIELDS_UP_TO_16 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -202,7 +202,7 @@ def test_point_mask_sets_exactly_the_points_of_the_span(case):
     s = Subspace.from_rows(F, n, a)
     bit = {p.rows[0]: b for b, p in enumerate(pg_points(F, n))}
     expected = 0
-    for v in s.vectors():
+    for v in vectors(s):
         if any(v):
             lead = next(x for x in v if x)
             expected |= 1 << bit[linalg.vec_scale(F, F.inv(lead), v)]

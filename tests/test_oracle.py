@@ -20,8 +20,9 @@ from grassmann_lab.johnson import JohnsonAut, johnson_aut_group, johnson_vertice
 from grassmann_lab.oracle import SearchConfig, cross_validate, enumerate_embeddings
 from grassmann_lab.subspaces import Subspace
 
-from helpers import (enumerate_apartments, frame_count, image_subspace_sets, memo_active,
-                     orbit_closure, pgl_generators, rref_calls)
+from helpers import (enumerate_apartments, frame_count, image_subspace_sets,
+                     johnson_aut_group_order, labeled_embeddings, memo_active, orbit_closure,
+                     pgl_generators, rref_calls)
 
 F2 = GF.get(2)
 
@@ -80,11 +81,12 @@ def test_every_constructed_image_is_found_by_the_oracle():
 
 
 def test_labeled_counts_factor_through_the_automorphism_group():
-    # without deduplication each image is found once per automorphism of
-    # J(4,2), whose group has order 48
-    labeled = enumerate_embeddings(SearchConfig(l=4, m=2, n=4, k=2, p=2, dedupe=False))
-    assert labeled.complete
-    assert len(labeled.images) == 840 * 48
+    # without symmetry breaking each image is found once per automorphism
+    # of J(4,2), whose group has order 48
+    labeled = labeled_embeddings(GrassmannianSpec(F2, 4, 2), 4, 2)
+    assert johnson_aut_group_order(4, 2) == 48
+    assert len(labeled) == 840 * 48
+    assert len(set(labeled)) == len(labeled)
 
 
 def test_symmetry_reduction_expands_to_the_full_set():
@@ -123,6 +125,89 @@ def test_jobs_partitioning_is_deterministic():
     assert par.complete
     # the floors depend only on the path below each root
     assert par.nodes == seq.nodes
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records the workers asked for and
+    maps in this process, so no interpreter is started."""
+
+    max_workers: list[int] = []
+
+    def __init__(self, max_workers, mp_context):
+        _InProcessPool.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return list(map(fn, iterable))
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    _InProcessPool.max_workers = []
+    return _InProcessPool
+
+
+@pytest.mark.parametrize("jobs,cpus,workers", [
+    (3, 64, 3), (1_000, 64, 35), (1_000, 2, 2), (2, None, 1),
+])
+def test_the_pool_starts_no_more_workers_than_chunks_or_cpus(in_process_pool, monkeypatch,
+                                                             jobs, cpus, workers):
+    # spawn starts one interpreter per submitted chunk up to max_workers;
+    # G(4, 2, 2) has 35 roots, and cpu_count() may not know (None)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+    seq = enumerate_embeddings(SearchConfig(l=4, m=2, n=4, k=2, p=2))
+    par = enumerate_embeddings(SearchConfig(l=4, m=2, n=4, k=2, p=2, jobs=jobs))
+    assert in_process_pool.max_workers == [workers]
+    assert (par.images, par.nodes, par.complete) == (seq.images, seq.nodes, True)
+
+
+@pytest.mark.parametrize("budget", [35, 100, 1_000, 3_592, 3_593])
+@pytest.mark.parametrize("l", [4, 5])
+def test_a_budget_stopped_search_is_the_serial_one_for_every_jobs_value(in_process_pool,
+                                                                        l, budget):
+    # the serial search spends 3,593 nodes on J(4, 2) and 6,532 on J(5, 2);
+    # the parallel one must report its images and its node count, not jobs
+    # times the budget
+    seq = enumerate_embeddings(SearchConfig(l=l, m=2, n=4, k=2, p=2, budget=budget))
+    for jobs in (2, 3, 35):
+        par = enumerate_embeddings(SearchConfig(l=l, m=2, n=4, k=2, p=2, budget=budget,
+                                                jobs=jobs))
+        assert (par.images, par.nodes, par.complete) == (
+            seq.images, seq.nodes, seq.complete), jobs
+    assert seq.complete == (l == 4 and budget == 3_593)
+    assert seq.nodes == (3_593 if seq.complete else budget + 1)
+
+
+def test_budget_stopped_summaries_are_byte_identical_for_every_jobs_value(in_process_pool,
+                                                                          capsys):
+    outputs = set()
+    for jobs in (1, 2, 3):
+        assert main(["oracle", "--l", "4", "--m", "2", "--n", "4", "--k", "2", "--p", "2",
+                     "--budget", "100", "--jobs", str(jobs)]) == 3
+        outputs.add(capsys.readouterr().out)
+    summary = json.loads(outputs.pop())
+    assert not outputs
+    assert (summary["nodes"], summary["image_count"]) == (101, 34)
+
+
+def test_an_image_below_two_roots_is_an_internal_error(in_process_pool, monkeypatch):
+    # without the floors of depth 0 each root still reaches an image once,
+    # but every member of an image is a root that reaches it
+    real = oracle._chain_floors
+    monkeypatch.setattr(oracle, "_chain_floors",
+                        lambda order, l, m: [[t for t in f if t] for f in real(order, l, m)])
+    with pytest.raises(InternalInvariantError, match="second leaf"):
+        enumerate_embeddings(SearchConfig(l=4, m=2, n=4, k=2, p=2))
+    with pytest.raises(InternalInvariantError, match="below two roots"):
+        enumerate_embeddings(SearchConfig(l=4, m=2, n=4, k=2, p=2, jobs=2))
 
 
 def test_cross_validate_main_configuration():
@@ -191,15 +276,6 @@ def test_reduced_search_counts_the_apartments_through_vertex_0(p, images):
         vertex_0 = result.spec.by_id(0)
         assert image_subspace_sets(result) == {
             a for a in enumerate_apartments(F2, 4, 2) if vertex_0 in a}
-
-
-def test_labeled_search_counts_each_apartment_once():
-    # pinned at vertex 0, each image is reached by the 48 / 6 automorphisms
-    # of J(4, 2) that fix the first Johnson vertex, and counted once
-    cfg = SearchConfig(l=4, m=2, n=4, k=2, p=2, dedupe=False, symmetry_reduction=True)
-    report = cross_validate(cfg)
-    assert report.image_count == 144 * 8
-    assert report.apartment_match is True and report.ok
 
 
 def test_a_search_stopped_by_its_budget_has_no_apartment_count():
@@ -435,18 +511,41 @@ def test_chain_floors_match_a_brute_force_stabilizer_chain(l, m):
     assert oracle._chain_floors(order, l, m) == _brute_force_floors(l, m)
 
 
-@pytest.mark.parametrize("l,m,aut_order,images", [
-    (4, 2, 48, 840),
-    (5, 2, 120, 336),
-    (3, 1, 6, 945),
+def _case(l, m, aut_order, images, n=4, k=2, p=2, e=1):
+    # the Grassmannian stays out of the id, which G(4, 2, 2) cases had alone
+    grassmannian = "" if (n, k, p, e) == (4, 2, 2, 1) else f"-G{n}{k}q{p ** e}"
+    return pytest.param(l, m, n, k, p, e, aut_order, images,
+                        id=f"{l}-{m}-{aut_order}-{images}{grassmannian}")
+
+
+@pytest.mark.parametrize("l,m,n,k,p,e,aut_order,images", [
+    _case(4, 2, 48, 840),
+    _case(5, 2, 120, 336),
+    _case(3, 1, 6, 945),
+    # m = 1: every 3-set of points, 13 * 12 * 11 and 21 * 20 * 19 labelings
+    _case(3, 1, 6, 286, n=3, k=1, p=3),
+    _case(3, 1, 6, 1_330, n=3, k=1, p=2, e=2),
 ])
-def test_pruned_images_are_the_projected_labeled_images(l, m, aut_order, images):
-    pruned = enumerate_embeddings(SearchConfig(l=l, m=m, n=4, k=2, p=2))
-    labeled = enumerate_embeddings(SearchConfig(l=l, m=m, n=4, k=2, p=2, dedupe=False))
-    assert pruned.complete and labeled.complete
-    assert len(labeled.images) == images * aut_order
-    assert pruned.images == {tuple(sorted(image)) for image in labeled.images}
+def test_pruned_images_are_the_projected_labeled_images(l, m, n, k, p, e, aut_order, images):
+    # the reference is a separate backtracker over rank distances with no
+    # symmetry breaking, so a fault of the search loop shows on one side only
+    pruned = enumerate_embeddings(SearchConfig(l=l, m=m, n=n, k=k, p=p, e=e))
+    labeled = labeled_embeddings(pruned.spec, l, m)
+    assert pruned.complete
+    assert len(labeled) == images * aut_order
+    assert pruned.images == {tuple(sorted(image)) for image in labeled}
     assert len(pruned.images) == images
+
+
+@pytest.mark.parametrize("l,through_0", [(4, 144), (5, 96)])
+def test_reduced_images_are_the_projected_labelings_of_vertex_0_on_id_0(l, through_0):
+    # the reduced search places the first Johnson vertex on id 0 only
+    reduced = enumerate_embeddings(SearchConfig(l=l, m=2, n=4, k=2, p=2,
+                                                symmetry_reduction=True))
+    labeled = labeled_embeddings(reduced.spec, l, 2)
+    assert reduced.complete
+    assert reduced.images == {tuple(sorted(image)) for image in labeled if image[0] == 0}
+    assert len(reduced.images) == through_0
 
 
 def test_apartment_count_over_gf3():

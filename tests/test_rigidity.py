@@ -21,6 +21,8 @@ from grassmann_lab.rigidity import (ExtensionWitness, NotExtendable, extend_auto
 from grassmann_lab.subspaces import (Subspace, annihilator, contragredient, memoized,
                                      sum_subspaces)
 
+from helpers import vectors
+
 F2 = GF.get(2)
 F3 = GF.get(3)
 F4 = GF.get(2, 2)
@@ -422,8 +424,8 @@ def semilinear_group(p, e, d):
 
 
 def _point_sets(index, pairs):
-    return [(frozenset(index[v] for v in src.vectors() if any(v)),
-             frozenset(index[v] for v in dst.vectors() if any(v))) for src, dst in pairs]
+    return [(frozenset(index[v] for v in vectors(src) if any(v)),
+             frozenset(index[v] for v in vectors(dst) if any(v))) for src, dst in pairs]
 
 
 def _realized(group, point_sets):

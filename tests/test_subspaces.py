@@ -13,7 +13,7 @@ from grassmann_lab.subspaces import (SemilinearMap, Subspace, annihilator, contr
                                      frame, from_coords_in, intersect_many, intersect_subspaces,
                                      lift_from_quotient, memoized, sum_many, sum_subspaces)
 
-from helpers import dot, memo_active
+from helpers import dot, memo_active, vectors
 
 F2 = GF.get(2)
 F4 = GF.get(2, 2)
@@ -98,12 +98,12 @@ def test_annihilator_pairing_by_brute_force():
     ann = annihilator(s)
     assert ann.dim == 2
     assert ann.contains_vector((1, 1, 0))
-    for phi in ann.vectors():
-        for v in s.vectors():
+    for phi in vectors(ann):
+        for v in vectors(s):
             assert dot(F2, phi, v) == 0
     # and nothing more vanishes on s
     count = sum(1 for phi in itertools.product((0, 1), repeat=3)
-                if all(dot(F2, phi, v) == 0 for v in s.vectors()))
+                if all(dot(F2, phi, v) == 0 for v in vectors(s)))
     assert count == 2 ** ann.dim
 
 
@@ -154,8 +154,8 @@ def test_frobenius_twisted_image_matches_pointwise_mapping():
     u = SemilinearMap(F4, diag, sigma=1)
     line = Subspace.line(F4, (1, omega))
     image = u.apply(line)
-    pointwise = {u.apply_vector(v) for v in line.vectors()}
-    assert {tuple(v) for v in image.vectors()} == pointwise
+    pointwise = {u.apply_vector(v) for v in vectors(line)}
+    assert {tuple(v) for v in vectors(image)} == pointwise
     # sigma(omega) = omega^2, then scaled by the diagonal entry
     expected = Subspace.line(F4, (1, F4.mul(F4.frobenius(omega), omega)))
     assert image == expected
@@ -197,15 +197,6 @@ def test_contragredient_law_with_frobenius_twist():
         assert ud.apply(annihilator(s)) == annihilator(u.apply(s))
 
 
-def test_semilinear_inverse():
-    u = SemilinearMap(F4, ((2, 1), (1, 1)), sigma=1)
-    v = u.inverse()
-    s = Subspace.line(F4, (1, 3))
-    assert v.apply(u.apply(s)) == s
-    for x in itertools.product(F4.elements(), repeat=2):
-        assert v.apply_vector(u.apply_vector(x)) == x
-
-
 def test_quotient_and_section_coordinates_round_trip():
     m = Subspace.from_rows(F2, 4, ((1, 0, 1, 0),))
     for rows in iter_rref_bases(F2, 3, 2):
@@ -219,7 +210,7 @@ def test_quotient_and_section_coordinates_round_trip():
 
 def test_vectors_enumeration():
     s = Subspace.from_rows(F2, 3, ((1, 0, 1), (0, 1, 1)))
-    vecs = set(s.vectors())
+    vecs = set(vectors(s))
     assert len(vecs) == 4
     assert all(s.contains_vector(v) for v in vecs)
 
@@ -405,7 +396,7 @@ def points_over_a_base(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(points_over_a_base(), st.integers(1, 7))
 def test_frame_point_sets_and_containment_read_the_same_ranks(draw, size):
-    F, n, base, gens, vectors = draw
+    F, n, base, gens, listed = draw
     if gens:
         points = point_set(F, frame(base, gens)[2])
         size = min(size, len(gens))
@@ -414,12 +405,12 @@ def test_frame_point_sets_and_containment_read_the_same_ranks(draw, size):
                      None)
         assert m_dependency_witness(points, size) == first
     # membership against the listed vectors, for spaces with at most 729
-    family = [base, *gens, Subspace.from_rows(F, n, vectors)]
+    family = [base, *gens, Subspace.from_rows(F, n, listed)]
     for s in family:
         if F.q ** s.dim > 729:
             continue
-        members = set(s.vectors())
+        members = set(vectors(s))
         assert all(s.contains_vector(v) for v in members)
-        assert all(s.contains_vector(v) == (v in members) for v in vectors)
+        assert all(s.contains_vector(v) == (v in members) for v in listed)
         for t in family:
             assert s.contains(t) == all(r in members for r in t.rows)
