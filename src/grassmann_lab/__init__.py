@@ -15,9 +15,8 @@ from .errors import (BudgetExhaustedError, CapExceededError, ClassificationError
 from .fields import GF
 from .grassmannian import (GrassmannianSpec, distance, gaussian_binomial, iter_rref_bases,
                            pg_points)
-from .independence import (Ambient, PointSet, SearchResult, canonical_simplex,
-                           is_independent, m_dependency_witness, point_set,
-                           search_m_independent, simplex_rank)
+from .independence import (SearchResult, canonical_simplex, is_independent,
+                           m_dependency_witness, search_m_independent, simplex_rank)
 from .johnson import (JohnsonAut, johnson_aut_group, johnson_distance, johnson_vertices,
                       transposition_aut, vertex_from_indices, vertex_indices)
 from .oracle import (CrossValidationReport, OracleResult, SearchConfig, cross_validate,

@@ -27,7 +27,7 @@ from .errors import (BudgetExhaustedError, GrassmannLabError, InternalInvariantE
                      ValidationError)
 from .fields import GF
 from .grassmannian import GrassmannianSpec
-from .independence import Ambient, canonical_simplex, search_m_independent
+from .independence import canonical_simplex, search_m_independent
 from .jsonio import dump_json, load_json
 from .linalg import identity, nullspace
 from .oracle import SearchConfig, cross_validate, enumerate_embeddings
@@ -51,8 +51,7 @@ def _span_of_first(field: GF, n: int, count: int) -> Subspace:
 
 def _search_points(field: GF, dim: int, independence: int, size: int,
                    budget: int):
-    result = search_m_independent(Ambient("primal", field, dim),
-                                  min(independence, size), size, budget)
+    result = search_m_independent(field, dim, min(independence, size), size, budget)
     if result.status == "infeasible":
         raise ValidationError(
             f"no {min(independence, size)}-independent set of {size} points exists "
@@ -60,17 +59,16 @@ def _search_points(field: GF, dim: int, independence: int, size: int,
     if result.status == "unknown":
         raise BudgetExhaustedError(
             f"point search exhausted its budget of {budget} nodes without a certificate")
-    return [p.rows[0] for p in result.points.points]
+    return result.points
 
 
 def _load_pointset_rows(path: str, field: GF, dim: int):
-    ps = jsonio.pointset_from_json(load_json(path))
-    if ps.ambient.field != field:
-        raise ValidationError(f"point set field {ps.ambient.field} does not match --p/--e")
-    if ps.ambient.dim != dim:
-        raise ValidationError(
-            f"point set coordinate dimension {ps.ambient.dim}, expected {dim}")
-    return [p.rows[0] for p in ps.points]
+    file_field, file_dim, rows = jsonio.pointset_from_json(load_json(path))
+    if file_field != field:
+        raise ValidationError(f"point set field {file_field} does not match --p/--e")
+    if file_dim != dim:
+        raise ValidationError(f"point set coordinate dimension {file_dim}, expected {dim}")
+    return rows
 
 
 def _open_output(path: str):
@@ -124,7 +122,7 @@ def cmd_build(args) -> int:
         rows = identity(dim)
     elif args.kind == "simplex-faces" or (
             args.kind == "dual" and not args.points and args.l in (None, k + m + 1)):
-        rows = [p.rows[0] for p in canonical_simplex(field, dim, dim).points]
+        rows = canonical_simplex(dim, dim)
     elif args.points:
         rows = _load_pointset_rows(args.points, field, dim)
     elif args.l is None:
@@ -227,11 +225,11 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _add_field_args(parser, require_nk: bool = True):
+def _add_field_args(parser):
     parser.add_argument("--p", type=int, required=True, help="field characteristic")
     parser.add_argument("--e", type=int, default=1, help="field extension degree")
-    parser.add_argument("--n", type=int, required=require_nk, help="ambient dimension")
-    parser.add_argument("--k", type=int, required=require_nk, help="subspace dimension")
+    parser.add_argument("--n", type=int, required=True, help="ambient dimension")
+    parser.add_argument("--k", type=int, required=True, help="subspace dimension")
 
 
 @functools.cache

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import ClassificationError, NotIsometricError, ValidationError
 from .fields import GF
 from .grassmannian import distance_rows
-from .independence import PointSet, m_dependency_witness, point_set
+from .independence import m_dependency_witness
 from .johnson import johnson_distance, johnson_vertices
 from .subspaces import (Subspace, annihilator, frame, intersect_many, intersect_subspaces,
                         sum_many, sum_subspaces)
@@ -131,7 +131,7 @@ def _certify_independent(base: Subspace, points, m: int):
     at most one dimension over base, are independent over base: the
     certificate that proves a construction isometric."""
     need = min(2 * m, len(points))
-    witness = m_dependency_witness(point_set(base.field, frame(base, points)[2]), need)
+    witness = m_dependency_witness(base.field, frame(base, points)[2], need)
     if witness is not None:
         raise ValidationError(
             f"generators are not {need}-independent over the base; "
@@ -233,20 +233,20 @@ class Classification:
     image: frozenset[Subspace]
     labeled: dict[int, Subspace] = dc_field(compare=False, repr=False)
 
-    def star_point_set(self) -> PointSet:
-        """The star points as points over m_space, in the coordinates of
-        their frame (subspaces.frame), which span their own space."""
+    def star_point_set(self) -> tuple[tuple[int, ...], ...]:
+        """The star points as points over m_space: the rows of their
+        coordinates in their frame (subspaces.frame), which span their
+        own space."""
         if self.star_points is None:
             raise ValidationError("no primal generators on a top-type classification")
-        return point_set(self.field, frame(self.m_space, self.star_points)[2])
+        return frame(self.m_space, self.star_points)[2]
 
-    def top_point_set(self) -> PointSet:
+    def top_point_set(self) -> tuple[tuple[int, ...], ...]:
         """The annihilated top points as points over the annihilator of
-        n_space, in the coordinates of their frame (subspaces.frame)."""
+        n_space: the rows of their coordinates in their frame."""
         if self.top_points is None:
             raise ValidationError("no dual generators on a star-type classification")
-        duals = tuple(map(annihilator, self.top_points))
-        return point_set(self.field, frame(annihilator(self.n_space), duals)[2], "dual")
+        return frame(annihilator(self.n_space), tuple(map(annihilator, self.top_points)))[2]
 
 
 def rebuild(cls: Classification) -> dict[int, Subspace]:

@@ -1,9 +1,8 @@
 """m-independent point sets and simplices in small projective spaces.
 
-A point set lives in a coordinate model of its projective space: the
-primal space of F_q^d, or the dual space (coordinates in the dual basis).
-Points over a base space, as the embedding constructors use them, are
-put into such a model by their frame coordinates (subspaces.frame),
+A point set is a field and a tuple of coordinate rows, one nonzero row
+per point.  Points over a base space, as the embedding constructors use
+them, are read as the coordinates of their frame (subspaces.frame),
 which span the points' own space.
 
 A set is m-independent when every m of its points span an m-dimensional
@@ -27,120 +26,47 @@ from .grassmannian import check_pg_cap, lead_one_vectors, point_ids
 from .subspaces import Subspace
 
 
-@dataclass(frozen=True)
-class Ambient:
-    kind: str  # "primal" | "dual"
-    field: GF
-    dim: int
-
-    def __post_init__(self):
-        if self.kind not in ("primal", "dual"):
-            raise ValidationError(f"unknown ambient kind {self.kind!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class PointSet:
-    """An ordered tuple of distinct projective points.
-
-    Order matters to the embedding constructors (it fixes the ground-set
-    labeling), but two point sets compare equal as configurations: same
-    ambient, same set of points, any order.
-    """
-
-    ambient: Ambient
-    points: tuple[Subspace, ...]
-
-    def __post_init__(self):
-        seen = set()
-        for p in self.points:
-            if p.dim != 1 or p.ambient_dim != self.ambient.dim:
-                raise ValidationError("points must be lines of the ambient coordinate space")
-            if p in seen:
-                raise ValidationError("points must be pairwise distinct")
-            seen.add(p)
-
-    def __eq__(self, other):
-        return (isinstance(other, PointSet) and self.ambient == other.ambient
-                and frozenset(self.points) == frozenset(other.points))
-
-    def __hash__(self):
-        return hash((self.ambient, frozenset(self.points)))
-
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def representatives(self) -> linalg.Matrix:
-        return tuple(p.rows[0] for p in self.points)
-
-
-def point_set(field: GF, vectors, kind: str = "primal") -> PointSet:
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        raise ValidationError("empty point set")
-    dim = len(vectors[0])
-    return PointSet(Ambient(kind, field, dim),
-                    tuple(Subspace.from_rows(field, dim, (v,)) for v in vectors))
-
-
-def _subset_rank(F: GF, reps: linalg.Matrix, subset) -> int:
-    return linalg.rank(F, tuple(reps[i] for i in subset))
-
-
-def m_dependency_witness(ps: PointSet, m: int) -> tuple[int, ...] | None:
-    """Indices of some m-subset spanning fewer than m dimensions, or None
-    if the set is m-independent."""
-    if m > len(ps):
-        raise ValidationError(f"m={m} exceeds point count {len(ps)}")
-    F = ps.ambient.field
-    reps = ps.representatives()
-    for subset in itertools.combinations(range(len(ps)), m):
-        if _subset_rank(F, reps, subset) < m:
+def m_dependency_witness(F: GF, rows: linalg.Matrix, m: int) -> tuple[int, ...] | None:
+    """Indices of some m of the points spanning fewer than m dimensions,
+    or None if the set is m-independent."""
+    if m > len(rows):
+        raise ValidationError(f"m={m} exceeds point count {len(rows)}")
+    for subset in itertools.combinations(range(len(rows)), m):
+        if linalg.rank(F, tuple(rows[i] for i in subset)) < m:
             return subset
     return None
 
 
-def is_independent(ps: PointSet) -> bool:
-    """Fully independent: the points span len(ps) dimensions."""
-    F = ps.ambient.field
-    return linalg.rank(F, ps.representatives()) == len(ps)
+def is_independent(F: GF, rows: linalg.Matrix) -> bool:
+    """Fully independent: the points span len(rows) dimensions."""
+    return linalg.rank(F, rows) == len(rows)
 
 
-def simplex_rank(ps: PointSet) -> tuple[bool, int | None]:
+def simplex_rank(F: GF, rows: linalg.Matrix) -> tuple[bool, int | None]:
     """(True, s) when the set is an s-simplex: s+1 points, s-independent,
     not independent.  Otherwise (False, None)."""
-    s = len(ps) - 1
-    if s < 1:
-        return False, None
-    if is_independent(ps):
-        return False, None
-    if m_dependency_witness(ps, min(s, len(ps))) is not None:
+    s = len(rows) - 1
+    if s < 1 or is_independent(F, rows) or m_dependency_witness(F, rows, s) is not None:
         return False, None
     return True, s
 
 
-def canonical_simplex(field: GF, dim: int, s: int) -> PointSet:
-    """The s-simplex on the first s basis points plus their sum."""
+def canonical_simplex(dim: int, s: int) -> linalg.Matrix:
+    """The rows of the s-simplex on the first s basis points plus their
+    sum, in every field."""
     if s > dim:
         raise ValidationError(f"no {s}-simplex fits in dimension {dim}")
     if s < 2:
         raise ValidationError("a simplex needs s >= 2")
-    vectors = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(s)]
-    vectors.append(tuple(1 if j < s else 0 for j in range(dim)))
-    return point_set(field, vectors)
+    eye = linalg.identity(dim)
+    return eye[:s] + (tuple(1 if j < s else 0 for j in range(dim)),)
 
 
 @dataclass(frozen=True)
 class SearchResult:
     status: str  # "found" | "infeasible" | "unknown"
-    points: PointSet | None
+    points: linalg.Matrix | None  # the lead-one rows of a found set
     nodes: int
-
-    @property
-    def found(self) -> bool:
-        return self.status == "found"
 
 
 def _free_by_lines(row: dict[int, int], line, cand: int, above: int, avoid: int) -> int:
@@ -183,9 +109,10 @@ def _free_by_join(row: dict[int, int], line, cand: int, above: int, avoid: int) 
     return above & ~_join(row, line, cand, avoid)
 
 
-def search_m_independent(ambient: Ambient, m: int, target_size: int,
+def search_m_independent(F: GF, d: int, m: int, target_size: int,
                          budget: int = 1_000_000) -> SearchResult:
-    """Backtracking search for an m-independent set of the target size.
+    """Backtracking search for an m-independent set of the target size in
+    F^d.
 
     Extends the chosen set S by its lowest free point above the last one,
     backtracking when none is left.  A point is free when it lies in the
@@ -236,7 +163,6 @@ def search_m_independent(ambient: Ambient, m: int, target_size: int,
         raise ValidationError("m must be positive")
     if budget < 0:
         raise ValidationError(f"need a budget of at least 0 nodes, got {budget}")
-    F, d = ambient.field, ambient.dim
     # the table outlives the call, so the cap is checked on every call
     check_pg_cap(F, d)
     universe = lead_one_vectors(F, d)[0]
@@ -276,9 +202,7 @@ def search_m_independent(ambient: Ambient, m: int, target_size: int,
                      for lower, upper in zip(levels, levels[1:])])
 
     def found(indices) -> SearchResult:
-        # a vector led by 1 is the RREF basis of its point
-        points = tuple(Subspace(F, d, (universe[i],)) for i in indices)
-        return SearchResult("found", PointSet(ambient, points), nodes)
+        return SearchResult("found", tuple(universe[i] for i in indices), nodes)
 
     nodes = start = 0
     chosen: list[int] = []

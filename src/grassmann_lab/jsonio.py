@@ -17,7 +17,6 @@ from .embeddings import (Classification, EmbeddingInstance, build_dual_construct
                          build_sum_construction, classify)
 from .errors import SchemaError
 from .fields import GF
-from .independence import Ambient, PointSet
 from .johnson import vertex_from_indices, vertex_indices
 from .rigidity import ExtensionWitness, RigidityReport, SigmaDiagnostics
 from .subspaces import Subspace
@@ -76,7 +75,10 @@ def _subspaces_from_json(raw, field: GF, n: int, context: str) -> list[Subspace]
 # point sets ----------------------------------------------------------------
 
 
-def pointset_from_json(obj: dict) -> PointSet:
+def pointset_from_json(obj: dict) -> tuple[GF, int, tuple[tuple[int, ...], ...]]:
+    """The field, the coordinate dimension and the points as lead-one rows.
+    The ambient kind must be primal or dual, but the rows do not depend
+    on it."""
     _check_schema_version(obj, "pointset")
     amb = _need(obj, "ambient", "pointset")
     kind = _need(amb, "kind", "pointset.ambient")
@@ -90,11 +92,16 @@ def pointset_from_json(obj: dict) -> PointSet:
     for i, row in enumerate(rows):
         if len(row) != dim:
             raise SchemaError(f"pointset.points[{i}]: expected {dim} coordinates")
-        sub = Subspace.from_rows(field, dim, (row,))
-        if sub.dim != 1:
+        line = Subspace.from_rows(field, dim, (row,)).rows
+        if not line:
             raise SchemaError(f"pointset.points[{i}]: zero vector is not a point")
-        points.append(sub)
-    return PointSet(Ambient(kind, field, dim), tuple(points))
+        points.append(line[0])
+    first = {}
+    for i, point in enumerate(points):
+        if first.setdefault(point, i) != i:
+            raise SchemaError(f"pointset.points[{i}]: repeats points[{first[point]}]; "
+                              "points must be pairwise distinct")
+    return field, dim, tuple(points)
 
 
 # embeddings ------------------------------------------------------------------

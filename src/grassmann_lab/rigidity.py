@@ -24,7 +24,7 @@ from . import linalg
 from .embeddings import Classification, classify, rebuild
 from .errors import InternalInvariantError, ValidationError
 from .fields import GF
-from .independence import PointSet, is_independent, simplex_rank
+from .independence import is_independent, simplex_rank
 from .johnson import JohnsonAut, johnson_aut_group
 from .linalg import frobenius_vec
 from .subspaces import (SemilinearMap, annihilator, contragredient, frame, intersect_many,
@@ -163,12 +163,13 @@ def solve_semilinear_mapping(F: GF, d: int, pairs
 
 def induced_by_semilinear(points, perm) -> ExtensionWitness | NotExtendable:
     """Decide whether some semilinear automorphism realizes the permutation
-    on the given projective points, i.e. maps point i onto point perm[i].
+    on the given projective points, 1-dimensional subspaces, i.e. maps
+    point i onto point perm[i].
 
     The witness acts on the span of the points and sends its standard
     complement onto itself.  A returned witness is re-verified pointwise.
     """
-    pts = list(points.points if isinstance(points, PointSet) else points)
+    pts = list(points)
     if not pts:
         raise ValidationError("empty point family")
     perm = tuple(perm)
@@ -256,25 +257,23 @@ def _structure_case(cls: Classification) -> str:
     if cls.l == 2 * cls.m:
         return "parabolic-apartment"
     if cls.case == "star":
-        ps = cls.star_point_set()
-        side = "star"
+        rows, side = cls.star_point_set(), "star"
     else:
-        ps = cls.top_point_set()
-        side = "top"
-    if is_independent(ps):
+        rows, side = cls.top_point_set(), "top"
+    if is_independent(cls.field, rows):
         return f"parabolic-apartment-{side}"
-    if simplex_rank(ps)[0]:
+    if simplex_rank(cls.field, rows)[0]:
         return f"simplex-faces-{side}"
     return "none"
 
 
 def _unique_pgl(cls: Classification) -> bool:
     if cls.star_points is not None and cls.m_space.dim == 0:
-        ok, s = simplex_rank(cls.star_point_set())
+        ok, s = simplex_rank(cls.field, cls.star_point_set())
         if ok and s == cls.n:
             return True
     if cls.top_points is not None and cls.n_space.dim == cls.n:
-        ok, s = simplex_rank(cls.top_point_set())
+        ok, s = simplex_rank(cls.field, cls.top_point_set())
         if ok and s == cls.n:
             return True
     return False

@@ -15,7 +15,6 @@ from grassmann_lab.errors import ValidationError
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import (GrassmannianSpec, distance, distance_rows, pg_points,
                                         point_ids)
-from grassmann_lab.independence import PointSet
 from grassmann_lab.johnson import johnson_distance, johnson_vertices
 from grassmann_lab.subspaces import (SemilinearMap, Subspace, from_coords_in, intersect_many,
                                      intersect_subspaces, lift_from_quotient, sum_many,
@@ -60,12 +59,11 @@ def point_mask(s: Subspace) -> int:
     return sum(1 << p for p in point_ids(s))
 
 
-def pointset_to_json(ps: PointSet) -> dict:
+def pointset_to_json(field: GF, rows, kind: str = "primal") -> dict:
     """The pointset document that jsonio.pointset_from_json reads."""
     return {"schema_version": 1,
-            "ambient": {"kind": ps.ambient.kind, "dim": ps.ambient.dim,
-                        "p": ps.ambient.field.p, "e": ps.ambient.field.e},
-            "points": [list(p.rows[0]) for p in ps.points]}
+            "ambient": {"kind": kind, "dim": len(rows[0]), "p": field.p, "e": field.e},
+            "points": [list(row) for row in rows]}
 
 
 def dot(F: GF, x, y) -> int:

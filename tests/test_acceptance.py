@@ -14,7 +14,7 @@ from grassmann_lab.embeddings import (build_dual_construction, build_sum_constru
                                       classify, rebuild)
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import GrassmannianSpec, iter_rref_bases
-from grassmann_lab.independence import Ambient, search_m_independent
+from grassmann_lab.independence import search_m_independent
 from grassmann_lab.jsonio import rigidity_report_to_json
 from grassmann_lab.johnson import johnson_vertices
 from grassmann_lab.linalg import nullspace
@@ -83,10 +83,9 @@ def test_criterion_2_constructions_classify_back_to_their_type():
         # primal side: generators over a (k-2)-dimensional base
         base = Subspace.from_rows(field, n, linalg.identity(n)[:k - m])
         quot_dim = n - (k - m)
-        found = search_m_independent(Ambient("primal", field, quot_dim), need, l,
-                                     budget=2_000_000)
+        found = search_m_independent(field, quot_dim, need, l, budget=2_000_000)
         if found.status == "found":
-            gens = [lift_from_quotient(base, p.rows) for p in found.points]
+            gens = [lift_from_quotient(base, (row,)) for row in found.points]
             inst = build_sum_construction(base, gens, k)
             cls = classify(inst)
             expected = "parabolic-apartment" if l == 2 * m else "star"
@@ -103,11 +102,10 @@ def test_criterion_2_constructions_classify_back_to_their_type():
             skipped += 1
         # dual side: hyperplane generators under a (k+2)-dimensional cover
         cover = Subspace.from_rows(field, n, linalg.identity(n)[:k + m])
-        found = search_m_independent(Ambient("dual", field, k + m), need, l,
-                                     budget=2_000_000)
+        found = search_m_independent(field, k + m, need, l, budget=2_000_000)
         if found.status == "found":
-            hyps = [from_coords_in(cover, nullspace(field, p.rows, k + m))
-                    for p in found.points]
+            hyps = [from_coords_in(cover, nullspace(field, (row,), k + m))
+                    for row in found.points]
             inst = build_dual_construction(cover, hyps, k)
             cls = classify(inst)
             expected = "parabolic-apartment" if l == 2 * m else "top"

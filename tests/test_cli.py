@@ -110,9 +110,9 @@ def test_build_sum_searches_with_the_given_or_default_budget(capsys, monkeypatch
     from grassmann_lab import cli
     budgets = []
 
-    def recording(ambient, m, size, budget):
+    def recording(F, d, m, size, budget):
         budgets.append(budget)
-        return search_m_independent(ambient, m, size, budget)
+        return search_m_independent(F, d, m, size, budget)
 
     monkeypatch.setattr(cli, "search_m_independent", recording)
     assert run(["build", "sum", "--n", 4, "--k", 2, "--p", 2, "--l", 5, *given]) == 0
@@ -464,9 +464,14 @@ def _malformed(tmp_path, monkeypatch, case):
             ambient["kind"] = "other"
         elif case == "points-wrong-length":
             points[2] = points[2][:3]
+        elif case == "points-repeated":
+            # over GF(3), (2, 0, 0, 0) is the point (1, 0, 0, 0) again
+            ambient["p"] = 3
+            points[4] = [2, 0, 0, 0]
         path.write_text(json.dumps(
             {"schema_version": version, "ambient": ambient, "points": points}))
-        return ["build", "sum", "--n", 4, "--k", 2, "--p", 2, "--points", path]
+        p = ambient["p"] if case == "points-repeated" else 2
+        return ["build", "sum", "--n", 4, "--k", 2, "--p", p, "--points", path]
     emb = tmp_path / "emb.json"
     assert run(["build", "apartment", "--n", 4, "--k", 2, "--p", 2, "--output", emb]) == 0
     doc = json.loads(emb.read_text())
@@ -549,6 +554,7 @@ MALFORMED = {
     "points-other-dimension": "point set coordinate dimension 3, expected 4",
     "points-kind-other": "pointset.ambient.kind: must be 'primal' or 'dual'",
     "points-wrong-length": "pointset.points[2]: expected 4 coordinates",
+    "points-repeated": "points must be pairwise distinct",
     "build-sum-with-m-1": "sum construction needs 1 < m <= k, got m=1",
     "johnson-export-without-lm": "johnson export needs --l and --m",
     "export-without-input-or-graph": "export needs --input or --graph",
@@ -652,11 +658,11 @@ def test_each_command_runs_inside_one_memo_that_ends_with_it(tmp_path, monkeypat
 # their own sums
 RIGIDITY_RREF_CALLS = {
     "gf3-star-j62-in-g63": (["build", "sum", "--p", 3, "--n", 6, "--k", 3, "--m", 2,
-                             "--l", 6], 189, 137),
+                             "--l", 6], 177, 125),
     "gf4-top-j62-in-g63": (["build", "dual", "--p", 2, "--e", 2, "--n", 6, "--k", 3,
-                            "--m", 2, "--l", 6], 282, 158),
+                            "--m", 2, "--l", 6], 270, 146),
     "gf2-j42-in-g63": (["build", "sum", "--p", 2, "--n", 6, "--k", 3, "--m", 2,
-                        "--l", 4], 118, 90),
+                        "--l", 4], 114, 86),
 }
 
 

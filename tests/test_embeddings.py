@@ -34,7 +34,7 @@ def basis_lines(field, n):
 
 
 def simplex_lines(field, n):
-    return [Subspace(field, n, p.rows) for p in canonical_simplex(field, n, n).points]
+    return [Subspace.line(field, row) for row in canonical_simplex(n, n)]
 
 
 def apartment_instance(field, n, k):
@@ -255,8 +255,7 @@ def _random_dual_request(field, rng, classifiable=False):
 
     cover = Subspace.from_rows(field, n, invertible(n)[:k + m])
     move = invertible(k + m)
-    rows = [linalg.vecmat(field, p.rows[0], move)
-            for p in canonical_simplex(field, k + m, k + m).points]
+    rows = [linalg.vecmat(field, row, move) for row in canonical_simplex(k + m, k + m)]
     hyperplanes = [from_coords_in(cover, linalg.nullspace(field, (row,), k + m))
                    for row in rng.sample(rows, l)]
     return cover, hyperplanes, k

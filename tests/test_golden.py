@@ -15,7 +15,7 @@ import pytest
 
 from grassmann_lab.cli import main
 from grassmann_lab.fields import GF
-from grassmann_lab.independence import canonical_simplex, point_set
+from grassmann_lab.independence import canonical_simplex
 from grassmann_lab.linalg import identity
 
 from helpers import pointset_to_json
@@ -194,11 +194,10 @@ def test_preset_is_the_default_construction_on_its_points(name, tmp_path):
     kind, flags = argv[0], dict(zip(argv[1::2], map(int, argv[2::2])))
     n, k = flags["--n"], flags["--k"]
     field = GF.get(flags["--p"], flags.get("--e", 1))
-    rows = (identity(n) if kind == "apartment"
-            else [p.rows[0] for p in canonical_simplex(field, n, n).points])
+    rows = identity(n) if kind == "apartment" else canonical_simplex(n, n)
     side, m = ("sum", k) if 2 * k <= n else ("dual", n - k)
     points = tmp_path / "points.json"
-    points.write_text(json.dumps(pointset_to_json(point_set(field, rows))))
+    points.write_text(json.dumps(pointset_to_json(field, rows)))
     preset, explicit = tmp_path / "preset.json", tmp_path / "explicit.json"
     assert main(["build", *argv, "--output", str(preset)]) == 0
     assert main(["build", side, *argv[1:], "--m", str(m), "--points", str(points),

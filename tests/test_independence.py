@@ -5,17 +5,17 @@ import random
 
 import pytest
 
-from grassmann_lab import independence, linalg
+from grassmann_lab import independence, jsonio, linalg
 from grassmann_lab.config import caps, set_caps
-from grassmann_lab.errors import CapExceededError, ValidationError
+from grassmann_lab.errors import CapExceededError, SchemaError, ValidationError
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import pg_points
-from grassmann_lab.independence import (Ambient, PointSet, canonical_simplex,
-                                        is_independent, m_dependency_witness,
-                                        point_set, search_m_independent, simplex_rank)
+from grassmann_lab.independence import (canonical_simplex, is_independent,
+                                        m_dependency_witness, search_m_independent,
+                                        simplex_rank)
 from grassmann_lab.subspaces import Subspace, annihilator, intersect_many
 
-from helpers import point_mask
+from helpers import point_mask, pointset_to_json
 
 F2 = GF.get(2)
 F3 = GF.get(3)
@@ -25,124 +25,113 @@ def unit(i, n):
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def basis_points(field, n):
-    return point_set(field, [unit(i, n) for i in range(n)])
+def basis_points(n):
+    return [unit(i, n) for i in range(n)]
 
 
 def test_is_m_independent_basic():
-    assert m_dependency_witness(basis_points(F2, 4), 4) is None
-    dependent = point_set(F2, [unit(0, 3), unit(1, 3), (1, 1, 0)])
-    assert m_dependency_witness(dependent, 3) == (0, 1, 2)
-    five = point_set(F2, [unit(i, 4) for i in range(4)] + [(1, 1, 1, 1)])
-    assert m_dependency_witness(five, 4) is None
+    assert m_dependency_witness(F2, basis_points(4), 4) is None
+    dependent = [unit(0, 3), unit(1, 3), (1, 1, 0)]
+    assert m_dependency_witness(F2, dependent, 3) == (0, 1, 2)
+    five = basis_points(4) + [(1, 1, 1, 1)]
+    assert m_dependency_witness(F2, five, 4) is None
     with pytest.raises(ValidationError):
-        m_dependency_witness(five, 6)
-
-
-def test_pointset_equality_ignores_order():
-    a = point_set(F2, [unit(0, 3), unit(1, 3), (1, 1, 1)])
-    b = point_set(F2, [(1, 1, 1), unit(0, 3), unit(1, 3)])
-    assert a == b and hash(a) == hash(b)
-    assert a.points != b.points  # order is still observable
-    c = point_set(F2, [unit(0, 3), unit(1, 3), unit(2, 3)])
-    assert a != c
+        m_dependency_witness(F2, five, 6)
 
 
 def test_points_must_be_distinct_lines():
-    with pytest.raises(ValidationError):
-        point_set(F2, [unit(0, 3), unit(0, 3)])
-    with pytest.raises(ValidationError):
-        point_set(F2, [(0, 0, 0)])
+    # the point-set loader refuses rows that are no set of points
+    def load(field, rows):
+        return jsonio.pointset_from_json(pointset_to_json(field, rows))
+
+    with pytest.raises(SchemaError, match="points must be pairwise distinct"):
+        load(F2, [unit(0, 3), unit(0, 3)])
+    with pytest.raises(SchemaError, match="zero vector is not a point"):
+        load(F2, [(0, 0, 0)])
     # over GF(3), scalar multiples are the same projective point
-    with pytest.raises(ValidationError):
-        point_set(F3, [(1, 2, 0), (2, 1, 0)])
+    with pytest.raises(SchemaError, match="points\\[1\\]: repeats points\\[0\\]"):
+        load(F3, [(1, 2, 0), (2, 1, 0)])
 
 
 def test_simplex_rank():
-    ps = point_set(F2, [unit(0, 4), unit(1, 4), unit(2, 4), (1, 1, 1, 0)])
-    assert simplex_rank(ps) == (True, 3)
-    assert simplex_rank(basis_points(F2, 4)) == (False, None)
-    x6 = point_set(F2, [unit(i, 6) for i in range(4)]
-                   + [(1, 1, 1, 1, 0, 0), unit(4, 6)])
-    assert m_dependency_witness(x6, 4) is None
-    assert m_dependency_witness(x6, 5) is not None
-    assert m_dependency_witness(x6, 5) == (0, 1, 2, 3, 4)
-    assert simplex_rank(x6) == (False, None)
+    rows = [unit(0, 4), unit(1, 4), unit(2, 4), (1, 1, 1, 0)]
+    assert simplex_rank(F2, rows) == (True, 3)
+    assert simplex_rank(F2, basis_points(4)) == (False, None)
+    x6 = [unit(i, 6) for i in range(4)] + [(1, 1, 1, 1, 0, 0), unit(4, 6)]
+    assert m_dependency_witness(F2, x6, 4) is None
+    assert m_dependency_witness(F2, x6, 5) == (0, 1, 2, 3, 4)
+    assert simplex_rank(F2, x6) == (False, None)
 
 
 def test_canonical_simplex():
-    ps = canonical_simplex(F2, 4, 3)
-    assert [p.rows[0] for p in ps.points] == [unit(0, 4), unit(1, 4), unit(2, 4),
-                                              (1, 1, 1, 0)]
-    tri = canonical_simplex(F3, 3, 2)
-    assert len(tri) == 3
+    assert canonical_simplex(4, 3) == (unit(0, 4), unit(1, 4), unit(2, 4), (1, 1, 1, 0))
+    # the rows are a simplex over every field
+    tri = canonical_simplex(3, 2)
+    assert len(tri) == 3 and simplex_rank(F3, tri) == (True, 2)
     for s in range(2, 5):
-        ps = canonical_simplex(F2, 4, s) if s <= 4 else None
-        if ps is None:
-            continue
-        assert simplex_rank(ps) == (True, s)
-        assert m_dependency_witness(ps, s) is None
-        assert not is_independent(ps)
+        rows = canonical_simplex(4, s)
+        assert simplex_rank(F2, rows) == (True, s)
+        assert m_dependency_witness(F2, rows, s) is None
+        assert not is_independent(F2, rows)
     with pytest.raises(ValidationError):
-        canonical_simplex(F2, 3, 4)
+        canonical_simplex(3, 4)
 
 
 def test_search_finds_basis_plus_ones():
-    result = search_m_independent(Ambient("primal", F2, 4), 4, 5)
-    assert result.found
-    assert m_dependency_witness(result.points, 4) is None
+    result = search_m_independent(F2, 4, 4, 5)
+    assert result.status == "found"
+    assert m_dependency_witness(F2, result.points, 4) is None
     assert len(result.points) == 5
 
 
 def test_search_fano_arc():
-    result = search_m_independent(Ambient("primal", F2, 3), 3, 4)
-    assert result.found
-    assert m_dependency_witness(result.points, 3) is None
-    assert simplex_rank(result.points) == (True, 3)
+    result = search_m_independent(F2, 3, 3, 4)
+    assert result.status == "found"
+    assert m_dependency_witness(F2, result.points, 3) is None
+    assert simplex_rank(F2, result.points) == (True, 3)
 
 
 def test_search_prefix_of_basis():
-    result = search_m_independent(Ambient("primal", F3, 4), 4, 3)
-    assert result.found
-    assert is_independent(result.points)
+    result = search_m_independent(F3, 4, 4, 3)
+    assert result.status == "found"
+    assert is_independent(F3, result.points)
 
 
 def test_search_certifies_infeasible():
     # the Fano plane has no 5-point arc
-    result = search_m_independent(Ambient("primal", F2, 3), 3, 5)
+    result = search_m_independent(F2, 3, 3, 5)
     assert result.status == "infeasible"
     assert result.points is None
     # 7 points of PG(3,2) in general position do not exist
-    result2 = search_m_independent(Ambient("primal", F2, 4), 4, 7)
+    result2 = search_m_independent(F2, 4, 4, 7)
     assert result2.status == "infeasible"
 
 
 def test_search_budget_exhaustion_is_unknown():
-    result = search_m_independent(Ambient("primal", F2, 4), 4, 5, budget=3)
+    result = search_m_independent(F2, 4, 4, 5, budget=3)
     assert result.status == "unknown"
     assert result.nodes > 3
 
 
 def test_search_refuses_a_negative_budget():
     with pytest.raises(ValidationError, match="budget of at least 0 nodes, got -1"):
-        search_m_independent(Ambient("primal", F2, 4), 4, 5, budget=-1)
+        search_m_independent(F2, 4, 4, 5, budget=-1)
 
 
 def test_search_keeps_the_point_cap_once_the_point_table_is_cached():
     # the search reads the point vectors from a table cached across calls,
     # so the cap on PG(3, 2), with [4]_2 = 15 points, must not rest on
     # building that table
-    ambient = Ambient("primal", F2, 4)
-    assert search_m_independent(ambient, 4, 5).status == "found"
+    assert search_m_independent(F2, 4, 4, 5).status == "found"
     saved = caps()
     try:
         set_caps(graph_vertex_max=14)
         with pytest.raises(CapExceededError, match="PG\\(3, 2\\) with 15 points"):
-            search_m_independent(ambient, 4, 5)
+            search_m_independent(F2, 4, 4, 5)
     finally:
         set_caps(q_max=saved.q_max, n_max=saved.n_max,
                  graph_vertex_max=saved.graph_vertex_max)
-    assert search_m_independent(ambient, 4, 5).status == "found"
+    assert search_m_independent(F2, 4, 4, 5).status == "found"
 
 
 def test_annihilator_transfers_m_independence():
@@ -173,24 +162,13 @@ def test_general_position_frames_are_projectively_equivalent():
         (F3, 3): [(1, 0, 1), (0, 1, 1), (0, 0, 1), (1, 1, 0)],
     }
     for (field, d), vectors in frames.items():
-        ps = point_set(field, vectors)
-        assert m_dependency_witness(ps, d) is None
-        canonical = canonical_simplex(field, d, d)
-        pairs = list(zip(ps.points, canonical.points))
+        assert m_dependency_witness(field, vectors, d) is None
+        pairs = [(Subspace.line(field, src), Subspace.line(field, dst))
+                 for src, dst in zip(vectors, canonical_simplex(d, d))]
         mapping, _, resolved = solve_semilinear_mapping(field, d, pairs)
         assert resolved and mapping is not None and mapping.sigma == 0
         for src, dst in pairs:
             assert mapping.apply(src) == dst
-
-
-def test_pointset_from_subspaces_in_dual_kind():
-    points = [annihilator(Subspace.from_rows(
-        F2, 3, (unit(0, 3), unit(1, 3)))).rows[0]]
-    ps = PointSet(Ambient("dual", F2, 3),
-                  (Subspace.line(F2, points[0]),))
-    assert ps.ambient.kind == "dual"
-    with pytest.raises(ValidationError):
-        Ambient("sideways", F2, 3)
 
 
 # (p, e, dim, m, size, budget) -> (status, nodes, found point reps); the
@@ -222,19 +200,19 @@ SEARCH_PINS = [
 @pytest.mark.parametrize("case,expected", SEARCH_PINS, ids=[str(c) for c, _ in SEARCH_PINS])
 def test_search_status_nodes_and_points_are_pinned(case, expected):
     p, e, d, m, size, budget = case
-    result = search_m_independent(Ambient("primal", GF.get(p, e), d), m, size, budget)
-    reps = None if result.points is None else list(result.points.representatives())
+    F = GF.get(p, e)
+    result = search_m_independent(F, d, m, size, budget)
+    reps = None if result.points is None else list(result.points)
     assert (result.status, result.nodes, reps) == expected
     if result.points is not None:
-        # each found point is the canonical subspace of its table vector
-        assert set(result.points) <= set(pg_points(GF.get(p, e), d))
+        # each found row is the RREF basis of its point
+        assert {Subspace(F, d, (row,)) for row in result.points} <= set(pg_points(F, d))
 
 
-def _reference_search(ambient, m, target_size, budget):
+def _reference_search(F, d, m, target_size, budget):
     """The per-candidate search the bitset scan replaced: one node and one
     bit test per candidate, each span by elimination.  Returns (status,
     nodes, representatives of the found points or None)."""
-    F, d = ambient.field, ambient.dim
     universe = pg_points(F, d)
     spans = {}
 
@@ -277,9 +255,9 @@ def _reference_search(ambient, m, target_size, budget):
             forbidden_stack.pop()
 
 
-def _search(ambient, m, size, budget):
-    result = search_m_independent(ambient, m, size, budget)
-    reps = None if result.points is None else list(result.points.representatives())
+def _search(F, d, m, size, budget):
+    result = search_m_independent(F, d, m, size, budget)
+    reps = None if result.points is None else list(result.points)
     return result.status, result.nodes, reps
 
 
@@ -318,20 +296,19 @@ def test_search_matches_the_per_candidate_reference(p, e, m_ranges, top_budget, 
     F = GF.get(p, e)
     statuses = set()
     for d, ms in m_ranges.items():
-        ambient = Ambient("primal", F, d)
         for m in ms:
             # a size that usually fits, and one that often does not
             for size in (m + rng.randint(0, 2), m + rng.randint(2, F.q + 2)):
                 budget = rng.choice([rng.randint(0, 40), rng.randint(100, 3000), top_budget])
-                expected = _reference_search(ambient, m, size, budget)
-                assert _search(ambient, m, size, budget) == expected, (d, m, size, budget)
+                expected = _reference_search(F, d, m, size, budget)
+                assert _search(F, d, m, size, budget) == expected, (d, m, size, budget)
                 statuses.add(expected[0])
                 if expected[0] == "unknown":
                     continue
                 # a budget of exactly the nodes used still finishes; one less does not
                 for tight in (expected[1], expected[1] - 1):
-                    assert (_search(ambient, m, size, tight)
-                            == _reference_search(ambient, m, size, tight)), (d, m, size, tight)
+                    assert (_search(F, d, m, size, tight)
+                            == _reference_search(F, d, m, size, tight)), (d, m, size, tight)
     assert {"found", "unknown"} <= statuses
     if any((p, e, d) in BIGGER_SPACES for d in m_ranges):
         # both filters run in these searches
@@ -342,12 +319,12 @@ def test_search_leaves_no_reference_cycle():
     # the line memo must be freed when the search returns, not at the next
     # cyclic collection, for m = 4 and m = 6
     for p, e, d, m, size, budget in [(2, 2, 4, 4, 6, 100_000), (2, 2, 5, 6, 9, 20_000)]:
-        ambient = Ambient("primal", GF.get(p, e), d)
-        search_m_independent(ambient, m, size, budget=0)  # builds the point table
+        F = GF.get(p, e)
+        search_m_independent(F, d, m, size, budget=0)  # builds the point table
         gc.collect()
         gc.disable()
         try:
-            search_m_independent(ambient, m, size, budget=budget)
+            search_m_independent(F, d, m, size, budget=budget)
             assert gc.collect() == 0, (p, e, d, m)
         finally:
             gc.enable()

@@ -23,12 +23,14 @@ def apartment_instance():
 
 
 def test_pointset_round_trip():
-    ps = canonical_simplex(F2, 4, 3)
-    obj = pointset_to_json(ps)
+    rows = canonical_simplex(4, 3)
+    obj = pointset_to_json(F2, rows)
     assert obj["schema_version"] == 1
-    back = jsonio.pointset_from_json(obj)
-    assert back.points == ps.points
-    assert back.ambient == ps.ambient
+    assert jsonio.pointset_from_json(obj) == (F2, 4, rows)
+    # the loader gives each point its lead-one row
+    F3 = GF.get(3)
+    scaled = pointset_to_json(F3, [(0, 2, 1), (2, 2, 0)], kind="dual")
+    assert jsonio.pointset_from_json(scaled) == (F3, 3, ((0, 1, 2), (1, 1, 0)))
 
 
 def test_pointset_rejects_zero_vector():
@@ -70,8 +72,7 @@ def test_classification_round_trip_star_and_parabolic():
     back = jsonio.classification_from_json(obj)
     assert back.case == cls.case
     assert back.image == cls.image
-    simplex = canonical_simplex(F2, 4, 4)
-    gens = [Subspace(F2, 4, p.rows) for p in simplex.points]
+    gens = [Subspace.line(F2, row) for row in canonical_simplex(4, 4)]
     cls5 = classify(build_sum_construction(Subspace.zero(F2, 4), gens, 2))
     obj5 = jsonio.classification_to_json(cls5)
     back5 = jsonio.classification_from_json(obj5)

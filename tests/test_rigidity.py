@@ -9,8 +9,7 @@ from grassmann_lab import linalg
 from grassmann_lab.embeddings import build_sum_construction, classify
 from grassmann_lab.errors import ValidationError
 from grassmann_lab.fields import GF
-from grassmann_lab.independence import (Ambient, canonical_simplex, point_set,
-                                        search_m_independent)
+from grassmann_lab.independence import canonical_simplex, search_m_independent
 from grassmann_lab.johnson import JohnsonAut
 from grassmann_lab.cli import main
 from grassmann_lab.jsonio import (classification_from_json, classification_to_json,
@@ -32,26 +31,29 @@ def unit(i, n):
     return tuple(1 if j == i else 0 for j in range(n))
 
 
+def lines(field, rows):
+    return [Subspace.line(field, row) for row in rows]
+
+
 def basis_lines(field, n):
-    return [Subspace.line(field, unit(i, n)) for i in range(n)]
+    return lines(field, [unit(i, n) for i in range(n)])
 
 
 def x6_points(field=F2):
-    vecs = [unit(i, 6) for i in range(4)] + [(1, 1, 1, 1, 0, 0), unit(4, 6)]
-    return point_set(field, vecs)
+    return lines(field, [unit(i, 6) for i in range(4)] + [(1, 1, 1, 1, 0, 0), unit(4, 6)])
 
 
 def test_simplex_admits_every_permutation():
-    simplex = canonical_simplex(F2, 4, 3)
+    simplex = lines(F2, canonical_simplex(4, 3))
     for perm in itertools.permutations(range(4)):
         outcome = induced_by_semilinear(simplex, perm)
         assert isinstance(outcome, ExtensionWitness)
-        for i, p in enumerate(simplex.points):
-            assert outcome.map.apply(p) == simplex.points[perm[i]]
+        for i, p in enumerate(simplex):
+            assert outcome.map.apply(p) == simplex[perm[i]]
 
 
 def test_basis_admits_every_permutation_with_monomial_witness():
-    points = point_set(F3, [unit(i, 3) for i in range(3)])
+    points = basis_lines(F3, 3)
     for perm in itertools.permutations(range(3)):
         outcome = induced_by_semilinear(points, perm)
         assert isinstance(outcome, ExtensionWitness)
@@ -72,7 +74,7 @@ def test_no_frobenius_twist_swaps_two_frame_points_over_gf4():
     # points 0-3 are a frame of F4^3, so a map swapping points 0 and 1 sends
     # point 4 = (1, w, w) to a multiple of (s(w), 1, s(w)) for its twist s:
     # equal first and third coordinates, which (1, w, w) does not have
-    ps = point_set(F4, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 2)])
+    ps = lines(F4, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 2)])
     outcome = induced_by_semilinear(ps, (1, 0, 2, 3, 4))
     assert isinstance(outcome, NotExtendable)
     assert [(d.sigma, d.kind, d.point, d.searched) for d in outcome.diagnostics] == [
@@ -137,7 +139,7 @@ def test_one_pair_family_is_its_own_meet():
     smap, diagnostics, resolved = solve_semilinear_mapping(F3, 3, [(src, dst)])
     assert resolved and smap.apply(src) == dst
     assert [(d.sigma, d.kind, d.searched) for d in diagnostics] == [(0, None, 0)]
-    outcome = induced_by_semilinear(point_set(F3, [(1, 2, 0)]), (0,))
+    outcome = induced_by_semilinear([Subspace.line(F3, (1, 2, 0))], (0,))
     assert isinstance(outcome, ExtensionWitness)
 
 
@@ -148,18 +150,17 @@ def test_induced_by_semilinear_rejects_non_permutation():
 
 
 def test_dual_transport_both_directions():
-    simplex = canonical_simplex(F2, 4, 4)
+    simplex = lines(F2, canonical_simplex(4, 4))
     perm = (1, 2, 3, 4, 0)
     outcome = induced_by_semilinear(simplex, perm)
     assert isinstance(outcome, ExtensionWitness)
     u = outcome.map
     # the contragredient realizes the same permutation on the annihilators
-    for i, p in enumerate(simplex.points):
-        assert contragredient(u).apply(annihilator(p)) == annihilator(
-            simplex.points[perm[i]])
+    for i, p in enumerate(simplex):
+        assert contragredient(u).apply(annihilator(p)) == annihilator(simplex[perm[i]])
     # the hyperplanes themselves meet in 0, so they are not points over
     # their meet, and the solver refuses them
-    pairs = [(annihilator(simplex.points[i]), annihilator(simplex.points[perm[i]]))
+    pairs = [(annihilator(simplex[i]), annihilator(simplex[perm[i]]))
              for i in range(5)]
     with pytest.raises(ValidationError):
         solve_semilinear_mapping(F2, 4, pairs)
@@ -212,9 +213,8 @@ def test_apartment_rigid_when_l_not_2m():
 
 
 def test_simplex_faces_rigid_with_unique_extension():
-    pts = canonical_simplex(F2, 4, 4).points
-    gens = [Subspace(F2, 4, p.rows) for p in pts]
-    inst = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
+    pts = canonical_simplex(4, 4)
+    inst = build_sum_construction(Subspace.zero(F2, 4), lines(F2, pts), 2)
     report = is_rigid(inst)
     assert report.is_rigid is True
     assert report.rigidity_case == "simplex-faces-star"
@@ -222,13 +222,12 @@ def test_simplex_faces_rigid_with_unique_extension():
     # uniqueness by brute force: the identity is the only semilinear map
     # of F_2^4 fixing every point of the simplex
     _, index, group = semilinear_group(2, 1, 4)
-    fixed = [index[p.rows[0]] for p in pts]
+    fixed = [index[row] for row in pts]
     assert sum(all(g[i] == i for i in fixed) for g in group) == 1
 
 
 def test_dual_simplex_faces_rigid():
-    pts = canonical_simplex(F2, 4, 4).points
-    hyperplanes = [annihilator(Subspace(F2, 4, p.rows)) for p in pts]
+    hyperplanes = [annihilator(p) for p in lines(F2, canonical_simplex(4, 4))]
     from grassmann_lab.embeddings import build_dual_construction
     inst = build_dual_construction(Subspace.full(F2, 4), hyperplanes, 2)
     cls = classify(inst)
@@ -245,7 +244,7 @@ def test_dual_simplex_faces_rigid():
 
 
 def test_x6_sum_construction_not_rigid():
-    gens = [Subspace(F2, 6, p.rows) for p in x6_points().points]
+    gens = x6_points()
     inst = build_sum_construction(Subspace.zero(F2, 6), gens, 2)
     report = is_rigid(inst)
     assert report.is_rigid is False
@@ -260,9 +259,9 @@ def test_x6_sum_construction_not_rigid():
 def test_nonexistence_bound_every_large_l_instance_not_rigid():
     # when l exceeds max(k, n-k) + m' + 1, generators can be neither
     # independent nor a simplex, so some transposition must fail
-    found = search_m_independent(Ambient("primal", F2, 6), 4, 8, budget=500_000)
-    assert found.found
-    gens = [Subspace(F2, 6, p.rows) for p in found.points.points]
+    found = search_m_independent(F2, 6, 4, 8, budget=500_000)
+    assert found.status == "found"
+    gens = lines(F2, found.points)
     inst = build_sum_construction(Subspace.zero(F2, 6), gens, 2)
     assert inst.l == 8 and inst.l > max(2, 4) + 2 + 1
     report = is_rigid(inst)
@@ -288,13 +287,13 @@ def test_extension_search_over_extension_field():
     # a Frobenius twist is required when the permutation conjugates a
     # GF(4)-rational configuration
     omega = 2
-    points = point_set(F4, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, omega, 0)])
+    points = lines(F4, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, omega, 0)])
     outcome = induced_by_semilinear(points, (0, 1, 2, 3, 4))
     assert isinstance(outcome, ExtensionWitness)
     swap = induced_by_semilinear(points, (1, 0, 2, 3, 4))
     if isinstance(swap, ExtensionWitness):
-        for i, p in enumerate(points.points):
-            target = points.points[(1, 0, 2, 3, 4)[i]]
+        for i, p in enumerate(points):
+            target = points[(1, 0, 2, 3, 4)[i]]
             assert swap.map.apply(p) == target
 
 
@@ -326,19 +325,17 @@ def test_rigidity_agrees_with_structure_across_the_grid():
                     m = 2
                     base = Subspace.from_rows(
                         field, n, linalg.identity(n)[:k - m])
-                    found = search_m_independent(
-                        Ambient("primal", field, n - (k - m)), min(4, l), l,
-                        budget=2_000_000)
-                    if not found.found:
+                    found = search_m_independent(field, n - (k - m), min(4, l), l,
+                                                 budget=2_000_000)
+                    if found.status != "found":
                         continue
                     from grassmann_lab.subspaces import lift_from_quotient
-                    gens = [lift_from_quotient(base, p.rows)
-                            for p in found.points]
+                    gens = [lift_from_quotient(base, (row,)) for row in found.points]
                     inst = build_sum_construction(base, gens, k)
                     cls = classify(inst)
                     report = is_rigid(cls)
                     points = cls.star_point_set()
-                    expect = is_independent(points) or simplex_rank(points)[0]
+                    expect = is_independent(field, points) or simplex_rank(field, points)[0]
                     if l == 2 * m:
                         expect = expect and n == 2 * k
                     assert report.is_rigid is expect, (q, n, k, l)
@@ -353,7 +350,7 @@ def test_is_rigid_rebuilds_each_classification_once(monkeypatch):
     # is built once per classification, by the rebuild that certifies it,
     # and never again, not once per generator
     from grassmann_lab import embeddings
-    simplex = [Subspace(F2, 4, p.rows) for p in canonical_simplex(F2, 4, 4).points]
+    simplex = lines(F2, canonical_simplex(4, 4))
     images = {
         "J(5,2) simplex faces in G(4,2,2)":
             build_sum_construction(Subspace.zero(F2, 4), simplex, 2),
