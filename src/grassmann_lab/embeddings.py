@@ -427,8 +427,11 @@ def _assemble(image, generators: tuple[Subspace, ...], l: int, m: int, k: int,
     others = None
     case = "top" if top else "star"
     if l == 2 * m:
-        others = tuple(join_many(field, n, generators[:j] + generators[j + 1:])
-                       for j in range(l))
+        # the join of all generators but j is one join of two sums that
+        # levels holds: m of the others and the remaining m - 1
+        rests = [[1 << i for i in range(l) if i != j] for j in range(l)]
+        others = tuple(join(levels[m - 1][sum(rest[:m])], levels[m - 2][sum(rest[m:])])
+                       for rest in rests)
         case = "parabolic-apartment"
     star_points, top_points = (others, generators) if top else (generators, others)
     m_space, n_space = (span, base) if top else (base, span)

@@ -54,13 +54,17 @@ def _field_from_json(obj: dict, context: str) -> GF:
     return GF.get(p, e)
 
 
-def _rows_from_json(rows, context: str) -> tuple[tuple[int, ...], ...]:
+def _rows_from_json(rows, field: GF, context: str) -> tuple[tuple[int, ...], ...]:
+    """Rows of integers, each entry the encoding of an element of field."""
     if not isinstance(rows, list):
         raise SchemaError(f"{context}: expected a list of rows")
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or not all(_is_int(x) for x in row):
             raise SchemaError(f"{context}[{i}]: rows must be lists of integers")
+        bad = next((x for x in row if not 0 <= x < field.q), None)
+        if bad is not None:
+            raise SchemaError(f"{context}[{i}]: entry {bad} outside {field}")
         out.append(tuple(row))
     return tuple(out)
 
@@ -68,7 +72,7 @@ def _rows_from_json(rows, context: str) -> tuple[tuple[int, ...], ...]:
 def _subspaces_from_json(raw, field: GF, n: int, context: str) -> list[Subspace]:
     if not isinstance(raw, list):
         raise SchemaError(f"{context}: expected a list of subspaces")
-    return [Subspace.from_rows(field, n, _rows_from_json(rows, f"{context}[{i}]"))
+    return [Subspace.from_rows(field, n, _rows_from_json(rows, field, f"{context}[{i}]"))
             for i, rows in enumerate(raw)]
 
 
@@ -87,7 +91,7 @@ def pointset_from_json(obj: dict) -> tuple[GF, int, tuple[tuple[int, ...], ...]]
     dim = _int_field(amb, "dim", "pointset.ambient")
     field = _field_from_json(amb, "pointset.ambient")
     raw = _need(obj, "points", "pointset")
-    rows = _rows_from_json(raw, "pointset.points")
+    rows = _rows_from_json(raw, field, "pointset.points")
     points = []
     for i, row in enumerate(rows):
         if len(row) != dim:
@@ -140,7 +144,7 @@ def embedding_from_json(obj: dict) -> EmbeddingInstance:
         vertex = vertex_from_indices(vertex_list)
         if vertex in assignment:
             raise SchemaError(f"embedding.map[{i}].vertex: repeats an earlier entry's vertex")
-        rows = _rows_from_json(_need(entry, "subspace", f"embedding.map[{i}]"),
+        rows = _rows_from_json(_need(entry, "subspace", f"embedding.map[{i}]"), field,
                                f"embedding.map[{i}].subspace")
         sub = Subspace.from_rows(field, n, rows)
         if sub.dim != k:
@@ -186,7 +190,7 @@ def classification_from_json(obj: dict) -> Classification:
         else ("top_points", "n_space", build_dual_construction))
     if obj.get(points_key) is None:
         raise SchemaError("classification: needs star_points or top_points")
-    rows = _rows_from_json(_need(obj, space_key, "classification"),
+    rows = _rows_from_json(_need(obj, space_key, "classification"), field,
                            f"classification.{space_key}")
     gens = _subspaces_from_json(obj[points_key], field, n, f"classification.{points_key}")
     cls = classify(construct(Subspace.from_rows(field, n, rows), gens, k))

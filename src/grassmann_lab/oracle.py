@@ -14,6 +14,14 @@ of once per automorphism, and a second leaf on one image is an internal
 error.  With ``jobs`` above 1, worker processes search below the first
 vertex's candidates, and the answer, node count and budget stop
 included, is the one-job search's.
+
+Candidates are bitsets of Grassmannian ids.  Siblings share one prefix,
+the AND of the distance sets of the placements above their parent, so
+each node adds only its own distance set.  The two bottom depths run as
+one loop: each leaf-parent's leaves are added as one batch, checked
+against the images found so far as a batch, and charged as one node
+each, so node counts and budget stops are those of a walk that tries
+one candidate at a time.
 """
 
 from __future__ import annotations
@@ -154,59 +162,107 @@ def _search(spec: GrassmannianSpec, plan, budget: int,
     the largest placement that must stay below it, so each image is
     reached by exactly one leaf, stored as its sorted ids, and a repeated
     image raises InternalInvariantError.
+
+    left[t] holds the untried candidates of depth t, taken lowest bit
+    first.  The siblings at depth u - 1 share prefix[u]: the AND of the
+    distance sets of placed[0..u-2] and the floors they set, made once
+    when depth u - 1 is entered.  Each sibling adds its own distance set
+    and floor; siblings under an empty prefix have no children and are
+    charged as nodes at once.  A node at depth nv - 3 walks its
+    leaf-parent candidates itself (at nv = 2 the roots are the
+    leaf-parents), and each leaf-parent's leaves are one batch of sorted
+    tuples.  Every leaf is charged as a node; a budget cut inside a batch
+    keeps its lowest budget - nodes leaves, and a batch that meets the
+    images found so far raises, naming its first repeated image.  So the
+    images, node count and budget stop are those of a depth-first walk
+    that tries one candidate at a time.
     """
     jdist, floors = plan
     nv = len(jdist)
     dsets = spec.distance_sets()
+    # floors[u] split: placements before depth u - 1 go into prefix[u],
+    # depth u - 1 applies its own
+    early = [[s for s in floors[u] if s < u - 1] for u in range(nv)]
+    late = [u - 1 in floors[u] for u in range(nv)]
     images: set[tuple[int, ...]] = set()
     placed = [0] * nv
+    left = [0] * nv
+    prefix = [-1] * nv
     nodes = 0
-    complete = True
-    t = 0
-    stack = [iter(sorted(roots))]
-    while stack:
-        try:
-            cand = next(stack[-1])
-        except StopIteration:
-            stack.pop()
+    cands = 0
+    for root in roots:
+        cands |= 1 << root
+    t, u = -1, 0  # depth of the last placement; depth that cands are for
+    while True:
+        if cands:
+            # the prefix of depth u + 1, shared by the siblings in cands
+            if early[u + 1]:
+                pre = -1 << max(map(placed.__getitem__, early[u + 1])) + 1
+            else:
+                pre = -1
+            jrow = jdist[u + 1]
+            for s in range(u):
+                pre &= dsets[placed[s]][jrow[s]]
+                if not pre:
+                    break
+            if not pre:
+                nodes += cands.bit_count()
+                if nodes > budget:
+                    return images, budget + 1, False
+            elif u < nv - 2:
+                prefix[u + 1] = pre
+                left[u] = cands
+                t = u
+            else:
+                # u is the leaf-parent depth: each candidate's leaves are
+                # one batch
+                above = placed[:u]
+                jleaf = jrow[u]
+                floored = late[u + 1]
+                while cands:
+                    low = cands & -cands
+                    cands ^= low
+                    b = low.bit_length() - 1
+                    nodes += 1
+                    if nodes > budget:
+                        return images, nodes, False
+                    leaves = pre & dsets[b][jleaf]
+                    if floored:
+                        leaves &= -1 << b + 1
+                    if not leaves:
+                        continue
+                    batch = []
+                    while leaves:
+                        low = leaves & -leaves
+                        leaves ^= low
+                        batch.append(tuple(sorted(above + [b, low.bit_length() - 1])))
+                    cut = len(batch) > budget - nodes
+                    if cut:
+                        del batch[budget - nodes:]
+                    if not images.isdisjoint(batch):
+                        image = next(im for im in batch if im in images)
+                        raise InternalInvariantError(
+                            f"image {list(image)} reached by a second leaf; "
+                            f"the symmetry-breaking floors are not complete")
+                    images.update(batch)
+                    if cut:
+                        return images, budget + 1, False
+                    nodes += len(batch)
+        while t >= 0 and not left[t]:
             t -= 1
-            continue
+        if t < 0:
+            return images, nodes, True
+        low = left[t] & -left[t]
+        left[t] ^= low
+        c = low.bit_length() - 1
         nodes += 1
         if nodes > budget:
-            complete = False
-            break
-        placed[t] = cand
-        if t == nv - 1:
-            image = tuple(sorted(placed))
-            if image in images:
-                raise InternalInvariantError(
-                    f"image {list(image)} reached by a second leaf; "
-                    f"the symmetry-breaking floors are not complete")
-            images.add(image)
-            continue
-        t += 1
-        cands = None
-        jrow = jdist[t]
-        for s in range(t):
-            ds = dsets[placed[s]][jrow[s]]
-            cands = ds if cands is None else cands & ds
-            if not cands:
-                break
-        if cands and floors[t]:
-            cands &= -1 << (max(placed[s] for s in floors[t]) + 1)
-        if cands:
-            stack.append(_iter_bits(cands))
-        else:
-            t -= 1
-    return images, nodes, complete
-
-
-def _iter_bits(bits: int):
-    """Indices of the set bits, ascending."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
+            return images, nodes, False
+        placed[t] = c
+        u = t + 1
+        cands = prefix[u] & dsets[c][jdist[u][t]]
+        if late[u]:
+            cands &= -1 << c + 1
 
 
 def _search_worker(args) -> dict[int, tuple[set[tuple[int, ...]], int]]:
@@ -439,7 +495,8 @@ def cross_validate(cfg: SearchConfig,
                 members = frozenset(spec.by_id(i) for i in image)
                 try:
                     cls = classify(members,
-                                   table=[bytes(dmat[i][j] for j in image) for i in image])
+                                   table=[bytes(map(dmat[i].__getitem__, image))
+                                          for i in image])
                 except Exception as exc:  # noqa: BLE001 - reported, not swallowed
                     failures.append({
                         "image_ids": list(image),

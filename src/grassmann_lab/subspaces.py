@@ -66,7 +66,9 @@ class Subspace:
         return Subspace(field, ambient_dim, ())
 
     @staticmethod
+    @functools.cache
     def full(field: GF, ambient_dim: int) -> "Subspace":
+        """F_q^n, one object per (field, n): every meet folds from it."""
         return Subspace(field, ambient_dim, linalg.identity(ambient_dim))
 
     @staticmethod
@@ -101,8 +103,10 @@ _MEMO = contextvars.ContextVar("subspaces.memo", default=None)  # a dict inside 
 def memoized():
     """Inside the block, each memoized function runs once per distinct
     arguments: pairwise sums and meets, frames, annihilators and the
-    rigidity solver's source inverses.  The memo is dropped when the block
-    ends, so it lives for one request, never for the process."""
+    rigidity solver's source inverses.  Equal Subspace results are one
+    object for the whole block, so later lookups keyed on them match by
+    identity.  The memo is dropped when the block ends, so it lives for
+    one request, never for the process."""
     token = _MEMO.set({})
     try:
         yield
@@ -113,7 +117,11 @@ def memoized():
 def memo(fn):
     """fn(*args), looked up in the memo of an enclosing memoized() block.
     For pure functions of hashable arguments with immutable results, which
-    callers then share; outside a block fn runs as it is."""
+    callers then share; outside a block fn runs as it is.
+
+    A Subspace result is interned in the same table, keyed by itself: a
+    sum, meet or annihilator equal to one the block already holds, reached
+    through other arguments, is returned as that object."""
     @functools.wraps(fn)
     def lookup(*args):
         table = _MEMO.get()
@@ -122,7 +130,10 @@ def memo(fn):
         key = (fn, *args)
         out = table.get(key)
         if out is None:
-            out = table[key] = fn(*args)
+            out = fn(*args)
+            if isinstance(out, Subspace):
+                out = table.setdefault(out, out)
+            table[key] = out
         return out
     return lookup
 

@@ -11,7 +11,7 @@ import itertools
 import math
 
 from grassmann_lab import linalg
-from grassmann_lab.errors import ValidationError
+from grassmann_lab.errors import InternalInvariantError, ValidationError
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import (GrassmannianSpec, distance, distance_rows, pg_points,
                                         point_ids)
@@ -90,6 +90,63 @@ def reference_graph(name: str, attributes, neighbours):
             j = above.find("1", j + 1)
         yield "".join(edges)
     yield "}\n"
+
+
+def reference_oracle_search(spec: GrassmannianSpec, plan, budget: int, roots):
+    """oracle._search as a stack of one bit generator per depth: each
+    node ANDs the distance sets of every earlier placement itself, and
+    each leaf is sorted and stored on its own.  Returns (images, nodes,
+    complete)."""
+    def iter_bits(bits):
+        while bits:
+            low = bits & -bits
+            yield low.bit_length() - 1
+            bits ^= low
+
+    jdist, floors = plan
+    nv = len(jdist)
+    dsets = spec.distance_sets()
+    images = set()
+    placed = [0] * nv
+    nodes = 0
+    complete = True
+    t = 0
+    stack = [iter(sorted(roots))]
+    while stack:
+        try:
+            cand = next(stack[-1])
+        except StopIteration:
+            stack.pop()
+            t -= 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            complete = False
+            break
+        placed[t] = cand
+        if t == nv - 1:
+            image = tuple(sorted(placed))
+            if image in images:
+                raise InternalInvariantError(
+                    f"image {list(image)} reached by a second leaf; "
+                    f"the symmetry-breaking floors are not complete")
+            images.add(image)
+            continue
+        t += 1
+        cands = None
+        jrow = jdist[t]
+        for s in range(t):
+            ds = dsets[placed[s]][jrow[s]]
+            cands = ds if cands is None else cands & ds
+            if not cands:
+                break
+        if cands and floors[t]:
+            cands &= -1 << (max(placed[s] for s in floors[t]) + 1)
+        if cands:
+            stack.append(iter_bits(cands))
+        else:
+            t -= 1
+    return images, nodes, complete
 
 
 # Grassmann graph cliques and apartments -----------------------------------

@@ -464,6 +464,8 @@ def _malformed(tmp_path, monkeypatch, case):
             ambient["kind"] = "other"
         elif case == "points-wrong-length":
             points[2] = points[2][:3]
+        elif case == "points-entry-out-of-range":
+            points[2] = [0, 0, 5, 0]
         elif case == "points-repeated":
             # over GF(3), (2, 0, 0, 0) is the point (1, 0, 0, 0) again
             ambient["p"] = 3
@@ -501,6 +503,8 @@ def _malformed(tmp_path, monkeypatch, case):
         doc["map"][0]["subspace"][0][0] = 0.5
     elif case == "subspace-wrong-dimension":
         doc["map"][0]["subspace"] = doc["map"][0]["subspace"][:1]
+    elif case == "embedding-entry-out-of-range":
+        doc["map"][0]["subspace"][0] = [7, 0, 0, 0]
     else:
         cls_path = tmp_path / "cls.json"
         assert run(["classify", "--input", emb, "--output", cls_path]) == 0
@@ -555,6 +559,7 @@ MALFORMED = {
     "points-kind-other": "pointset.ambient.kind: must be 'primal' or 'dual'",
     "points-wrong-length": "pointset.points[2]: expected 4 coordinates",
     "points-repeated": "points must be pairwise distinct",
+    "points-entry-out-of-range": "pointset.points[2]: entry 5 outside GF(2)",
     "build-sum-with-m-1": "sum construction needs 1 < m <= k, got m=1",
     "johnson-export-without-lm": "johnson export needs --l and --m",
     "export-without-input-or-graph": "export needs --input or --graph",
@@ -568,6 +573,7 @@ MALFORMED = {
     "subspace-not-list": "embedding.map[0].subspace: expected a list of rows",
     "subspace-row-non-integer": "embedding.map[0].subspace[0]: rows must be lists of integers",
     "subspace-wrong-dimension": "embedding.map[0].subspace: expected dimension 2",
+    "embedding-entry-out-of-range": "embedding.map[0].subspace[0]: entry 7 outside GF(2)",
     "classification-without-points": "classification: needs star_points or top_points",
 }
 

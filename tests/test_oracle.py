@@ -22,7 +22,7 @@ from grassmann_lab.subspaces import Subspace
 
 from helpers import (enumerate_apartments, frame_count, image_subspace_sets,
                      johnson_aut_group_order, labeled_embeddings, memo_active, orbit_closure,
-                     pgl_generators, rref_calls)
+                     pgl_generators, reference_oracle_search, rref_calls)
 
 F2 = GF.get(2)
 
@@ -560,6 +560,70 @@ def test_a_repeated_leaf_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(oracle, "_chain_floors", lambda order, l, m: [[] for _ in order])
     with pytest.raises(InternalInvariantError, match="second leaf"):
         enumerate_embeddings(SearchConfig(l=4, m=2, n=4, k=2, p=2))
+
+
+# (l, m, n, k, p): J(l, m) in G(n, k, q).  J(3, 1) and J(2, 1) have leaf
+# batches of many leaves; J(2, 1) has no depth above its leaf-parents
+SEARCH_CASES = [(4, 2, 4, 2, 2), (5, 2, 4, 2, 2), (5, 3, 4, 2, 2),
+                (4, 2, 5, 2, 2), (5, 2, 5, 2, 2), (5, 3, 5, 2, 2),
+                (4, 2, 4, 2, 3), (3, 1, 3, 1, 3), (2, 1, 3, 1, 3)]
+
+
+def _leaf_cut(spec, plan, roots):
+    """The least budget above 0 that stops the reference on a leaf, so
+    inside the batch of that leaf's parent."""
+    def count(budget):
+        return len(reference_oracle_search(spec, plan, budget, roots)[0])
+    return next(b for b in itertools.count(1) if count(b + 1) > count(b))
+
+
+@pytest.mark.parametrize("roots", ["first", "all", "strided"])
+@pytest.mark.parametrize("l,m,n,k,p", SEARCH_CASES)
+def test_search_matches_the_generator_stack_reference(l, m, n, k, p, roots):
+    # images, node count and completeness, at budgets that stop the search
+    # at its first nodes, inside a leaf batch, one node short and exactly
+    # at its end; the strided roots are one chunk of a --jobs 4 run
+    spec = GrassmannianSpec(GF.get(p), n, k)
+    plan = oracle._plan(l, m)
+    everything = list(range(len(spec)))
+    roots = {"first": [0], "all": everything, "strided": everything[1::4]}[roots]
+    budgets = [0, 1, 2, _leaf_cut(spec, plan, roots)]
+    # the searches of J(5, *) in G(5, 2, 2) from every root take over
+    # 600,000 nodes; their other root lists run to the end
+    if (l, n) != (5, 5) or len(roots) < len(everything):
+        full = reference_oracle_search(spec, plan, 10 ** 9, roots)
+        assert full[2] and full[0]
+        assert oracle._search(spec, plan, full[1], roots) == full
+        budgets.append(full[1] - 1)
+    for budget in budgets:
+        want = reference_oracle_search(spec, plan, budget, roots)
+        assert oracle._search(spec, plan, budget, roots) == want, budget
+        assert want[1] == budget + 1 and not want[2]
+
+
+@pytest.mark.parametrize("l,m,n,k,p", [(3, 1, 3, 1, 3), (2, 1, 3, 1, 3)])
+def test_every_budget_of_a_small_search_matches_the_reference(l, m, n, k, p):
+    spec = GrassmannianSpec(GF.get(p), n, k)
+    plan = oracle._plan(l, m)
+    roots = list(range(len(spec)))
+    nodes = reference_oracle_search(spec, plan, 10 ** 9, roots)[1]
+    for budget in range(nodes + 2):
+        assert (oracle._search(spec, plan, budget, roots)
+                == reference_oracle_search(spec, plan, budget, roots)), budget
+
+
+@pytest.mark.parametrize("l,m,n,k,p", [(4, 2, 4, 2, 2), (3, 1, 3, 1, 3), (2, 1, 3, 1, 3)])
+def test_a_repeated_leaf_names_the_references_first_repeat(l, m, n, k, p):
+    # without floors, a batch meets the images of an earlier one
+    spec = GrassmannianSpec(GF.get(p), n, k)
+    jdist, floors = oracle._plan(l, m)
+    plan = jdist, [[] for _ in floors]
+    roots = list(range(len(spec)))
+    with pytest.raises(InternalInvariantError) as want:
+        reference_oracle_search(spec, plan, 10 ** 9, roots)
+    with pytest.raises(InternalInvariantError) as got:
+        oracle._search(spec, plan, 10 ** 9, roots)
+    assert str(got.value) == str(want.value)
 
 
 def test_more_johnson_vertices_than_subspaces_yields_no_images_at_once():

@@ -292,6 +292,39 @@ def test_memoized_frames_and_annihilators_are_shared_immutable_values():
     assert annihilator(base) is not annihilator(base)
 
 
+def test_equal_memoized_results_are_one_object_per_block():
+    F = GF.get(3)
+    line = {v: Subspace.line(F, v) for v in
+            [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (1, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]}
+    x, y, xy, x2y, z, w = line.values()
+    plane_of = [(x, y), (xy, x2y), (x, x2y)]
+    # two pairs of spaces through x that meet in x alone
+    point_of = [(sum_subspaces(x, z), sum_subspaces(x, w)),
+                (sum_subspaces(x, y), sum_subspaces(sum_subspaces(x, z), w))]
+    plain = [sum_subspaces(*pair) for pair in plane_of], [
+        intersect_subspaces(*pair) for pair in point_of]
+    assert plain[0][0] == plain[0][1] == plain[0][2] and plain[0][0] is not plain[0][1]
+    assert plain[1][0] == plain[1][1] == x and plain[1][0] is not plain[1][1]
+    with memoized():
+        planes = [sum_subspaces(*pair) for pair in plane_of]
+        points = [intersect_subspaces(*pair) for pair in point_of]
+        assert planes[0] is planes[1] is planes[2]
+        assert points[0] is points[1]
+        assert (planes, points) == plain
+    # outside a block each call makes its own object, and the block kept nothing
+    assert not memo_active()
+    assert sum_subspaces(x, y) is not sum_subspaces(xy, x2y)
+    assert sum_subspaces(x, y) == plain[0][0]
+
+
+def test_the_full_space_is_one_object_per_field_and_dimension():
+    for p, e in MEET_FIELDS:
+        F = GF.get(p, e)
+        assert Subspace.full(F, 4) is Subspace.full(F, 4)
+        assert Subspace.full(F, 4) == Subspace.from_rows(F, 4, linalg.identity(4))
+        assert Subspace.full(F, 4) != Subspace.full(F, 3)
+
+
 @pytest.mark.parametrize("p,e", MEET_FIELDS)
 def test_zassenhaus_meet_of_zero_full_nested_and_equal_spaces(p, e):
     F = GF.get(p, e)
