@@ -69,46 +69,6 @@ class SearchResult:
     nodes: int
 
 
-def _free_by_lines(row: dict[int, int], line, cand: int, above: int, avoid: int) -> int:
-    """The points of above whose line to cand misses avoid: one line lookup
-    per point of above.  row holds the lines through cand computed so far,
-    keyed by their other points; line(cand, p) computes a missing one."""
-    free = 0
-    while above:
-        low = above & -above
-        above ^= low
-        point = low.bit_length() - 1
-        try:
-            mask = row[point]
-        except KeyError:
-            mask = line(cand, point)
-        if not mask & avoid:
-            free |= low
-    return free
-
-
-def _join(row: dict[int, int], line, cand: int, span: int) -> int:
-    """cand and the lines from cand to every point of span, which is the
-    span of cand and S when span is that of S: one line lookup per point of
-    span, with row and line as in :func:`_free_by_lines`."""
-    joined = 1 << cand
-    while span:
-        low = span & -span
-        span ^= low
-        point = low.bit_length() - 1
-        try:
-            joined |= row[point]
-        except KeyError:
-            joined |= line(cand, point)
-    return joined
-
-
-def _free_by_join(row: dict[int, int], line, cand: int, above: int, avoid: int) -> int:
-    """The points of :func:`_free_by_lines`, as those of above off every
-    line from cand to a point of avoid: one line lookup per point of avoid."""
-    return above & ~_join(row, line, cand, avoid)
-
-
 def search_m_independent(F: GF, d: int, m: int, target_size: int,
                          budget: int = 1_000_000) -> SearchResult:
     """Backtracking search for an m-independent set of the target size in
@@ -140,22 +100,29 @@ def search_m_independent(F: GF, d: int, m: int, target_size: int,
 
     and each L_i grows by the join of c with L_(i-1): c and the lines from
     c to the points of L_(i-1), with L_0 empty (X is empty for m <= 2).
-    R' comes from whichever filter takes fewer line lookups: one per
-    point of R above c (:func:`_free_by_lines`) or one per point of X
-    (:func:`_free_by_join`), ties to the first.  The pick compares point
-    counts, so it is deterministic.
+    R' comes from whichever filter takes fewer line lookups, ties to the
+    first: one lookup per point of R above c, keeping the points whose line
+    to c misses X, or one per point of X, keeping the points of R above c
+    off the join of c and X.  The pick compares point counts, so it is
+    deterministic.  Both filters run inline in the loop, one block per
+    child, and so do the joins of a pushed child's levels.
 
-    Leaf level: a node two levels above the target does not push its
-    children.  For each child c it computes R'; the lowest point of a
-    nonempty R' completes a found set, and a child with an empty R' is
-    charged the count - c - 1 points its scan would pass over.  The tree,
-    every node count, the found set and the budget cut-off are those of
-    the plain scan.
+    Children are charged in the same loop.  A child with an empty R' is
+    not pushed: it is charged at once the count - c - 1 points its scan
+    would pass over.  A child with one free point is pushed without
+    levels, as its one child has no free points to filter.  A node two
+    levels above the target pushes no child: a child with a nonempty R'
+    completes a found set with the lowest point of R'.  The tree, every
+    node count, the found set and the budget cut-off are those of the
+    plain scan.
 
     Lines are memoized per call: a point that looks a line up gets a dict
     from the points of the lines through it to those lines, and a computed
-    line goes into the dicts of all its points that have one.  No other
-    span is built by elimination.
+    line goes into the dicts of all its points that have one.  Filing it
+    under every point on it would compute each line once, but it gives
+    dicts to points that never look a line up: on budget-stopped searches
+    in PG(7, 4) that cost more time and memory than the recomputed lines
+    saved.  No other span is built by elimination.
     """
     if target_size < 1:
         raise ValidationError("target size must be positive")
@@ -169,12 +136,6 @@ def search_m_independent(F: GF, d: int, m: int, target_size: int,
     count = len(universe)
     rows: list[dict[int, int] | None] = [None] * count
 
-    def line_row(a: int) -> dict[int, int]:
-        row = rows[a]
-        if row is None:
-            row = rows[a] = {}
-        return row
-
     def line(a: int, b: int) -> int:
         """Compute the line through a and b, which row a lacks."""
         on_line = point_ids(Subspace.from_rows(F, d, (universe[a], universe[b])))
@@ -186,69 +147,100 @@ def search_m_independent(F: GF, d: int, m: int, target_size: int,
                     row[p] = mask
         return mask
 
-    def child_free(cand: int, above: int) -> int:
-        """R' once cand joins chosen, from above = the points of R above cand."""
-        if not above:
-            return 0
-        x = level_stack[-1][-1]
-        filtered = _free_by_lines if above.bit_count() <= x.bit_count() else _free_by_join
-        return filtered(line_row(cand), line, cand, above, x)
-
-    def child_levels(cand: int) -> tuple[int, ...]:
-        """L_0, ..., L_(m-2) once cand joins chosen."""
-        levels = level_stack[-1]
-        row = line_row(cand)
-        return (0, *[upper | _join(row, line, cand, lower)
-                     for lower, upper in zip(levels, levels[1:])])
-
-    def found(indices) -> SearchResult:
+    def found(indices, nodes: int) -> SearchResult:
         return SearchResult("found", tuple(universe[i] for i in indices), nodes)
 
+    if target_size == 1:  # the scan stops at the first point
+        return found((0,), 1) if budget else SearchResult("unknown", None, 1)
     nodes = start = 0
     chosen: list[int] = []
-    r_stack = [(1 << count) - 1]
-    level_stack = [(0,) * max(1, m - 1)]
+    free = (1 << count) - 1  # the node's free points not tried yet
+    levels: list[int] | None = [0] * max(1, m - 1)  # L_0, ..., L_(m-2)
+    # each ancestor's untried free points and its levels
+    r_stack: list[int] = []
+    level_stack: list[list[int] | None] = []
     leaf_parent = target_size - 2
     while True:
-        free = r_stack[-1] >> start << start
-        depth = len(chosen)
-        if depth == leaf_parent:
-            while free:
-                low = free & -free
-                free ^= low
-                cand = low.bit_length() - 1
-                child = child_free(cand, free)
-                if child:
-                    # the child's scan stops at its lowest free point
-                    last = (child & -child).bit_length() - 1
-                    nodes += last - start + 1
-                    if nodes > budget:
-                        return SearchResult("unknown", None, budget + 1)
-                    return found((*chosen, cand, last))
-                # the scans of this node up to cand and of the child to the end
-                nodes += count - start
-                if nodes > budget:
-                    return SearchResult("unknown", None, budget + 1)
-                start = cand + 1
-        elif free:
-            cand = (free & -free).bit_length() - 1
-            nodes += cand - start + 1
+        if not free:
+            nodes += count - start
             if nodes > budget:
                 return SearchResult("unknown", None, budget + 1)
-            if depth + 1 == target_size:  # a target of one point
-                return found((cand,))
-            child = child_free(cand, free ^ (free & -free))
-            r_stack.append(child)
-            # a child without free points has no children to read its levels
-            level_stack.append(child_levels(cand) if child else None)
-            chosen.append(cand)
-            start = cand + 1
+            if not chosen:
+                return SearchResult("infeasible", None, nodes)
+            start = chosen.pop() + 1
+            free = r_stack.pop()
+            levels = level_stack.pop()
             continue
-        nodes += count - start
+        low = free & -free
+        cand = low.bit_length() - 1
+        nodes += cand - start + 1
         if nodes > budget:
             return SearchResult("unknown", None, budget + 1)
-        if not chosen:
-            return SearchResult("infeasible", None, nodes)
-        start = chosen.pop() + 1
-        r_stack.pop()
-        level_stack.pop()
+        start = cand + 1
+        # R', the child's free points, from R above cand
+        free ^= low
+        child = 0
+        if free:
+            row = rows[cand]
+            if row is None:
+                row = rows[cand] = {}
+            x = levels[-1]
+            if free.bit_count() <= x.bit_count():
+                rest = free
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    point = bit.bit_length() - 1
+                    try:
+                        mask = row[point]
+                    except KeyError:
+                        mask = line(cand, point)
+                    if not mask & x:
+                        child |= bit
+            else:
+                joined = low
+                rest = x
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    point = bit.bit_length() - 1
+                    try:
+                        joined |= row[point]
+                    except KeyError:
+                        joined |= line(cand, point)
+                child = free & ~joined
+        if not child:
+            # the child's scan passes over every point above cand
+            nodes += count - start
+            if nodes > budget:
+                return SearchResult("unknown", None, budget + 1)
+            continue
+        if len(chosen) == leaf_parent:
+            # the child's scan stops at its lowest free point
+            last = (child & -child).bit_length() - 1
+            nodes += last - cand
+            if nodes > budget:
+                return SearchResult("unknown", None, budget + 1)
+            return found((*chosen, cand, last), nodes)
+        r_stack.append(free)
+        level_stack.append(levels)
+        chosen.append(cand)
+        free = child
+        if child & (child - 1):
+            # L_i joins cand and the lines from cand to the points of L_(i-1)
+            grown = [0]
+            for lower, upper in zip(levels, levels[1:]):
+                joined = low
+                while lower:
+                    bit = lower & -lower
+                    lower ^= bit
+                    point = bit.bit_length() - 1
+                    try:
+                        joined |= row[point]
+                    except KeyError:
+                        joined |= line(cand, point)
+                grown.append(upper | joined)
+            levels = grown
+        else:
+            # no child of a node with one free point has free points
+            levels = None

@@ -36,7 +36,7 @@ from .errors import InternalInvariantError, ValidationError
 from .fields import GF
 from .grassmannian import GrassmannianSpec
 from .johnson import johnson_diameter, johnson_distance, johnson_vertices
-from .subspaces import memoized
+from .subspaces import intern, memoized
 
 
 @dataclass(frozen=True)
@@ -491,6 +491,8 @@ def cross_validate(cfg: SearchConfig,
         # ids follow RREF rows, so the searched table's rows are in classify's order
         dmat = spec.distance_matrix()
         with memoized():
+            # memo results equal to a member are then the member itself
+            intern(spec.subspaces)
             for image in sorted(result.images):
                 members = frozenset(spec.by_id(i) for i in image)
                 try:

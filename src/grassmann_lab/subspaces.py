@@ -114,6 +114,16 @@ def memoized():
         _MEMO.reset(token)
 
 
+def intern(spaces) -> None:
+    """File spaces in the memo of an enclosing memoized() block, each keyed
+    by itself, so a memoized result equal to one of them is that object;
+    outside a block nothing happens."""
+    table = _MEMO.get()
+    if table is not None:
+        for s in spaces:
+            table.setdefault(s, s)
+
+
 def memo(fn):
     """fn(*args), looked up in the memo of an enclosing memoized() block.
     For pure functions of hashable arguments with immutable results, which

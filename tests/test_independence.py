@@ -1,11 +1,10 @@
-import collections
 import gc
 import itertools
 import random
 
 import pytest
 
-from grassmann_lab import independence, jsonio, linalg
+from grassmann_lab import jsonio, linalg
 from grassmann_lab.config import caps, set_caps
 from grassmann_lab.errors import CapExceededError, SchemaError, ValidationError
 from grassmann_lab.fields import GF
@@ -209,10 +208,15 @@ def test_search_status_nodes_and_points_are_pinned(case, expected):
         assert {Subspace(F, d, (row,)) for row in result.points} <= set(pg_points(F, d))
 
 
-def _reference_search(F, d, m, target_size, budget):
+def _reference_search(F, d, m, target_size, budget, pushes=None):
     """The per-candidate search the bitset scan replaced: one node and one
     bit test per candidate, each span by elimination.  Returns (status,
-    nodes, representatives of the found points or None)."""
+    nodes, representatives of the found points or None).
+
+    A list given as pushes gets, at each push of a candidate c, the sizes
+    of the two sets the forward check may filter by: the free points above
+    c, and X, the union of the spans of the (m - 2)-subsets of the chosen
+    points (their span while there are fewer; empty for m <= 2)."""
     universe = pg_points(F, d)
     spans = {}
 
@@ -222,17 +226,23 @@ def _reference_search(F, d, m, target_size, budget):
             spans[indices] = point_mask(Subspace.from_rows(F, d, rows))
         return spans[indices]
 
+    def grown(level, i, chosen, cand):
+        """The union of the spans of the i-subsets of chosen + cand (their
+        span while fewer), from level, that union for chosen."""
+        if len(chosen) + 1 <= i - 1:
+            return span(tuple(chosen) + (cand,))
+        for subset in itertools.combinations(chosen, i - 1):
+            level |= span(subset + (cand,))
+        return level
+
     def forbidden_after(chosen, forbidden, cand):
         if m == 1:
             return forbidden | 1 << cand
-        if len(chosen) + 1 <= m - 2:
-            return span(tuple(chosen) + (cand,))
-        for subset in itertools.combinations(chosen, m - 2):
-            forbidden |= span(subset + (cand,))
-        return forbidden
+        return grown(forbidden, m - 1, chosen, cand)
 
+    everything = (1 << len(universe)) - 1
     nodes = 0
-    chosen, forbidden_stack, frontier = [], [0], [0]
+    chosen, forbidden_stack, frontier, x_stack = [], [0], [0], [0]
     while True:
         if len(chosen) == target_size:
             return "found", nodes, [universe[i].rows[0] for i in chosen]
@@ -242,6 +252,10 @@ def _reference_search(F, d, m, target_size, budget):
             if nodes > budget:
                 return "unknown", nodes, None
             if not (forbidden >> cand) & 1:
+                if pushes is not None:
+                    above = (everything & ~forbidden) >> (cand + 1)
+                    pushes.append((above.bit_count(), x_stack[-1].bit_count()))
+                    x_stack.append(grown(x_stack[-1], m - 2, chosen, cand) if m > 2 else 0)
                 frontier[-1] = cand + 1
                 forbidden_stack.append(forbidden_after(chosen, forbidden, cand))
                 chosen.append(cand)
@@ -253,6 +267,8 @@ def _reference_search(F, d, m, target_size, budget):
             chosen.pop()
             frontier.pop()
             forbidden_stack.pop()
+            if pushes is not None:
+                x_stack.pop()
 
 
 def _search(F, d, m, size, budget):
@@ -276,31 +292,18 @@ REFERENCE_IDS = ([f"GF({p ** e})" for p, e in REFERENCE_FIELDS]
                  + [f"GF({p ** e})-d{d}" for p, e, d in BIGGER_SPACES])
 
 
-@pytest.fixture
-def filter_calls(monkeypatch):
-    """Counts the calls of each filter of the forward check that test
-    against a nonempty X."""
-    calls = collections.Counter()
-    for name in ("_free_by_lines", "_free_by_join"):
-        def counted(row, line, cand, above, avoid, _name=name,
-                    _filter=getattr(independence, name)):
-            calls[_name] += avoid != 0
-            return _filter(row, line, cand, above, avoid)
-        monkeypatch.setattr(independence, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("p,e,m_ranges,top_budget", REFERENCE_CASES, ids=REFERENCE_IDS)
-def test_search_matches_the_per_candidate_reference(p, e, m_ranges, top_budget, filter_calls):
+def test_search_matches_the_per_candidate_reference(p, e, m_ranges, top_budget):
     rng = random.Random(p * 100 + e)
     F = GF.get(p, e)
     statuses = set()
+    pushes = []
     for d, ms in m_ranges.items():
         for m in ms:
             # a size that usually fits, and one that often does not
             for size in (m + rng.randint(0, 2), m + rng.randint(2, F.q + 2)):
                 budget = rng.choice([rng.randint(0, 40), rng.randint(100, 3000), top_budget])
-                expected = _reference_search(F, d, m, size, budget)
+                expected = _reference_search(F, d, m, size, budget, pushes)
                 assert _search(F, d, m, size, budget) == expected, (d, m, size, budget)
                 statuses.add(expected[0])
                 if expected[0] == "unknown":
@@ -311,8 +314,28 @@ def test_search_matches_the_per_candidate_reference(p, e, m_ranges, top_budget, 
                             == _reference_search(F, d, m, size, tight)), (d, m, size, tight)
     assert {"found", "unknown"} <= statuses
     if any((p, e, d) in BIGGER_SPACES for d in m_ranges):
-        # both filters run in these searches
-        assert filter_calls["_free_by_lines"] and filter_calls["_free_by_join"], filter_calls
+        # both filters of the forward check run against a nonempty X here:
+        # it filters by the free points above c when they are at most |X|
+        by_free = sum(1 for above, x in pushes if x and 0 < above <= x)
+        by_x = sum(1 for above, x in pushes if x and above > x)
+        assert by_free and by_x, (by_free, by_x)
+
+
+# (p, e, dim, m, size) of small searches whose leaf-parents both find a set
+# and charge empty children, with m above the size and m = 2 (X empty)
+EVERY_BUDGET = [(2, 1, 3, 3, 5), (2, 2, 3, 3, 6), (2, 1, 3, 5, 3), (2, 1, 3, 2, 8)]
+
+
+@pytest.mark.parametrize("case", EVERY_BUDGET, ids=[str(c) for c in EVERY_BUDGET])
+def test_every_budget_of_a_small_search_matches_the_reference(case):
+    # a budget can run out at any node, inside the leaf-parent walk too
+    p, e, d, m, size = case
+    F = GF.get(p, e)
+    status, nodes, _ = _reference_search(F, d, m, size, 10**6)
+    assert status != "unknown"
+    for budget in range(nodes + 2):
+        assert (_search(F, d, m, size, budget)
+                == _reference_search(F, d, m, size, budget)), budget
 
 
 def test_search_leaves_no_reference_cycle():

@@ -366,6 +366,27 @@ def test_cross_validate_eliminates_each_pair_once(l, unmemoized, bound):
     assert calls <= bound < unmemoized
 
 
+@pytest.mark.parametrize("l,unfiled", [(4, 10_697), (5, 7_658)])
+def test_cross_validate_compares_its_members_by_identity(l, unfiled, monkeypatch):
+    # the members are filed in the memo, so the sums and meets that rebuild
+    # an image are its member objects; unfiled is the number of comparisons
+    # of distinct but equal subspaces when the members are not filed
+    cfg = SearchConfig(l=l, m=2, n=4, k=2, p=2)
+    result = enumerate_embeddings(cfg)
+    equal = Subspace.__eq__
+    distinct = 0
+
+    def counting(self, other):
+        nonlocal distinct
+        same = equal(self, other)
+        distinct += same and self is not other
+        return same
+
+    monkeypatch.setattr(Subspace, "__eq__", counting)
+    assert cross_validate(cfg, result).ok
+    assert distinct <= 2_000 < unfiled
+
+
 def test_memoized_classifications_equal_the_plain_ones():
     from grassmann_lab.jsonio import classification_to_json
     from grassmann_lab.subspaces import memoized

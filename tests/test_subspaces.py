@@ -10,8 +10,9 @@ from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import GrassmannianSpec, iter_rref_bases
 from grassmann_lab.independence import m_dependency_witness
 from grassmann_lab.subspaces import (SemilinearMap, Subspace, annihilator, contragredient,
-                                     frame, from_coords_in, intersect_many, intersect_subspaces,
-                                     lift_from_quotient, memoized, sum_many, sum_subspaces)
+                                     frame, from_coords_in, intern, intersect_many,
+                                     intersect_subspaces, lift_from_quotient, memoized, sum_many,
+                                     sum_subspaces)
 
 from helpers import dot, memo_active, vectors
 
@@ -315,6 +316,19 @@ def test_equal_memoized_results_are_one_object_per_block():
     assert not memo_active()
     assert sum_subspaces(x, y) is not sum_subspaces(xy, x2y)
     assert sum_subspaces(x, y) == plain[0][0]
+
+
+def test_interned_spaces_are_the_memoized_results_equal_to_them():
+    x, y = Subspace.line(F2, (1, 0, 0)), Subspace.line(F2, (0, 1, 0))
+    plane = Subspace.from_rows(F2, 3, [(1, 1, 0), (0, 1, 0)])
+    intern([plane])  # outside a block it files nothing
+    assert sum_subspaces(x, y) == plane and sum_subspaces(x, y) is not plane
+    with memoized():
+        intern([plane])
+        assert sum_subspaces(x, y) is plane
+        assert sum_subspaces(y, x) is plane
+    assert not memo_active()
+    assert sum_subspaces(x, y) is not plane
 
 
 def test_the_full_space_is_one_object_per_field_and_dimension():
