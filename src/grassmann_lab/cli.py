@@ -21,8 +21,8 @@ import sys
 from . import dot as dot_export
 from . import jsonio
 from .config import caps, caps_from_env, check_ambient_dim, set_caps
-from .embeddings import (EmbeddingInstance, build_dual_construction,
-                         build_sum_construction, classify, verify_assignment)
+from .embeddings import (EmbeddingInstance, build_construction, check_construction_params,
+                         classify, verify_assignment)
 from .errors import (BudgetExhaustedError, GrassmannLabError, InternalInvariantError,
                      ValidationError)
 from .fields import GF
@@ -112,16 +112,17 @@ def cmd_build(args) -> int:
             raise ValidationError(f"build {args.kind} fixes its points; "
                                   f"it takes no {', '.join(given)}")
     side = ("sum" if 2 * k <= n else "dual") if preset else args.kind
-    m = args.m if args.m is not None else (k if side == "sum" else n - k)
-    if not 1 < m <= k:
-        raise ValidationError(f"{side} construction needs 1 < m <= k, got m={m}")
+    top = side == "dual"
+    m = args.m if args.m is not None else (n - k if top else k)
+    # checked before any points are read or searched for
+    check_construction_params(m, k, n)
     # the points live in V/M for sums (M spans the first k - m basis
     # vectors) and in the cover N (the first k + m) for meets
-    dim = n - (k - m) if side == "sum" else k + m
+    dim = k + m if top else n - (k - m)
     if args.kind == "apartment":
         rows = identity(dim)
     elif args.kind == "simplex-faces" or (
-            args.kind == "dual" and not args.points and args.l in (None, k + m + 1)):
+            top and not args.points and args.l in (None, k + m + 1)):
         rows = canonical_simplex(dim, dim)
     elif args.points:
         rows = _load_pointset_rows(args.points, field, dim)
@@ -130,15 +131,11 @@ def cmd_build(args) -> int:
     else:
         budget = BUILD_BUDGET if args.budget is None else args.budget
         rows = _search_points(field, dim, 2 * m, args.l, budget)
-    if side == "sum":
-        base = _span_of_first(field, n, k - m)
-        inst = build_sum_construction(
-            base, [lift_from_quotient(base, (row,)) for row in rows], k)
-    else:
-        cover = _span_of_first(field, n, k + m)
-        inst = build_dual_construction(
-            cover, [from_coords_in(cover, nullspace(field, (row,), dim)) for row in rows], k)
-    # the constructors rest on their certificate; this is the written map's one check
+    space = _span_of_first(field, n, k + m if top else k - m)
+    generators = [from_coords_in(space, nullspace(field, (row,), dim)) if top
+                  else lift_from_quotient(space, (row,)) for row in rows]
+    inst = build_construction(space, generators, k, top)
+    # the construction rests on its certificate; this is the written map's one check
     defect = verify_assignment(inst.m, inst.assignment)
     if defect is not None:
         raise InternalInvariantError(

@@ -19,17 +19,17 @@ Johnson star over the core {0..m-2}: it lands in a star exactly when its
 members span more than k+1 dimensions, and by Theorem 4 every Johnson
 star goes the same way.  A bare input reads (l, m) off its size and
 valency; its adjacent pairs meet in its star centers and sum to its top
-covers, and counting the covers tells where the Johnson stars land.
+covers, and counting centers, then covers, tells where the Johnson stars land.
 
 The pairwise isometry check (_first_defect, which verify_assignment
 wraps) runs once per trust boundary: on a labeled input to classify, on
 the labeled map rebuilt for a bare input to classify (against the
 distance table the classifier already read), and on the map that the
-build command writes.  The constructors rest on their 2m-independence
-certificate, which proves the isometry (see build_sum_construction; the
-dual construction checks it on the annihilators of its generators), so a
-stored classification, rebuilt through them and classified, gets one
-pass.
+build command writes.  Both constructions are one body,
+build_construction, which rests on one 2m-independence certificate on
+the side's points (side_points: star points, or annihilated top points)
+and so proves the isometry; a stored classification, rebuilt through it
+and classified, gets one pass.
 """
 
 from __future__ import annotations
@@ -126,73 +126,71 @@ def _subset_sums(generators, m: int, join) -> list[dict[int, Subspace]]:
     return levels
 
 
-def _certify_independent(base: Subspace, points, m: int):
-    """Raise ValidationError unless any min(2m, l) of the l points, spaces
-    at most one dimension over base, are independent over base: the
-    certificate that proves a construction isometric."""
-    need = min(2 * m, len(points))
-    witness = m_dependency_witness(base.field, frame(base, points)[2], need)
+def check_construction_params(m: int, k: int, n: int):
+    """Raise ValidationError unless both constructions accept m in G(n, k):
+    1 < m <= min(k, n-k), the diameter of the Grassmann graph, which an
+    isometric J(l, m) with l > m needs (Brouwer, Cohen & Neumaier, 9.3)."""
+    if not 1 < m <= min(k, n - k):
+        raise ValidationError(
+            f"construction needs 1 < m <= min(k, n-k) = {min(k, n - k)}, got m={m}")
+
+
+def side_points(generators, top: bool, space: Subspace | None = None):
+    """A side's generators as points: star points are spaces one dimension
+    over m_space, and the annihilators of top points, hyperplanes of
+    n_space, are points over the annihilator of n_space.  Given space
+    (m_space or n_space), the points' coordinate rows over that base in
+    their frame (subspaces.frame) instead."""
+    points = tuple(map(annihilator, generators)) if top else tuple(generators)
+    return points if space is None else frame(annihilator(space) if top else space, points)[2]
+
+
+def build_construction(space: Subspace, generators, k: int, top: bool) -> EmbeddingInstance:
+    """Map each m-subset {i1..im} to the join of generators[i1..im] in the
+    side's lattice: their sum over the (k-m)-space space (star side), or
+    their meet under the (k+m)-space space (top side).
+
+    m = k - dim(space), or dim(space) - k on the top side.  The generators
+    are one dimension over the base, or hyperplanes of the cover, and
+    their points (side_points) must be 2m-independent over their base.
+    That certificate proves the isometry, so the map is not checked
+    pairwise: for m-subsets u and v with union w, the |w| <= min(2m, l)
+    points of w are independent over the base, so the star images X_u and
+    X_v sum to a space of dimension dim(space) + |w|, and d(X_u, X_v) =
+    |w| - m = m - |u & v|, the Johnson distance.  On the top side
+    annihilation turns those sums into the meets, preserving distances.
+    """
+    sign = -1 if top else 1
+    m = sign * (k - space.dim)
+    check_construction_params(m, k, space.ambient_dim)
+    generators = tuple(generators)
+    l = len(generators)
+    if l <= m:
+        raise ValidationError(f"need more than m={m} generators, got {l}")
+    for g in generators:
+        if g.dim != space.dim + sign or not (space.contains(g) if top else g.contains(space)):
+            raise ValidationError("generators must be " + ("hyperplanes of the cover space"
+                                  if top else "one-dimensional extensions of the base space"))
+    need = min(2 * m, l)
+    witness = m_dependency_witness(space.field, side_points(generators, top, space), need)
     if witness is not None:
         raise ValidationError(
             f"generators are not {need}-independent over the base; "
             f"dependent subset at indices {witness}")
+    return EmbeddingInstance(l, m, _subset_sums(generators, m, _lattice(top)[0])[-1])
 
 
 def build_sum_construction(m_space: Subspace, generators, k: int) -> EmbeddingInstance:
-    """Map each m-subset {i1..im} to generators[i1] + ... + generators[im].
-
-    generators must be (k-m+1)-spaces over m_space whose images in the
-    quotient are 2m-independent, with m = k - dim(m_space) > 1 and
-    m + k <= n.  That certificate, checked here on the generators' frame
-    coordinates, proves the isometry, so the map is not checked pairwise:
-    for m-subsets u and v with union w, the |w| <= min(2m, l) points of w
-    are independent over m_space, so the images X_u and X_v sum to a
-    space of dimension dim(m_space) + |w|, and d(X_u, X_v) = |w| - m =
-    m - |u & v|, the Johnson distance.
-    """
-    n = m_space.ambient_dim
-    m = k - m_space.dim
-    generators = tuple(generators)
-    l = len(generators)
-    if m < 2:
-        raise ValidationError(f"sum construction needs k - dim(base) >= 2, got {m}")
-    if m + k > n:
-        raise ValidationError(f"sum construction needs m + k <= n ({m}+{k} > {n})")
-    if l <= m:
-        raise ValidationError(f"need more than m={m} generators, got {l}")
-    for g in generators:
-        if g.dim != m_space.dim + 1 or not g.contains(m_space):
-            raise ValidationError(
-                "generators must be one-dimensional extensions of the base space")
-    _certify_independent(m_space, generators, m)
-    return EmbeddingInstance(l, m, _subset_sums(generators, m, sum_subspaces)[-1])
+    """Map each m-subset {i1..im} to generators[i1] + ... + generators[im]:
+    build_construction on the star side, with m = k - dim(m_space)."""
+    return build_construction(m_space, generators, k, False)
 
 
 def build_dual_construction(n_space: Subspace, generators, k: int) -> EmbeddingInstance:
-    """Map each m-subset {i1..im} to generators[i1] & ... & generators[im].
-
-    generators must be hyperplanes of n_space (dimension k+m-1) forming a
-    2m-independent family of the dual space of n_space, with
-    m = dim(n_space) - k satisfying 1 < m <= k.  The lattice dual of
-    build_sum_construction: its certificate, on the annihilators of
-    n_space and the generators, puts the sums of annihilated m-subsets at
-    Johnson distance, and annihilation turns those sums into these meets
-    preserving every distance.
-    """
-    m = n_space.dim - k
-    generators = tuple(generators)
-    l = len(generators)
-    if m < 2:
-        raise ValidationError(f"dual construction needs dim(cover) - k >= 2, got {m}")
-    if m > k:
-        raise ValidationError(f"dual construction needs m <= k ({m} > {k})")
-    for g in generators:
-        if g.dim != n_space.dim - 1 or not n_space.contains(g):
-            raise ValidationError("generators must be hyperplanes of the cover space")
-    if l <= m:
-        raise ValidationError(f"need more than m={m} generators, got {l}")
-    _certify_independent(annihilator(n_space), tuple(map(annihilator, generators)), m)
-    return EmbeddingInstance(l, m, _subset_sums(generators, m, intersect_subspaces)[-1])
+    """Map each m-subset {i1..im} to generators[i1] & ... & generators[im],
+    hyperplanes of n_space: build_construction on the top side, with
+    m = dim(n_space) - k."""
+    return build_construction(n_space, generators, k, True)
 
 
 # classification ---------------------------------------------------------
@@ -234,19 +232,17 @@ class Classification:
     labeled: dict[int, Subspace] = dc_field(compare=False, repr=False)
 
     def star_point_set(self) -> tuple[tuple[int, ...], ...]:
-        """The star points as points over m_space: the rows of their
-        coordinates in their frame (subspaces.frame), which span their
-        own space."""
+        """The star points as coordinate rows over m_space (side_points)."""
         if self.star_points is None:
             raise ValidationError("no primal generators on a top-type classification")
-        return frame(self.m_space, self.star_points)[2]
+        return side_points(self.star_points, False, self.m_space)
 
     def top_point_set(self) -> tuple[tuple[int, ...], ...]:
-        """The annihilated top points as points over the annihilator of
-        n_space: the rows of their coordinates in their frame."""
+        """The annihilated top points as coordinate rows over the
+        annihilator of n_space (side_points)."""
         if self.top_points is None:
             raise ValidationError("no dual generators on a star-type classification")
-        return frame(annihilator(self.n_space), tuple(map(annihilator, self.top_points)))[2]
+        return side_points(self.top_points, True, self.n_space)
 
 
 def rebuild(cls: Classification) -> dict[int, Subspace]:
@@ -368,12 +364,16 @@ def _classify_bare(image: frozenset[Subspace], n: int, k: int, table) -> Classif
     check_classification_params(l, m, k, n)
     edges = _adjacent_pairs(members, table)
     # each edge lies in one Johnson star and one Johnson top: its meet is the
-    # center of a Grassmann star and its sum the cover of a Grassmann top, so
-    # C(l, m-1) covers (and l != 2m) means the Johnson stars land in tops,
-    # where the covers take the part of the centers
-    covers = {sum_subspaces(a, b) for a, b in edges} if l != 2 * m else set()
+    # center of a Grassmann star and its sum the cover of a Grassmann top.
+    # C(l, m-1) centers means the Johnson stars land in stars; otherwise, when
+    # l != 2m, C(l, m-1) covers means they land in tops, where the covers take
+    # the part of the centers.  By Theorem 4 the two are exclusive for
+    # l != 2m, so the sums are formed only for a top-type image.
+    centers = {intersect_subspaces(a, b) for a, b in edges}
+    covers = ({sum_subspaces(a, b) for a, b in edges}
+              if l != 2 * m and len(centers) != math.comb(l, m - 1) else set())
     top = len(covers) == math.comb(l, m - 1)
-    centers = covers if top else {intersect_subspaces(a, b) for a, b in edges}
+    centers = covers if top else centers
     cls = _assemble(image, _descend_bare(centers, l, m, top), l, m, k, top)
     labeled = cls.labeled
     vertices = list(labeled)

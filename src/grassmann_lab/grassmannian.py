@@ -108,11 +108,11 @@ def point_ids(s: Subspace) -> list[int]:
 
 
 class GrassmannianSpec:
-    """An enumerated Grassmannian with a dense, deterministic vertex index.
+    """An enumerated Grassmannian with dense, deterministic vertex ids.
 
-    Subspaces are ordered lexicographically by their RREF rows; the
-    bidirectional index maps them to ids in that order.  Instances are
-    immutable after build and safe to share across threads.
+    Subspaces are ordered lexicographically by their RREF rows, and
+    vertex i is subspaces[i].  Instances are immutable after build and
+    safe to share across threads.
     """
 
     def __init__(self, field: GF, n: int, k: int):
@@ -132,7 +132,6 @@ class GrassmannianSpec:
         if len(self.subspaces) != expected:
             raise InternalInvariantError(
                 f"enumerated {len(self.subspaces)} subspaces, expected {expected}")
-        self.index: dict[Subspace, int] = {s: i for i, s in enumerate(self.subspaces)}
         self._dist: list[bytes] | None = None
         self._dist_sets: list[tuple[int, ...]] | None = None
 

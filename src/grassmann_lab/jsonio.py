@@ -5,7 +5,7 @@ point-set documents are refused without it.  Field elements serialize as
 their int encodings (base-p digits of the polynomial residue).
 Deserializers validate eagerly and name the offending field in their
 errors; derived data (classifications) is never trusted from a file but
-reconstructed through the verifying constructors.
+reconstructed through the certified construction.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .embeddings import (Classification, EmbeddingInstance, build_dual_construction,
-                         build_sum_construction, classify)
+from .embeddings import Classification, EmbeddingInstance, build_construction, classify
 from .errors import SchemaError
 from .fields import GF
 from .johnson import vertex_from_indices, vertex_indices
@@ -175,7 +174,7 @@ def classification_to_json(cls: Classification) -> dict:
 def classification_from_json(obj: dict) -> Classification:
     """Rebuild a classification from its stored generators.
 
-    The image is reconstructed through the verifying constructors and
+    The image is reconstructed through the certified construction and
     re-classified, and the stored fields must match that classification,
     so corrupt or inconsistent files are rejected rather than trusted.
     """
@@ -184,16 +183,14 @@ def classification_from_json(obj: dict) -> Classification:
     n = _int_field(params, "n", "classification.params")
     k = _int_field(params, "k", "classification.params")
     field = _field_from_json(params, "classification.params")
-    points_key, space_key, construct = (
-        ("star_points", "m_space", build_sum_construction)
-        if obj.get("star_points") is not None
-        else ("top_points", "n_space", build_dual_construction))
+    top = obj.get("star_points") is None
+    points_key, space_key = ("top_points", "n_space") if top else ("star_points", "m_space")
     if obj.get(points_key) is None:
         raise SchemaError("classification: needs star_points or top_points")
     rows = _rows_from_json(_need(obj, space_key, "classification"), field,
                            f"classification.{space_key}")
     gens = _subspaces_from_json(obj[points_key], field, n, f"classification.{points_key}")
-    cls = classify(construct(Subspace.from_rows(field, n, rows), gens, k))
+    cls = classify(build_construction(Subspace.from_rows(field, n, rows), gens, k, top))
     # every stored field must be what the generators give (params.e is
     # optional, as above); the descent trace may list a J(2m, m) image
     # from the other side

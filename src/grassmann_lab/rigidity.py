@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .embeddings import Classification, classify, rebuild
+from .embeddings import Classification, classify, rebuild, side_points
 from .errors import InternalInvariantError, ValidationError
 from .fields import GF
 from .independence import is_independent, simplex_rank
@@ -209,7 +209,7 @@ def extend_automorphism(subject, aut: JohnsonAut) -> ExtensionWitness | NotExten
     cls = subject if isinstance(subject, Classification) else classify(subject)
     if aut.l != cls.l:
         raise ValidationError(f"automorphism acts on {aut.l} symbols, image has {cls.l}")
-    F, perm = cls.field, aut.perm
+    F, perm, top = cls.field, aut.perm, cls.star_points is None
     if aut.complement:
         if cls.l != 2 * cls.m:
             raise ValidationError("complement automorphism exists only when l = 2m")
@@ -218,13 +218,10 @@ def extend_automorphism(subject, aut: JohnsonAut) -> ExtensionWitness | NotExten
             return NotExtendable(
                 "complement requires a duality of the Grassmann graph, "
                 "which exists only when n = 2k", (SigmaDiagnostics(None, "span", None, 0),))
-        sources, targets = cls.star_points, tuple(map(annihilator, cls.top_points))
+        sources, targets = cls.star_points, side_points(cls.top_points, True)
         reason = "no duality realizes the complement automorphism"
     else:
-        if cls.star_points is not None:
-            sources = cls.star_points
-        else:
-            sources = tuple(map(annihilator, cls.top_points))
+        sources = side_points(cls.top_points if top else cls.star_points, top)
         targets, reason = sources, _NO_SEMILINEAR
     pairs = [(sources[j], targets[perm[j]]) for j in range(cls.l)]
     smap, diagnostics, _ = solve_semilinear_mapping(F, cls.n, pairs)
@@ -233,7 +230,7 @@ def extend_automorphism(subject, aut: JohnsonAut) -> ExtensionWitness | NotExten
     if aut.complement:
         _verify_on_image(cls, aut, lambda s: annihilator(smap.apply(s)))
         return ExtensionWitness("duality", smap)
-    full = smap if cls.star_points is not None else contragredient(smap)
+    full = contragredient(smap) if top else smap
     _verify_on_image(cls, aut, full.apply)
     return ExtensionWitness("semilinear", full)
 

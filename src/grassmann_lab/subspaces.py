@@ -243,6 +243,9 @@ def lift_from_quotient(m: Subspace, rows_q: Matrix) -> Subspace:
     n = m.ambient_dim
     lifted = []
     for row in rows_q:
+        if len(row) != len(free):
+            raise ValidationError(
+                f"quotient row of length {len(row)}, expected {len(free)} coordinates")
         v = [0] * n
         for c, x in zip(free, row):
             v[c] = x
@@ -254,6 +257,10 @@ def from_coords_in(n_space: Subspace, rows: Matrix) -> Subspace:
     """The subspace of n_space with the given rows of coefficients against
     n_space's RREF basis."""
     F = n_space.field
+    for r in rows:
+        if len(r) != n_space.dim:
+            raise ValidationError(
+                f"coordinate row of length {len(r)} in a {n_space.dim}-space")
     lifted = tuple(linalg.vecmat(F, r, n_space.rows) for r in rows)
     return Subspace.from_rows(F, n_space.ambient_dim, lifted)
 

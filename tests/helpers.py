@@ -319,7 +319,8 @@ def orbit_closure(spec: GrassmannianSpec, images: set[tuple[int, ...]]
                   ) -> set[tuple[int, ...]]:
     """Close a set of id-tuple images under the semilinear automorphism
     group, by breadth-first orbit expansion over generator action tables."""
-    tables = [[spec.index[g.apply(spec.by_id(i))] for i in range(len(spec))]
+    index = {s: i for i, s in enumerate(spec.subspaces)}
+    tables = [[index[g.apply(s)] for s in spec.subspaces]
               for g in pgl_generators(spec.field, spec.n)]
     closed = set(images)
     frontier = list(images)

@@ -396,6 +396,14 @@ def test_caps_env_variable(tmp_path, capsys, monkeypatch):
         set_caps(q_max=16)
 
 
+def _points_past_diameter():
+    """Six points of F_2^6 whose rows end in 0, for build dual in G(5, 3)
+    with m = 3."""
+    rows = [[int(i == j) for j in range(6)] for i in range(5)] + [[1, 1, 1, 1, 1, 0]]
+    return {"schema_version": 1, "ambient": {"kind": "primal", "dim": 6, "p": 2, "e": 1},
+            "points": rows}
+
+
 def _malformed(tmp_path, monkeypatch, case):
     """Write one malformed input document, or set a malformed environment;
     returns the subcommand to run."""
@@ -410,6 +418,17 @@ def _malformed(tmp_path, monkeypatch, case):
         return ["export"]
     if case == "build-sum-with-m-1":
         return ["build", "sum", "--p", 2, "--n", 4, "--k", 2, "--m", 1, "--l", 4]
+    # m above min(k, n-k), the diameter of G(n, k): refused before any
+    # points are read or searched for
+    if case == "build-sum-m-past-diameter":
+        return ["build", "sum", "--p", 3, "--n", 6, "--k", 4, "--m", 4, "--l", 40]
+    if case == "build-dual-m-past-diameter":
+        return ["build", "dual", "--p", 2, "--n", 5, "--k", 3, "--m", 3]
+    if case == "build-dual-points-m-past-diameter":
+        # six coordinates for the k + m = 6 dimensional cover, which F^5
+        # cannot hold: the rows must not be cut to five and read as m = 2
+        path.write_text(json.dumps(_points_past_diameter()))
+        return ["build", "dual", "--p", 2, "--n", 5, "--k", 3, "--m", 3, "--points", path]
     if case.startswith("caps-env-"):
         monkeypatch.setenv("GRASSMANN_LAB_CAPS", {"caps-env-unknown-key": "z=3",
                                                   "caps-env-not-integer": "q=abc"}[case])
@@ -560,7 +579,11 @@ MALFORMED = {
     "points-wrong-length": "pointset.points[2]: expected 4 coordinates",
     "points-repeated": "points must be pairwise distinct",
     "points-entry-out-of-range": "pointset.points[2]: entry 5 outside GF(2)",
-    "build-sum-with-m-1": "sum construction needs 1 < m <= k, got m=1",
+    "build-sum-with-m-1": "construction needs 1 < m <= min(k, n-k) = 2, got m=1",
+    "build-sum-m-past-diameter": "construction needs 1 < m <= min(k, n-k) = 2, got m=4",
+    "build-dual-m-past-diameter": "construction needs 1 < m <= min(k, n-k) = 2, got m=3",
+    "build-dual-points-m-past-diameter":
+        "construction needs 1 < m <= min(k, n-k) = 2, got m=3",
     "johnson-export-without-lm": "johnson export needs --l and --m",
     "export-without-input-or-graph": "export needs --input or --graph",
     "caps-env-unknown-key": "unknown cap 'z' in GRASSMANN_LAB_CAPS",
@@ -588,6 +611,23 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, ca
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert MALFORMED[case] in lines[0]
+
+
+@pytest.mark.parametrize("side", ["sum", "dual"])
+def test_build_refuses_m_past_the_diameter_before_reading_or_searching(
+        tmp_path, capsys, monkeypatch, side):
+    def never(*args):
+        raise AssertionError("build read or searched for points")
+
+    monkeypatch.setattr(cli, "search_m_independent", never)
+    monkeypatch.setattr(cli, "_load_pointset_rows", never)
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps(_points_past_diameter()))
+    for extra in (["--l", 40], ["--points", points]):
+        capsys.readouterr()
+        assert run(["build", side, "--p", 2, "--n", 5, "--k", 3, "--m", 3, *extra]) == 2
+        assert capsys.readouterr().err == (
+            "error: construction needs 1 < m <= min(k, n-k) = 2, got m=3\n")
 
 
 @pytest.mark.parametrize("kind", ["simplex-faces", "dual"])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -120,6 +121,50 @@ def test_dual_construction_guards():
     cover = Subspace.from_rows(F2, 4, (unit(0, 4), unit(1, 4), unit(2, 4)))
     with pytest.raises(ValidationError):
         build_dual_construction(cover, [not_inside], 1)
+
+
+def _over_e0(rows):
+    """Spaces of F_2^5 one dimension over the line of e0: e0 and each row
+    of F_2^4 set after it."""
+    return [Subspace.from_rows(F2, 5, (unit(0, 5), (0,) + tuple(r))) for r in rows]
+
+
+@pytest.mark.parametrize("top", [False, True], ids=["sum", "dual"])
+def test_one_construction_refuses_and_builds_alike_on_both_sides(top):
+    # each request is a sum-side one over the line of e0, or on the top side
+    # its annihilated request: hyperplanes of a 4-space, and k becomes 5 - k
+    base = Subspace.line(F2, unit(0, 5))
+    build = build_dual_construction if top else build_sum_construction
+
+    def request(gens, k):
+        if top:
+            return annihilator(base), [annihilator(g) for g in gens], 5 - k
+        return base, gens, k
+
+    simplex = _over_e0(canonical_simplex(4, 4))
+    eye = linalg.identity(4)
+    refusals = [
+        (request(simplex, 2), "needs 1 < m <= min(k, n-k) = 2, got m=1"),
+        (request(simplex, 4), "needs 1 < m <= min(k, n-k) = 1, got m=3"),
+        (request(simplex[:2], 3), "need more than m=2 generators, got 2"),
+        # a 3-space over the base (on the top side a 2-space in the cover)
+        (request([Subspace.from_rows(F2, 5, [unit(i, 5) for i in range(3)])] + simplex[1:],
+                 3),
+         "generators must be"),
+        # a 2-space that misses the base (a 3-space outside the cover)
+        (request([Subspace.from_rows(F2, 5, (unit(1, 5), unit(2, 5)))] + simplex[1:], 3),
+         "generators must be"),
+        (request(_over_e0(eye[:3] + ((1, 1, 0, 0), eye[3])), 3),
+         "not 4-independent over the base; dependent subset at indices (0, 1, 2, 3)"),
+    ]
+    for args, message in refusals:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            build(*args)
+    inst = build(*request(simplex, 3))
+    sums = {vertex_from_indices(c): sum_many(F2, 5, [simplex[i] for i in c])
+            for c in itertools.combinations(range(5), 2)}
+    assert (inst.l, inst.m, inst.k) == (5, 2, 2 if top else 3)
+    assert inst.assignment == ({v: annihilator(s) for v, s in sums.items()} if top else sums)
 
 
 def test_verify_isometric_counterexamples():

@@ -209,6 +209,20 @@ def test_quotient_and_section_coordinates_round_trip():
         assert n_space.contains(inside) and inside.dim == 2
 
 
+@pytest.mark.parametrize("row", [(1, 0), (1, 0, 0, 0)], ids=["short", "long"])
+def test_lifts_refuse_a_row_of_another_length(row):
+    # a quotient by a line of F^4 has 3 coordinates, and so has a 3-space;
+    # an extra entry must not be dropped, nor a missing one read as 0
+    m = Subspace.from_rows(F2, 4, ((1, 0, 1, 0),))
+    with pytest.raises(ValidationError, match=f"quotient row of length {len(row)}, "
+                                              f"expected 3 coordinates"):
+        lift_from_quotient(m, (row,))
+    n_space = Subspace.from_rows(F2, 4, ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 1)))
+    with pytest.raises(ValidationError, match=f"coordinate row of length {len(row)} "
+                                              f"in a 3-space"):
+        from_coords_in(n_space, ((0, 1, 0), row))
+
+
 def test_vectors_enumeration():
     s = Subspace.from_rows(F2, 3, ((1, 0, 1), (0, 1, 1)))
     vecs = set(vectors(s))
