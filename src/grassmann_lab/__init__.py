@@ -7,8 +7,7 @@ over GF(q) at desk scale.
 
 from .config import Caps, caps, caps_from_env, set_caps
 from .embeddings import (Classification, EmbeddingInstance, IsometryDefect,
-                         build_dual_construction, build_sum_construction, classify, rebuild,
-                         verify_assignment)
+                         build_construction, classify, rebuild, verify_assignment)
 from .errors import (BudgetExhaustedError, CapExceededError, ClassificationError,
                      GrassmannLabError, InternalInvariantError, NotIsometricError,
                      SchemaError, ValidationError)

@@ -105,15 +105,23 @@ def cmd_build(args) -> int:
     check_ambient_dim(n)
     # a preset is the default construction of its side on fixed points
     preset = args.kind in ("apartment", "simplex-faces")
+    top = args.kind == "dual" or (preset and 2 * k > n)
+    m = args.m if args.m is not None else min(k, n - k)
+    simplex = args.kind == "simplex-faces" or (
+        args.kind == "dual" and not args.points and args.l in (None, k + m + 1))
+    # each point source refuses the options it does not read
     if preset:
-        given = [f"--{flag}" for flag in ("m", "l", "points", "budget")
-                 if getattr(args, flag) is not None]
-        if given:
-            raise ValidationError(f"build {args.kind} fixes its points; "
-                                  f"it takes no {', '.join(given)}")
-    side = ("sum" if 2 * k <= n else "dual") if preset else args.kind
-    top = side == "dual"
-    m = args.m if args.m is not None else (n - k if top else k)
+        source, reads = "fixes its points", ()
+    elif args.points:
+        source, reads = "reads its points from --points", ("m", "points")
+    elif simplex:
+        source, reads = "takes the canonical simplex", ("m", "l")
+    else:
+        source, reads = "searches for its points", ("m", "l", "budget")
+    given = [f"--{flag}" for flag in ("m", "l", "points", "budget")
+             if flag not in reads and getattr(args, flag) is not None]
+    if given:
+        raise ValidationError(f"build {args.kind} {source}; it takes no {', '.join(given)}")
     # checked before any points are read or searched for
     check_construction_params(m, k, n)
     # the points live in V/M for sums (M spans the first k - m basis
@@ -121,8 +129,7 @@ def cmd_build(args) -> int:
     dim = k + m if top else n - (k - m)
     if args.kind == "apartment":
         rows = identity(dim)
-    elif args.kind == "simplex-faces" or (
-            top and not args.points and args.l in (None, k + m + 1)):
+    elif simplex:
         rows = canonical_simplex(dim, dim)
     elif args.points:
         rows = _load_pointset_rows(args.points, field, dim)
@@ -243,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="construct a verified embedding")
     p_build.add_argument("kind", choices=["sum", "dual", "apartment", "simplex-faces"])
     _add_field_args(p_build)
-    p_build.add_argument("--m", type=int, help="Johnson subset size (defaults per kind)")
+    p_build.add_argument("--m", type=int, help="Johnson subset size (default min(k, n-k))")
     p_build.add_argument("--l", type=int, help="ground set size")
     p_build.add_argument("--points", help="point set JSON for the generators")
     p_build.add_argument("--budget", type=int,

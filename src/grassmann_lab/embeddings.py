@@ -180,19 +180,6 @@ def build_construction(space: Subspace, generators, k: int, top: bool) -> Embedd
     return EmbeddingInstance(l, m, _subset_sums(generators, m, _lattice(top)[0])[-1])
 
 
-def build_sum_construction(m_space: Subspace, generators, k: int) -> EmbeddingInstance:
-    """Map each m-subset {i1..im} to generators[i1] + ... + generators[im]:
-    build_construction on the star side, with m = k - dim(m_space)."""
-    return build_construction(m_space, generators, k, False)
-
-
-def build_dual_construction(n_space: Subspace, generators, k: int) -> EmbeddingInstance:
-    """Map each m-subset {i1..im} to generators[i1] & ... & generators[im],
-    hyperplanes of n_space: build_construction on the top side, with
-    m = dim(n_space) - k."""
-    return build_construction(n_space, generators, k, True)
-
-
 # classification ---------------------------------------------------------
 
 
@@ -231,18 +218,15 @@ class Classification:
     image: frozenset[Subspace]
     labeled: dict[int, Subspace] = dc_field(compare=False, repr=False)
 
-    def star_point_set(self) -> tuple[tuple[int, ...], ...]:
-        """The star points as coordinate rows over m_space (side_points)."""
-        if self.star_points is None:
-            raise ValidationError("no primal generators on a top-type classification")
-        return side_points(self.star_points, False, self.m_space)
-
-    def top_point_set(self) -> tuple[tuple[int, ...], ...]:
-        """The annihilated top points as coordinate rows over the
-        annihilator of n_space (side_points)."""
-        if self.top_points is None:
-            raise ValidationError("no dual generators on a star-type classification")
-        return side_points(self.top_points, True, self.n_space)
+    def point_set(self, top: bool) -> tuple[tuple[int, ...], ...]:
+        """One side's generators as coordinate rows over its base
+        (side_points): the star points over m_space, or the annihilated
+        top points over the annihilator of n_space."""
+        points = self.top_points if top else self.star_points
+        if points is None:
+            raise ValidationError(f"no {'dual' if top else 'primal'} generators "
+                                  f"on a {self.case}-type classification")
+        return side_points(points, top, self.n_space if top else self.m_space)
 
 
 def rebuild(cls: Classification) -> dict[int, Subspace]:

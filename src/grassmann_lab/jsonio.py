@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from .config import check_ambient_dim
 from .embeddings import Classification, EmbeddingInstance, build_construction, classify
 from .errors import SchemaError
 from .fields import GF
@@ -127,6 +128,7 @@ def embedding_from_json(obj: dict) -> EmbeddingInstance:
     l = _int_field(params, "l", "embedding.params")
     m = _int_field(params, "m", "embedding.params")
     n = _int_field(params, "n", "embedding.params")
+    check_ambient_dim(n)
     k = _int_field(params, "k", "embedding.params")
     field = _field_from_json(params, "embedding.params")
     raw_map = _need(obj, "map", "embedding")
@@ -181,6 +183,7 @@ def classification_from_json(obj: dict) -> Classification:
     _check_schema_version(obj, "classification")
     params = _need(obj, "params", "classification")
     n = _int_field(params, "n", "classification.params")
+    check_ambient_dim(n)
     k = _int_field(params, "k", "classification.params")
     field = _field_from_json(params, "classification.params")
     top = obj.get("star_points") is None

@@ -335,10 +335,10 @@ def enumerate_embeddings(cfg: SearchConfig) -> OracleResult:
 
     Each Johnson vertex is placed on a subspace at the exact graph
     distance from every previously placed image.  Exceeding the node
-    budget yields a partial result flagged incomplete.  When J(l, m) is
-    wider than the Grassmann graph (diameter min(m, l-m) above
-    min(k, n-k)) or has more vertices, no embedding exists, and the empty
-    result is complete without J(l, m) being built.
+    budget yields a partial result flagged incomplete, with budget + 1
+    nodes.  When J(l, m) is wider than the Grassmann graph (diameter
+    min(m, l-m) above min(k, n-k)) or has more vertices, no embedding
+    exists, and the empty result is complete without J(l, m) being built.
     """
     if not 0 < cfg.m < cfg.l:
         raise ValidationError(f"need 0 < m < l, got l={cfg.l}, m={cfg.m}")
@@ -350,9 +350,6 @@ def enumerate_embeddings(cfg: SearchConfig) -> OracleResult:
         initial = [0]
     else:
         initial = list(range(len(spec)))
-    # preflight: even placing the first vertex exceeds the budget
-    if len(initial) > cfg.budget:
-        return OracleResult(set(), 0, False, spec)
     plan = _plan(cfg.l, cfg.m)
     if cfg.jobs > 1 and len(initial) > 1:
         images, nodes, complete = _search_in_workers(spec, cfg, plan, initial)

@@ -253,27 +253,23 @@ class RigidityReport:
 def _structure_case(cls: Classification) -> str:
     if cls.l == 2 * cls.m:
         return "parabolic-apartment"
-    if cls.case == "star":
-        rows, side = cls.star_point_set(), "star"
-    else:
-        rows, side = cls.top_point_set(), "top"
+    rows = cls.point_set(cls.case == "top")
     if is_independent(cls.field, rows):
-        return f"parabolic-apartment-{side}"
+        return f"parabolic-apartment-{cls.case}"
     if simplex_rank(cls.field, rows)[0]:
-        return f"simplex-faces-{side}"
+        return f"simplex-faces-{cls.case}"
     return "none"
 
 
 def _unique_pgl(cls: Classification) -> bool:
-    if cls.star_points is not None and cls.m_space.dim == 0:
-        ok, s = simplex_rank(cls.field, cls.star_point_set())
-        if ok and s == cls.n:
-            return True
-    if cls.top_points is not None and cls.n_space.dim == cls.n:
-        ok, s = simplex_rank(cls.field, cls.top_point_set())
-        if ok and s == cls.n:
-            return True
-    return False
+    """Whether the points of a side over a zero base (m_space on the star
+    side, the annihilator of n_space on the top side) are an n-simplex,
+    the star side tried first."""
+    sides = ((False, cls.star_points, cls.m_space.dim),
+             (True, cls.top_points, cls.n - cls.n_space.dim))
+    return any(points is not None and base == 0
+               and simplex_rank(cls.field, cls.point_set(top)) == (True, cls.n)
+               for top, points, base in sides)
 
 
 def is_rigid(subject) -> RigidityReport:

@@ -10,8 +10,7 @@ import itertools
 import networkx as nx
 
 from grassmann_lab import linalg
-from grassmann_lab.embeddings import (build_dual_construction, build_sum_construction,
-                                      classify, rebuild)
+from grassmann_lab.embeddings import build_construction, classify, rebuild
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import GrassmannianSpec, iter_rref_bases
 from grassmann_lab.independence import search_m_independent
@@ -86,7 +85,7 @@ def test_criterion_2_constructions_classify_back_to_their_type():
         found = search_m_independent(field, quot_dim, need, l, budget=2_000_000)
         if found.status == "found":
             gens = [lift_from_quotient(base, (row,)) for row in found.points]
-            inst = build_sum_construction(base, gens, k)
+            inst = build_construction(base, gens, k, False)
             cls = classify(inst)
             expected = "parabolic-apartment" if l == 2 * m else "star"
             if cls.case != expected:
@@ -106,7 +105,7 @@ def test_criterion_2_constructions_classify_back_to_their_type():
         if found.status == "found":
             hyps = [from_coords_in(cover, nullspace(field, (row,), k + m))
                     for row in found.points]
-            inst = build_dual_construction(cover, hyps, k)
+            inst = build_construction(cover, hyps, k, True)
             cls = classify(inst)
             expected = "parabolic-apartment" if l == 2 * m else "top"
             if cls.case != expected:
@@ -191,7 +190,7 @@ def test_criterion_4_generator_family_invariants_on_the_grid():
 
 def test_criterion_5_rigidity_positive_cases():
     frame = [Subspace.line(F2, unit(i, 4)) for i in range(4)]
-    apartment = build_sum_construction(Subspace.zero(F2, 4), frame, 2)
+    apartment = build_construction(Subspace.zero(F2, 4), frame, 2, False)
     report = is_rigid(apartment)
     assert report.is_rigid is True
     duality_witnesses = [o for aut, o in report.per_automorphism
@@ -203,7 +202,7 @@ def test_criterion_5_rigidity_positive_cases():
     assert [(w["kind"], w["codomain_is_dual"]) for w in written] == [("duality", True)]
     simplex_vectors = [unit(i, 4) for i in range(4)] + [(1, 1, 1, 1)]
     gens = [Subspace.line(F2, v) for v in simplex_vectors]
-    faces = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
+    faces = build_construction(Subspace.zero(F2, 4), gens, 2, False)
     report5 = is_rigid(faces)
     assert report5.is_rigid is True
     assert report5.unique_pgl_extension is True
@@ -216,7 +215,7 @@ def test_criterion_5_rigidity_positive_cases():
 def test_criterion_6_rigidity_negative_case():
     x6_vectors = [unit(i, 6) for i in range(4)] + [(1, 1, 1, 1, 0, 0), unit(4, 6)]
     gens = [Subspace.line(F2, v) for v in x6_vectors]
-    inst = build_sum_construction(Subspace.zero(F2, 6), gens, 2)
+    inst = build_construction(Subspace.zero(F2, 6), gens, 2, False)
     report = is_rigid(inst)
     assert report.is_rigid is False
     refusals = [(aut, o) for aut, o in report.per_automorphism

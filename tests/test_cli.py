@@ -396,6 +396,18 @@ def test_caps_env_variable(tmp_path, capsys, monkeypatch):
         set_caps(q_max=16)
 
 
+def test_caps_env_skips_an_empty_part(capsys, monkeypatch):
+    # the empty part between the commas is no key; both caps apply
+    from grassmann_lab.config import set_caps
+    monkeypatch.setenv("GRASSMANN_LAB_CAPS", "q=19,,n=9")
+    try:
+        for p, n in ((19, 3), (2, 9)):
+            code = run(["export", "--graph", "grassmann", "--n", n, "--k", 1, "--p", p])
+            assert capsys.readouterr().err == "" and code == 0
+    finally:
+        set_caps(q_max=16, n_max=8)
+
+
 def _points_past_diameter():
     """Six points of F_2^6 whose rows end in 0, for build dual in G(5, 3)
     with m = 3."""
@@ -429,6 +441,33 @@ def _malformed(tmp_path, monkeypatch, case):
         # cannot hold: the rows must not be cut to five and read as m = 2
         path.write_text(json.dumps(_points_past_diameter()))
         return ["build", "dual", "--p", 2, "--n", 5, "--k", 3, "--m", 3, "--points", path]
+    # each point source refuses the options it does not read
+    if case.startswith("build-sum-points-with-"):
+        path.write_text(json.dumps(
+            {"schema_version": 1, "ambient": {"kind": "primal", "dim": 4, "p": 2, "e": 1},
+             "points": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                        [1, 1, 1, 1]]}))
+        extra = {"build-sum-points-with-l": ["--l", 9],
+                 "build-sum-points-with-budget": ["--budget", 0]}[case]
+        return ["build", "sum", "--p", 2, "--n", 4, "--k", 2, "--points", path, *extra]
+    if case == "build-dual-simplex-with-budget":
+        return ["build", "dual", "--p", 2, "--n", 4, "--k", 2, "--budget", 0]
+    if case == "build-sum-l-0":
+        return ["build", "sum", "--p", 2, "--n", 4, "--k", 2, "--l", 0]
+    if case == "oracle-m-0":
+        return ["oracle", "--l", 4, "--m", 0, "--n", 4, "--k", 2, "--p", 2]
+    if case == "export-grassmann-k-above-n":
+        return ["export", "--graph", "grassmann", "--p", 2, "--n", 4, "--k", 5]
+    # documents written under a raised ambient dimension cap, read under the
+    # default cap of 8
+    if case in ("embedding-past-n-cap", "classification-past-n-cap"):
+        emb12 = tmp_path / "a12.json"
+        assert run(["--n-cap", 12, "build", "apartment", "--p", 2, "--n", 12, "--k", 2,
+                    "--output", emb12]) == 0
+        if case == "embedding-past-n-cap":
+            return ["classify", "--input", emb12]
+        assert run(["--n-cap", 12, "classify", "--input", emb12, "--output", path]) == 0
+        return ["rigidity", "--input", path]
     if case.startswith("caps-env-"):
         monkeypatch.setenv("GRASSMANN_LAB_CAPS", {"caps-env-unknown-key": "z=3",
                                                   "caps-env-not-integer": "q=abc"}[case])
@@ -524,6 +563,8 @@ def _malformed(tmp_path, monkeypatch, case):
         doc["map"][0]["subspace"] = doc["map"][0]["subspace"][:1]
     elif case == "embedding-entry-out-of-range":
         doc["map"][0]["subspace"][0] = [7, 0, 0, 0]
+    elif case == "embedding-l-past-ground-set-cap":
+        doc["params"]["l"] = 70
     else:
         cls_path = tmp_path / "cls.json"
         assert run(["classify", "--input", emb, "--output", cls_path]) == 0
@@ -532,6 +573,8 @@ def _malformed(tmp_path, monkeypatch, case):
             doc["star_points"] = 5
         elif case == "classification-without-points":
             doc["star_points"] = doc["top_points"] = None
+        elif case == "classification-empty-row":
+            doc["star_points"][0] = [[]]
         elif case == "classification-params":
             # generators of J(4, 2) under another document's claims
             doc["params"].update(l=9, m=3)
@@ -598,6 +641,18 @@ MALFORMED = {
     "subspace-wrong-dimension": "embedding.map[0].subspace: expected dimension 2",
     "embedding-entry-out-of-range": "embedding.map[0].subspace[0]: entry 7 outside GF(2)",
     "classification-without-points": "classification: needs star_points or top_points",
+    "build-sum-points-with-l": "build sum reads its points from --points; it takes no --l",
+    "build-sum-points-with-budget":
+        "build sum reads its points from --points; it takes no --budget",
+    "build-dual-simplex-with-budget":
+        "build dual takes the canonical simplex; it takes no --budget",
+    "embedding-past-n-cap": "ambient dimension 12 exceeds cap 8",
+    "classification-past-n-cap": "ambient dimension 12 exceeds cap 8",
+    "build-sum-l-0": "target size must be positive",
+    "oracle-m-0": "need 0 < m < l, got l=4, m=0",
+    "export-grassmann-k-above-n": "need 0 <= k <= n, got k=5, n=4",
+    "embedding-l-past-ground-set-cap": "ground set size 70 exceeds 64",
+    "classification-empty-row": "row length 0 != ambient dim 4",
 }
 
 
@@ -628,6 +683,20 @@ def test_build_refuses_m_past_the_diameter_before_reading_or_searching(
         assert run(["build", side, "--p", 2, "--n", 5, "--k", 3, "--m", 3, *extra]) == 2
         assert capsys.readouterr().err == (
             "error: construction needs 1 < m <= min(k, n-k) = 2, got m=3\n")
+
+
+@pytest.mark.parametrize("kind,n,k", [("sum", 5, 3), ("dual", 5, 2), ("sum", 5, 2),
+                                      ("dual", 5, 3)])
+def test_build_defaults_m_to_the_bound_it_checks(tmp_path, kind, n, k):
+    # min(k, n-k) on every kind, on both sides of n = 2k
+    documents = []
+    for extra in ([], ["--m", min(k, n - k)]):
+        path = tmp_path / f"build{len(extra)}.json"
+        assert run(["build", kind, "--p", 2, "--n", n, "--k", k, "--l", 5, *extra,
+                    "--output", path]) == 0
+        documents.append(path.read_text())
+    assert documents[0] == documents[1]
+    assert json.loads(documents[0])["params"]["m"] == 2
 
 
 @pytest.mark.parametrize("kind", ["simplex-faces", "dual"])

@@ -7,9 +7,8 @@ from collections import Counter
 import pytest
 
 from grassmann_lab import embeddings, grassmannian, jsonio, linalg
-from grassmann_lab.embeddings import (EmbeddingInstance, build_dual_construction,
-                                      build_sum_construction, classify, rebuild,
-                                      verify_assignment)
+from grassmann_lab.embeddings import (EmbeddingInstance, build_construction, classify,
+                                      rebuild, verify_assignment)
 from grassmann_lab.errors import (ClassificationError, GrassmannLabError, NotIsometricError,
                                   ValidationError)
 from grassmann_lab.fields import GF
@@ -39,7 +38,7 @@ def simplex_lines(field, n):
 
 
 def apartment_instance(field, n, k):
-    return build_sum_construction(Subspace.zero(field, n), basis_lines(field, n), k)
+    return build_construction(Subspace.zero(field, n), basis_lines(field, n), k, False)
 
 
 def test_sum_construction_apartment():
@@ -51,7 +50,7 @@ def test_sum_construction_apartment():
 
 def test_sum_construction_simplex_faces():
     gens = simplex_lines(F2, 4)
-    inst = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
+    inst = build_construction(Subspace.zero(F2, 4), gens, 2, False)
     assert inst.l == 5 and inst.m == 2
     assert len(inst.image) == 10
     assert verify_assignment(inst.m, inst.assignment) is None  # all 45 pairs
@@ -71,7 +70,7 @@ def test_sum_construction_dimension_identity():
 def test_sum_construction_over_nonzero_base():
     base = Subspace.line(F2, unit(0, 5))
     gens = [Subspace.from_rows(F2, 5, (unit(0, 5), unit(i, 5))) for i in range(1, 5)]
-    inst = build_sum_construction(base, gens, 3)
+    inst = build_construction(base, gens, 3, False)
     assert inst.l == 4 and inst.m == 2 and inst.k == 3
     assert all(s.contains(base) for s in inst.image)
     cls = classify(inst)
@@ -83,28 +82,28 @@ def test_sum_construction_rejects_dependent_generators():
     bad = [Subspace.line(F2, v) for v in
            (unit(0, 4), unit(1, 4), (1, 1, 0, 0), unit(2, 4))]
     with pytest.raises(ValidationError) as err:
-        build_sum_construction(Subspace.zero(F2, 4), bad, 2)
+        build_construction(Subspace.zero(F2, 4), bad, 2, False)
     assert "independent" in str(err.value)
 
 
 def test_sum_construction_dimension_arithmetic_guard():
     with pytest.raises(ValidationError):
-        build_sum_construction(Subspace.zero(F2, 4), basis_lines(F2, 4), 3)  # m+k > n
+        build_construction(Subspace.zero(F2, 4), basis_lines(F2, 4), 3, False)  # m+k > n
     with pytest.raises(ValidationError):
-        build_sum_construction(Subspace.line(F2, unit(0, 4)),
-                               [Subspace.from_rows(F2, 4, (unit(0, 4), unit(i, 4)))
-                                for i in range(1, 4)], 2)  # m = 1
+        build_construction(Subspace.line(F2, unit(0, 4)),
+                           [Subspace.from_rows(F2, 4, (unit(0, 4), unit(i, 4)))
+                            for i in range(1, 4)], 2, False)  # m = 1
 
 
 def test_dual_construction_from_dual_basis_is_apartment():
     hyperplanes = [annihilator(p) for p in basis_lines(F2, 4)]
-    inst = build_dual_construction(Subspace.full(F2, 4), hyperplanes, 2)
+    inst = build_construction(Subspace.full(F2, 4), hyperplanes, 2, True)
     assert inst.image == apartment_from_frame(basis_lines(F2, 4), 2)
 
 
 def test_dual_construction_simplex():
     hyperplanes = [annihilator(s) for s in simplex_lines(F2, 4)]
-    inst = build_dual_construction(Subspace.full(F2, 4), hyperplanes, 2)
+    inst = build_construction(Subspace.full(F2, 4), hyperplanes, 2, True)
     assert inst.l == 5 and inst.m == 2
     assert verify_assignment(inst.m, inst.assignment) is None
     # transport equals direct intersections, element by element
@@ -116,11 +115,11 @@ def test_dual_construction_simplex():
 def test_dual_construction_guards():
     hyperplanes = [annihilator(p) for p in basis_lines(F2, 4)]
     with pytest.raises(ValidationError):
-        build_dual_construction(Subspace.full(F2, 4), hyperplanes, 1)  # m > k
+        build_construction(Subspace.full(F2, 4), hyperplanes, 1, True)  # m > k
     not_inside = Subspace.from_rows(F2, 4, (unit(0, 4), unit(1, 4)))
     cover = Subspace.from_rows(F2, 4, (unit(0, 4), unit(1, 4), unit(2, 4)))
     with pytest.raises(ValidationError):
-        build_dual_construction(cover, [not_inside], 1)
+        build_construction(cover, [not_inside], 1, True)
 
 
 def _over_e0(rows):
@@ -134,7 +133,6 @@ def test_one_construction_refuses_and_builds_alike_on_both_sides(top):
     # each request is a sum-side one over the line of e0, or on the top side
     # its annihilated request: hyperplanes of a 4-space, and k becomes 5 - k
     base = Subspace.line(F2, unit(0, 5))
-    build = build_dual_construction if top else build_sum_construction
 
     def request(gens, k):
         if top:
@@ -159,8 +157,8 @@ def test_one_construction_refuses_and_builds_alike_on_both_sides(top):
     ]
     for args, message in refusals:
         with pytest.raises(ValidationError, match=re.escape(message)):
-            build(*args)
-    inst = build(*request(simplex, 3))
+            build_construction(*args, top)
+    inst = build_construction(*request(simplex, 3), top)
     sums = {vertex_from_indices(c): sum_many(F2, 5, [simplex[i] for i in c])
             for c in itertools.combinations(range(5), 2)}
     assert (inst.l, inst.m, inst.k) == (5, 2, 2 if top else 3)
@@ -218,16 +216,16 @@ def test_classify_case_and_rebuild_labels():
     assert cls.case == "parabolic-apartment"
     assert rebuild(cls) == apartment.assignment
     frame_hyperplanes = [annihilator(p) for p in basis_lines(F2, 4)]
-    dual = build_dual_construction(Subspace.full(F2, 4), frame_hyperplanes, 2)
+    dual = build_construction(Subspace.full(F2, 4), frame_hyperplanes, 2, True)
     assert dual.assignment == {v: annihilator(s) for v, s in apartment.assignment.items()}
     dual_cls = classify(dual)
     assert dual_cls.case == "parabolic-apartment"
     assert rebuild(dual_cls) == dual.assignment
     assert dual_cls.descent_trace[0] == frozenset(dual_cls.top_points)
     gens = simplex_lines(F2, 4)
-    simplex = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
-    simplex_top = build_dual_construction(Subspace.full(F2, 4),
-                                          [annihilator(g) for g in gens], 2)
+    simplex = build_construction(Subspace.zero(F2, 4), gens, 2, False)
+    simplex_top = build_construction(Subspace.full(F2, 4),
+                                     [annihilator(g) for g in gens], 2, True)
     for inst, case in ((simplex, "star"), (simplex_top, "top")):
         cls = classify(inst)
         assert cls.case == case
@@ -266,7 +264,7 @@ def test_classify_apartment_full():
 
 def test_classify_star_type_round_trip():
     gens = simplex_lines(F2, 4)
-    inst = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
+    inst = build_construction(Subspace.zero(F2, 4), gens, 2, False)
     cls = classify(inst)
     assert cls.case == "star" and not cls.is_full_apartment
     assert frozenset(cls.star_points) == frozenset(gens)
@@ -281,7 +279,7 @@ LAW_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 4)]
 
 
 def _random_dual_request(field, rng, classifiable=False):
-    """A seeded (n_space, hyperplanes, k) for build_dual_construction: the
+    """A seeded (n_space, hyperplanes, k) for build_construction's top side: the
     coordinate simplex of a random (k+m)-space N of F^n, moved by a random
     invertible matrix, l of its points taken, each read as the hyperplane
     of N on which it vanishes; classify takes l >= 4 and 1 < m < l - 1
@@ -314,9 +312,9 @@ def test_dual_construction_is_the_annihilated_sum_construction():
         for _ in range(4):
             cover, hyperplanes, k = _random_dual_request(field, rng)
             n = cover.ambient_dim
-            dual = build_dual_construction(cover, hyperplanes, k)
-            primal = build_sum_construction(annihilator(cover),
-                                            [annihilator(h) for h in hyperplanes], n - k)
+            dual = build_construction(cover, hyperplanes, k, True)
+            primal = build_construction(annihilator(cover),
+                                        [annihilator(h) for h in hyperplanes], n - k, False)
             assert dual.assignment == {v: annihilator(s)
                                        for v, s in primal.assignment.items()}
             assert list(dual.assignment) == list(primal.assignment)
@@ -343,7 +341,7 @@ def _assert_annihilated(cls, dual_cls, labeled: bool):
 
 def test_classify_dual_commutes_with_annihilator():
     gens = simplex_lines(F2, 4)
-    inst = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
+    inst = build_construction(Subspace.zero(F2, 4), gens, 2, False)
     cls = classify(inst)
     dual_image = frozenset(annihilator(s) for s in inst.image)
     dual_cls = classify(dual_image)
@@ -358,7 +356,7 @@ def test_classify_dual_commutes_with_annihilator():
     for p, e in LAW_FIELDS:
         field = GF.get(p, e)
         for _ in range(3):
-            top = build_dual_construction(*_random_dual_request(field, rng, True))
+            top = build_construction(*_random_dual_request(field, rng, True), True)
             star = EmbeddingInstance(top.l, top.m, {v: annihilator(s)
                                                     for v, s in top.assignment.items()})
             _assert_annihilated(classify(star), classify(top), labeled=True)
@@ -390,7 +388,7 @@ def test_top_side_is_built_and_classified_without_annihilating_the_image(monkeyp
     # the image was carried to the star side and back)
     hyperplanes = [annihilator(g) for g in simplex_lines(F2, 4)]
     calls = _count_annihilators(monkeypatch)
-    top = build_dual_construction(Subspace.full(F2, 4), hyperplanes, 2)
+    top = build_construction(Subspace.full(F2, 4), hyperplanes, 2, True)
     counts = [len(calls)]
     for subject in (top, top.image):
         calls.clear()
@@ -401,7 +399,7 @@ def test_top_side_is_built_and_classified_without_annihilating_the_image(monkeyp
 
 def test_classify_bare_set_inference():
     gens = simplex_lines(F2, 4)
-    inst = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
+    inst = build_construction(Subspace.zero(F2, 4), gens, 2, False)
     cls = classify(inst.image)
     assert (cls.l, cls.m) == (5, 2)
     assert cls.case == "star"
@@ -485,7 +483,7 @@ def test_bare_classify_on_perturbed_oracle_images():
 def test_classify_normalizes_large_m():
     # J(5,3) relabels through complementation to J(5,2)
     gens = simplex_lines(F2, 4)
-    inst = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
+    inst = build_construction(Subspace.zero(F2, 4), gens, 2, False)
     flipped = {}
     full = (1 << 5) - 1
     for v, s in inst.assignment.items():
@@ -519,7 +517,7 @@ def test_classify_rejects_degenerate_parameters():
     cls = classify(inst)
     assert cls.case == "parabolic-apartment"
     gens5 = basis_lines(F2, 5)
-    inst53 = build_sum_construction(Subspace.zero(F2, 5), gens5, 2)
+    inst53 = build_construction(Subspace.zero(F2, 5), gens5, 2, False)
     # J(5,2) with m' = 2 <= min(2, 3): accepted
     assert classify(inst53).case == "star"
 
@@ -527,7 +525,7 @@ def test_classify_rejects_degenerate_parameters():
 def test_classify_diameter_guard():
     # m' = 3 > min(k, n-k) = 2 can never be isometric; the guard fires first
     gens = basis_lines(F2, 6)
-    inst = build_sum_construction(Subspace.zero(F2, 6), gens, 3)  # J(6,3), k=3, n=6 fine
+    inst = build_construction(Subspace.zero(F2, 6), gens, 3, False)  # J(6,3), k=3, n=6 fine
     cls = classify(inst)
     assert cls.m == 3
     with pytest.raises(ValidationError):
@@ -543,11 +541,11 @@ def test_clique_independence_characterizes_parabolic_apartments():
     inst = apartment_instance(F2, 4, 2)
     assert clique_independence(inst.image)
     base = Subspace.line(F2, unit(0, 5))
-    parabolic = build_sum_construction(
-        base, [Subspace.from_rows(F2, 5, (unit(0, 5), unit(i, 5))) for i in range(1, 5)], 3)
+    parabolic = build_construction(
+        base, [Subspace.from_rows(F2, 5, (unit(0, 5), unit(i, 5))) for i in range(1, 5)], 3, False)
     assert clique_independence(parabolic.image)
     gens = simplex_lines(F2, 4)
-    inst5 = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
+    inst5 = build_construction(Subspace.zero(F2, 4), gens, 2, False)
     assert not clique_independence(inst5.image)
     # a full star has more members than the quotient dimension
     m = Subspace.line(F2, unit(0, 4))
@@ -559,9 +557,9 @@ def test_trichotomy_of_full_johnson_parameter_images():
     # base or top-type with a 2k-dimensional cover; at the midpoint they
     # are full apartments
     gens = simplex_lines(F2, 4)  # 5 points in a 4-space
-    low = build_sum_construction(Subspace.zero(F2, 5), [
+    low = build_construction(Subspace.zero(F2, 5), [
         Subspace.line(F2, unit(i, 5)) for i in range(4)] + [
-        Subspace.line(F2, (1, 1, 1, 1, 0))], 2)
+        Subspace.line(F2, (1, 1, 1, 1, 0))], 2, False)
     cls_low = classify(low)  # J(5,2) with 2k < n
     assert cls_low.case == "star" and cls_low.m_space.dim == 0
     cover = Subspace.from_rows(F2, 5, [unit(i, 5) for i in range(4)])
@@ -569,7 +567,7 @@ def test_trichotomy_of_full_johnson_parameter_images():
         [unit(i, 5) for i in range(4)]) if j != t]) for t in range(4)]
     fifth = Subspace.from_rows(
         F2, 5, ((1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 1, 0)))
-    inst_top = build_dual_construction(cover, hyps + [fifth], 2)
+    inst_top = build_construction(cover, hyps + [fifth], 2, True)
     cls_top = classify(inst_top)  # J(5,2) with cover of dimension 2k
     assert cls_top.case == "top" and cls_top.n_space.dim == 4
     mid = classify(apartment_instance(F2, 4, 2))  # J(4,2) at n = 2k
@@ -597,12 +595,12 @@ def _count_requests():
     classification (classify's labeled input)."""
     gens = simplex_lines(F2, 4)
     hyperplanes = [annihilator(g) for g in gens]
-    star = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
-    top = build_dual_construction(Subspace.full(F2, 4), hyperplanes, 2)
+    star = build_construction(Subspace.zero(F2, 4), gens, 2, False)
+    top = build_construction(Subspace.full(F2, 4), hyperplanes, 2, True)
     docs = {inst: jsonio.classification_to_json(classify(inst)) for inst in (star, top)}
     return {
-        "build sum": (lambda: build_sum_construction(Subspace.zero(F2, 4), gens, 2), 0),
-        "build dual": (lambda: build_dual_construction(Subspace.full(F2, 4), hyperplanes, 2), 0),
+        "build sum": (lambda: build_construction(Subspace.zero(F2, 4), gens, 2, False), 0),
+        "build dual": (lambda: build_construction(Subspace.full(F2, 4), hyperplanes, 2, True), 0),
         "classify labeled star": (lambda: classify(star), 1),
         "classify labeled top": (lambda: classify(top), 1),
         "classify bare star": (lambda: classify(star.image), 1),
@@ -642,7 +640,7 @@ def _distance_requests():
     its rebuilt map, and carries it over to the annihilated image on a
     top-type input."""
     apartment = apartment_instance(F2, 4, 2)
-    simplex = build_sum_construction(Subspace.zero(F2, 4), simplex_lines(F2, 4), 2)
+    simplex = build_construction(Subspace.zero(F2, 4), simplex_lines(F2, 4), 2, False)
     dual = EmbeddingInstance(5, 2, {v: annihilator(s) for v, s in simplex.assignment.items()})
     return {"apartment J(4,2) in G(4,2,2)": (apartment, 15, 15),
             "J(5,2) simplex sum": (simplex, 45, 45),

@@ -1,7 +1,7 @@
 import pytest
 
 from grassmann_lab import jsonio
-from grassmann_lab.embeddings import build_sum_construction, classify
+from grassmann_lab.embeddings import build_construction, classify
 from grassmann_lab.errors import SchemaError
 from grassmann_lab.fields import GF
 from grassmann_lab.independence import canonical_simplex
@@ -19,7 +19,7 @@ def unit(i, n):
 
 def apartment_instance():
     gens = [Subspace.line(F2, unit(i, 4)) for i in range(4)]
-    return build_sum_construction(Subspace.zero(F2, 4), gens, 2)
+    return build_construction(Subspace.zero(F2, 4), gens, 2, False)
 
 
 def test_pointset_round_trip():
@@ -73,7 +73,7 @@ def test_classification_round_trip_star_and_parabolic():
     assert back.case == cls.case
     assert back.image == cls.image
     gens = [Subspace.line(F2, row) for row in canonical_simplex(4, 4)]
-    cls5 = classify(build_sum_construction(Subspace.zero(F2, 4), gens, 2))
+    cls5 = classify(build_construction(Subspace.zero(F2, 4), gens, 2, False))
     obj5 = jsonio.classification_to_json(cls5)
     back5 = jsonio.classification_from_json(obj5)
     assert back5.case == "star" and back5.image == cls5.image
@@ -96,10 +96,9 @@ def test_rigidity_report_json():
     kinds = {entry["witness"]["kind"] for entry in obj["per_automorphism"]}
     assert kinds == {"semilinear", "duality"}
     # certificates appear only when requested
-    from grassmann_lab.embeddings import build_sum_construction as build
     x6 = [Subspace.line(F2, v) for v in
           [unit(i, 6) for i in range(4)] + [(1, 1, 1, 1, 0, 0), unit(4, 6)]]
-    bad_report = is_rigid(build(Subspace.zero(F2, 6), x6, 2))
+    bad_report = is_rigid(build_construction(Subspace.zero(F2, 6), x6, 2, False))
     lean = jsonio.rigidity_report_to_json(bad_report)
     refused = [e for e in lean["per_automorphism"] if e["outcome"] == "not-extendable"]
     assert refused and all("diagnostics" not in e for e in refused)

@@ -12,7 +12,7 @@ import grassmann_lab
 from grassmann_lab import oracle
 from grassmann_lab.cli import main
 from grassmann_lab.config import caps, set_caps
-from grassmann_lab.embeddings import build_sum_construction, classify, rebuild
+from grassmann_lab.embeddings import build_construction, classify, rebuild
 from grassmann_lab.errors import ClassificationError, InternalInvariantError, ValidationError
 from grassmann_lab.fields import GF
 from grassmann_lab.grassmannian import GrassmannianSpec, pg_points
@@ -76,7 +76,7 @@ def test_every_constructed_image_is_found_by_the_oracle():
     ]
     for vectors in frames:
         gens = [Subspace.line(F2, v) for v in vectors]
-        inst = build_sum_construction(Subspace.zero(F2, 4), gens, 2)
+        inst = build_construction(Subspace.zero(F2, 4), gens, 2, False)
         assert inst.image in oracle_sets
 
 
@@ -196,6 +196,28 @@ def test_budget_stopped_summaries_are_byte_identical_for_every_jobs_value(in_pro
     summary = json.loads(outputs.pop())
     assert not outputs
     assert (summary["nodes"], summary["image_count"]) == (101, 34)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 33, 34, 35, 36])
+def test_the_search_alone_judges_a_budget_below_the_vertex_count(in_process_pool, capsys,
+                                                                 budget):
+    # G(4, 2, 2) has 35 planes, each one a root of J(5, 2): a budget below
+    # that stops the search among its roots, at budget + 1 nodes, after
+    # which the distance table is still checked
+    spec = GrassmannianSpec(F2, 4, 2)
+    want = reference_oracle_search(spec, oracle._plan(5, 2), budget, range(len(spec)))
+    assert want[1] == budget + 1 and not want[2]
+    outputs = set()
+    for jobs in (1, 2):
+        result = enumerate_embeddings(SearchConfig(l=5, m=2, n=4, k=2, p=2, budget=budget,
+                                                   jobs=jobs))
+        assert (result.images, result.nodes, result.complete) == want, jobs
+        assert main(["oracle", "--l", "5", "--m", "2", "--n", "4", "--k", "2", "--p", "2",
+                     "--budget", str(budget), "--jobs", str(jobs)]) == 3
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
+    summary = json.loads(outputs.pop())
+    assert (summary["nodes"], summary["bfs_agrees"]) == (budget + 1, True)
 
 
 def test_an_image_below_two_roots_is_an_internal_error(in_process_pool, monkeypatch):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from grassmann_lab import linalg
-from grassmann_lab.embeddings import build_sum_construction, classify
+from grassmann_lab.embeddings import build_construction, classify
 from grassmann_lab.errors import ValidationError
 from grassmann_lab.fields import GF
 from grassmann_lab.independence import canonical_simplex, search_m_independent
@@ -167,7 +167,7 @@ def test_dual_transport_both_directions():
 
 
 def test_apartment_rigid_with_duality_for_complement():
-    inst = build_sum_construction(Subspace.zero(F2, 4), basis_lines(F2, 4), 2)
+    inst = build_construction(Subspace.zero(F2, 4), basis_lines(F2, 4), 2, False)
     report = is_rigid(inst)
     assert report.is_rigid is True
     assert report.rigidity_case == "parabolic-apartment"
@@ -188,7 +188,7 @@ def test_apartment_rigid_with_duality_for_complement():
 def test_complement_not_extendable_when_n_differs_from_2k():
     base = Subspace.line(F2, unit(0, 5))
     gens = [Subspace.from_rows(F2, 5, (unit(0, 5), unit(i, 5))) for i in range(1, 5)]
-    inst = build_sum_construction(base, gens, 3)  # J(4,2) image, n=5, k=3
+    inst = build_construction(base, gens, 3, False)  # J(4,2) image, n=5, k=3
     cls = classify(inst)
     assert cls.case == "parabolic-apartment"
     comp = JohnsonAut(tuple(range(4)), complement=True)
@@ -204,7 +204,7 @@ def test_complement_not_extendable_when_n_differs_from_2k():
 
 
 def test_apartment_rigid_when_l_not_2m():
-    inst = build_sum_construction(Subspace.zero(F2, 5), basis_lines(F2, 5), 2)
+    inst = build_construction(Subspace.zero(F2, 5), basis_lines(F2, 5), 2, False)
     report = is_rigid(inst)
     assert report.is_rigid is True
     assert report.rigidity_case == "parabolic-apartment-star"
@@ -214,7 +214,7 @@ def test_apartment_rigid_when_l_not_2m():
 
 def test_simplex_faces_rigid_with_unique_extension():
     pts = canonical_simplex(4, 4)
-    inst = build_sum_construction(Subspace.zero(F2, 4), lines(F2, pts), 2)
+    inst = build_construction(Subspace.zero(F2, 4), lines(F2, pts), 2, False)
     report = is_rigid(inst)
     assert report.is_rigid is True
     assert report.rigidity_case == "simplex-faces-star"
@@ -228,8 +228,7 @@ def test_simplex_faces_rigid_with_unique_extension():
 
 def test_dual_simplex_faces_rigid():
     hyperplanes = [annihilator(p) for p in lines(F2, canonical_simplex(4, 4))]
-    from grassmann_lab.embeddings import build_dual_construction
-    inst = build_dual_construction(Subspace.full(F2, 4), hyperplanes, 2)
+    inst = build_construction(Subspace.full(F2, 4), hyperplanes, 2, True)
     cls = classify(inst)
     assert cls.case == "top"
     report = is_rigid(cls)
@@ -245,7 +244,7 @@ def test_dual_simplex_faces_rigid():
 
 def test_x6_sum_construction_not_rigid():
     gens = x6_points()
-    inst = build_sum_construction(Subspace.zero(F2, 6), gens, 2)
+    inst = build_construction(Subspace.zero(F2, 6), gens, 2, False)
     report = is_rigid(inst)
     assert report.is_rigid is False
     assert report.rigidity_case == "none"
@@ -262,7 +261,7 @@ def test_nonexistence_bound_every_large_l_instance_not_rigid():
     found = search_m_independent(F2, 6, 4, 8, budget=500_000)
     assert found.status == "found"
     gens = lines(F2, found.points)
-    inst = build_sum_construction(Subspace.zero(F2, 6), gens, 2)
+    inst = build_construction(Subspace.zero(F2, 6), gens, 2, False)
     assert inst.l == 8 and inst.l > max(2, 4) + 2 + 1
     report = is_rigid(inst)
     assert report.is_rigid is False
@@ -272,7 +271,7 @@ def test_nonexistence_bound_every_large_l_instance_not_rigid():
 def test_quotient_witnesses_respect_the_base_space():
     base = Subspace.line(F3, unit(0, 5))
     gens = [Subspace.from_rows(F3, 5, (unit(0, 5), unit(i, 5))) for i in range(1, 5)]
-    inst = build_sum_construction(base, gens, 3)
+    inst = build_construction(base, gens, 3, False)
     cls = classify(inst)
     report = is_rigid(cls)
     assert report.is_rigid is False  # complement fails, n != 2k
@@ -331,10 +330,10 @@ def test_rigidity_agrees_with_structure_across_the_grid():
                         continue
                     from grassmann_lab.subspaces import lift_from_quotient
                     gens = [lift_from_quotient(base, (row,)) for row in found.points]
-                    inst = build_sum_construction(base, gens, k)
+                    inst = build_construction(base, gens, k, False)
                     cls = classify(inst)
                     report = is_rigid(cls)
-                    points = cls.star_point_set()
+                    points = cls.point_set(False)
                     expect = is_independent(field, points) or simplex_rank(field, points)[0]
                     if l == 2 * m:
                         expect = expect and n == 2 * k
@@ -353,9 +352,9 @@ def test_is_rigid_rebuilds_each_classification_once(monkeypatch):
     simplex = lines(F2, canonical_simplex(4, 4))
     images = {
         "J(5,2) simplex faces in G(4,2,2)":
-            build_sum_construction(Subspace.zero(F2, 4), simplex, 2),
+            build_construction(Subspace.zero(F2, 4), simplex, 2, False),
         "J(6,3) frame apartment in G(6,3,2)":
-            build_sum_construction(Subspace.zero(F2, 6), basis_lines(F2, 6), 3),
+            build_construction(Subspace.zero(F2, 6), basis_lines(F2, 6), 3, False),
     }
     real = embeddings._subset_sums
     calls = []
