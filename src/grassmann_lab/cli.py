@@ -135,6 +135,8 @@ def cmd_build(args) -> int:
         rows = _load_pointset_rows(args.points, field, dim)
     elif args.l is None:
         raise ValidationError("sum construction needs --l or --points")
+    elif args.l <= m:
+        raise ValidationError(f"build {args.kind} needs --l above m={m}, got --l {args.l}")
     else:
         budget = BUILD_BUDGET if args.budget is None else args.budget
         rows = _search_points(field, dim, 2 * m, args.l, budget)

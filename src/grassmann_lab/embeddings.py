@@ -193,14 +193,12 @@ class Classification:
     hold and the image is an apartment of the interval [m_space, n_space].
 
     m_space and n_space are always the meet and join of the whole image.
-    descent_trace[i] collects the recovered level sets, ending at the
-    image itself: the values of labeled, the map rebuild returns.
 
     For a labeled input the generators keep the ground order of its
     complement-normalized instance (m <= l - m), with one exception: when
     l == 2m and Johnson stars land in tops, star_points[j] lies in every
-    image of a vertex avoiding j, and descent_trace[0] holds the top
-    points.  A bare input has no labels to keep.  See rebuild.
+    image of a vertex avoiding j.  A bare input has no labels to keep.
+    See rebuild.
     """
 
     case: str
@@ -214,7 +212,6 @@ class Classification:
     star_points: tuple[Subspace, ...] | None
     top_points: tuple[Subspace, ...] | None
     is_full_apartment: bool
-    descent_trace: tuple[frozenset[Subspace], ...]
     image: frozenset[Subspace]
     labeled: dict[int, Subspace] = dc_field(compare=False, repr=False)
 
@@ -405,8 +402,7 @@ def _assemble(image, generators: tuple[Subspace, ...], l: int, m: int, k: int,
         raise ClassificationError(f"generators span dimension {span.dim}, outside "
                                   f"{sorted((k + sign * m, k + sign * (l - m)))}")
     levels = _subset_sums(generators, m, join)
-    trace = tuple(frozenset(level.values()) for level in levels)
-    if trace[-1] != image:
+    if frozenset(levels[-1].values()) != image:
         raise ClassificationError("rebuilt image differs from the input image")
     others = None
     case = "top" if top else "star"
@@ -421,4 +417,4 @@ def _assemble(image, generators: tuple[Subspace, ...], l: int, m: int, k: int,
     m_space, n_space = (span, base) if top else (base, span)
     full = (l == n and m_space.dim == 0 and n_space.dim == n)
     return Classification(case, l, m, k, n, field, m_space, n_space, star_points,
-                          top_points, full, trace, frozenset(image), levels[-1])
+                          top_points, full, frozenset(image), levels[-1])

@@ -5,7 +5,8 @@ point-set documents are refused without it.  Field elements serialize as
 their int encodings (base-p digits of the polynomial residue).
 Deserializers validate eagerly and name the offending field in their
 errors; derived data (classifications) is never trusted from a file but
-reconstructed through the certified construction.
+reconstructed through the certified construction, and a classification
+document is accepted only as classify would write it again.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def embedding_from_json(obj: dict) -> EmbeddingInstance:
         if (not isinstance(vertex_list, list)
                 or not all(_is_int(x) and 0 <= x < l for x in vertex_list)):
             raise SchemaError(f"embedding.map[{i}].vertex: expected indices in [0, {l})")
-        if len(set(vertex_list)) != m:
+        if not len(vertex_list) == len(set(vertex_list)) == m:
             raise SchemaError(f"embedding.map[{i}].vertex: expected {m} distinct indices")
         vertex = vertex_from_indices(vertex_list)
         if vertex in assignment:
@@ -168,17 +169,16 @@ def classification_to_json(cls: Classification) -> dict:
                             else [[list(r) for r in s.rows] for s in cls.star_points]),
             "top_points": (None if cls.top_points is None
                            else [[list(r) for r in s.rows] for s in cls.top_points]),
-            "is_full_apartment": cls.is_full_apartment,
-            "descent_trace": [sorted([list(r) for r in s.rows] for s in level)
-                              for level in cls.descent_trace]}
+            "is_full_apartment": cls.is_full_apartment}
 
 
 def classification_from_json(obj: dict) -> Classification:
     """Rebuild a classification from its stored generators.
 
     The image is reconstructed through the certified construction and
-    re-classified, and the stored fields must match that classification,
-    so corrupt or inconsistent files are rejected rather than trusted.
+    re-classified, and the document must hold exactly the fields of that
+    classification, so corrupt or inconsistent files are rejected rather
+    than trusted, and an accepted one is what classify writes from it.
     """
     _check_schema_version(obj, "classification")
     params = _need(obj, "params", "classification")
@@ -194,13 +194,16 @@ def classification_from_json(obj: dict) -> Classification:
                            f"classification.{space_key}")
     gens = _subspaces_from_json(obj[points_key], field, n, f"classification.{points_key}")
     cls = classify(build_construction(Subspace.from_rows(field, n, rows), gens, k, top))
-    # every stored field must be what the generators give (params.e is
-    # optional, as above); the descent trace may list a J(2m, m) image
-    # from the other side
+    # every field must be one the generators give, and what they give
+    # (params.e is optional, as above)
+    emitted = classification_to_json(cls)
+    unknown = sorted(obj.keys() - emitted.keys())
+    if unknown:
+        raise SchemaError(f"classification.{unknown[0]}: not a field of a classification")
     doc = dict(obj, params={"e": 1, **params})
-    for key, value in classification_to_json(cls).items():
-        if key != "descent_trace" and (
-                json.dumps(doc.get(key), sort_keys=True) != json.dumps(value, sort_keys=True)):
+    for key, value in emitted.items():
+        if (json.dumps(_need(doc, key, "classification"), sort_keys=True)
+                != json.dumps(value, sort_keys=True)):
             raise SchemaError(
                 f"classification.{key}: does not match the classification of its generators")
     return cls

@@ -370,15 +370,13 @@ class CrossValidationReport:
     bfs_agrees: bool | None
     all_classified: bool | None
     apartment_match: bool | None
-    parabolic_dims_ok: bool | None
     tag_histogram: dict[str, int]
     failures: list[dict]
 
     @property
     def ok(self) -> bool:
         checks = [self.complete]
-        for flag in (self.bfs_agrees, self.all_classified, self.apartment_match,
-                     self.parabolic_dims_ok):
+        for flag in (self.bfs_agrees, self.all_classified, self.apartment_match):
             if flag is not None:
                 checks.append(flag)
         return all(checks) and not self.failures
@@ -394,7 +392,6 @@ class CrossValidationReport:
             "bfs_agrees": self.bfs_agrees,
             "all_classified": self.all_classified,
             "apartment_match": self.apartment_match,
-            "parabolic_dims_ok": self.parabolic_dims_ok,
             "tag_histogram": self.tag_histogram,
             "failures": self.failures,
             "ok": self.ok,
@@ -450,8 +447,8 @@ def cross_validate(cfg: SearchConfig,
     shape of the answer: no rejections, and when n == 2k == l == 2m, that
     the images are exactly the apartments.  An accepted image is rebuilt
     exactly and, when l == 2m, is a parabolic apartment of dimensions
-    (k - m, k + m): the classifier certifies both, so parabolic_dims_ok
-    is all_classified there.
+    (k - m, k + m): the classifier certifies both, so all_classified
+    covers them.
 
     The apartment check is a count resting on the classification.  At
     l == 2m every image must classify as a parabolic apartment with
@@ -509,7 +506,6 @@ def cross_validate(cfg: SearchConfig,
             and cfg.n == 2 * cfg.k and cfg.l == cfg.n and cfg.m == cfg.k):
         apartment_match = (all_classified and len(result.images)
                            == _apartment_count(spec, cfg.symmetry_reduction))
-    parabolic_ok = all_classified if cfg.l == 2 * cfg.m else None
     return CrossValidationReport(
         cfg, len(result.images), result.nodes, result.complete, bfs_ok,
-        all_classified, apartment_match, parabolic_ok, histogram, failures)
+        all_classified, apartment_match, histogram, failures)

@@ -266,7 +266,7 @@ def test_oracle_stopped_by_its_budget_classifies_none_of_its_images():
         "error: enumeration exceeded the budget of 100000 nodes"]
     summary = json.loads(proc.stdout)
     assert summary["image_count"] > 0 and summary["bfs_agrees"] is True
-    assert summary["all_classified"] is None and summary["parabolic_dims_ok"] is None
+    assert summary["all_classified"] is None
     assert summary["tag_histogram"] == {} and summary["ok"] is False
 
 
@@ -454,6 +454,13 @@ def _malformed(tmp_path, monkeypatch, case):
         return ["build", "dual", "--p", 2, "--n", 4, "--k", 2, "--budget", 0]
     if case == "build-sum-l-0":
         return ["build", "sum", "--p", 2, "--n", 4, "--k", 2, "--l", 0]
+    if case == "build-sum-l-equals-m":
+        # refused before the point search, which would find such a set
+        def never(*args):
+            raise AssertionError("build searched for points")
+
+        monkeypatch.setattr(cli, "search_m_independent", never)
+        return ["build", "sum", "--p", 2, "--n", 4, "--k", 2, "--l", 2]
     if case == "oracle-m-0":
         return ["oracle", "--l", 4, "--m", 0, "--n", 4, "--k", 2, "--p", 2]
     if case == "export-grassmann-k-above-n":
@@ -555,6 +562,10 @@ def _malformed(tmp_path, monkeypatch, case):
         del doc["map"][3]
     elif case == "vertex-short":
         doc["map"][0]["vertex"] = doc["map"][0]["vertex"][:1]
+    elif case == "vertex-repeats-index":
+        # three indices naming two: not read as the set {0, 1}
+        entry = next(e for e in doc["map"] if e["vertex"] == [0, 1])
+        entry["vertex"] = [0, 1, 0]
     elif case == "subspace-not-list":
         doc["map"][0]["subspace"] = 5
     elif case == "subspace-row-non-integer":
@@ -575,6 +586,8 @@ def _malformed(tmp_path, monkeypatch, case):
             doc["star_points"] = doc["top_points"] = None
         elif case == "classification-empty-row":
             doc["star_points"][0] = [[]]
+        elif case == "classification-unknown-key":
+            doc["descent_trace"] = 0
         elif case == "classification-params":
             # generators of J(4, 2) under another document's claims
             doc["params"].update(l=9, m=3)
@@ -636,6 +649,7 @@ MALFORMED = {
     "map-not-list": "embedding.map: expected a list",
     "map-entry-missing": "assignment misses vertex 0x9",
     "vertex-short": "embedding.map[0].vertex: expected 2 distinct indices",
+    "vertex-repeats-index": "embedding.map[0].vertex: expected 2 distinct indices",
     "subspace-not-list": "embedding.map[0].subspace: expected a list of rows",
     "subspace-row-non-integer": "embedding.map[0].subspace[0]: rows must be lists of integers",
     "subspace-wrong-dimension": "embedding.map[0].subspace: expected dimension 2",
@@ -648,11 +662,13 @@ MALFORMED = {
         "build dual takes the canonical simplex; it takes no --budget",
     "embedding-past-n-cap": "ambient dimension 12 exceeds cap 8",
     "classification-past-n-cap": "ambient dimension 12 exceeds cap 8",
-    "build-sum-l-0": "target size must be positive",
+    "build-sum-l-0": "build sum needs --l above m=2, got --l 0",
+    "build-sum-l-equals-m": "build sum needs --l above m=2, got --l 2",
     "oracle-m-0": "need 0 < m < l, got l=4, m=0",
     "export-grassmann-k-above-n": "need 0 <= k <= n, got k=5, n=4",
     "embedding-l-past-ground-set-cap": "ground set size 70 exceeds 64",
     "classification-empty-row": "row length 0 != ambient dim 4",
+    "classification-unknown-key": "classification.descent_trace: not a field of a classification",
 }
 
 

@@ -209,8 +209,7 @@ def test_classify_case_and_rebuild_labels():
     # Johnson stars land in stars (case A) for the apartment and the J(5,2)
     # simplex image, in tops (case B) for the annihilated apartment and the
     # annihilated simplex image.  The rebuild keeps the input labels in
-    # both cases; at l = 2m both read "parabolic-apartment", and the first
-    # level of the descent trace tells them apart.
+    # both cases, also at l = 2m, where both read "parabolic-apartment".
     apartment = apartment_instance(F2, 4, 2)
     cls = classify(apartment)
     assert cls.case == "parabolic-apartment"
@@ -221,7 +220,6 @@ def test_classify_case_and_rebuild_labels():
     dual_cls = classify(dual)
     assert dual_cls.case == "parabolic-apartment"
     assert rebuild(dual_cls) == dual.assignment
-    assert dual_cls.descent_trace[0] == frozenset(dual_cls.top_points)
     gens = simplex_lines(F2, 4)
     simplex = build_construction(Subspace.zero(F2, 4), gens, 2, False)
     simplex_top = build_construction(Subspace.full(F2, 4),
@@ -257,9 +255,6 @@ def test_classify_apartment_full():
     assert cls.is_full_apartment
     assert cls.m_space.dim == 0 and cls.n_space.dim == 4
     assert frozenset(rebuild(cls).values()) == apartment_from_frame(basis_lines(F2, 4), 2)
-    assert len(cls.descent_trace) == 2
-    assert cls.descent_trace[0] == frozenset(basis_lines(F2, 4))
-    assert cls.descent_trace[-1] == cls.image
 
 
 def test_classify_star_type_round_trip():
@@ -329,13 +324,11 @@ def _assert_annihilated(cls, dual_cls, labeled: bool):
     cases = {"star": "top", "top": "star", "parabolic-apartment": "parabolic-apartment"}
     assert dual_cls.case == cases[cls.case]
     assert (dual_cls.m_space, dual_cls.n_space) == (ann(cls.n_space), ann(cls.m_space))
-    assert dual_cls.descent_trace[-1] == frozenset(ann(s) for s in cls.image)
+    assert dual_cls.image == frozenset(ann(s) for s in cls.image)
     if not labeled:
         assert frozenset(dual_cls.top_points) == frozenset(ann(t) for t in cls.star_points)
         return
     assert dual_cls.top_points == tuple(ann(t) for t in cls.star_points)
-    assert dual_cls.descent_trace == tuple(frozenset(ann(s) for s in level)
-                                           for level in cls.descent_trace)
     assert rebuild(dual_cls) == {v: ann(s) for v, s in rebuild(cls).items()}
 
 

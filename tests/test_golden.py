@@ -5,7 +5,9 @@ The sha256 of every document written by ``build``, ``classify``,
 set of requests, so a refactor of the construction, classification,
 rigidity or distance-table code must reproduce the old output exactly.
 Rigidity runs twice per image, once on the embedding and once on the
-classification document, and both runs must write the same bytes.
+classification document, and both runs must write the same bytes; and
+classify, given the classification document, must write it back byte
+for byte.
 """
 
 import hashlib
@@ -56,75 +58,75 @@ REQUESTS = {
 DIGESTS = {
     "sum-q2-n5-k2-l6": (
         "9d3c2a4edb49e96d103cda9c82ba2c9ae868dc9739d87b604b05f812fd89b717",
-        "9e22f134d9c816031d8aa13498604e680477d947133d2a28867b4f7b1a3865db",
+        "e4662f8d49426b401c7b23eb7dccd30bfebd413b925666a70a0b508c15da69ea",
         "923b52ef325d984b85dd60eb2244b3af8634d336d104a82bfb6627d35ecb2396"),
     "dual-q2-n4-k2-l5": (
         "81d95138d9d934901743136a6b6972b93f3d6e8233c2daa52ae826185c549e0a",
-        "4eddd8037a6302d24a71419293b336e92c95487e0aad75ad74fe6ce05ca62046",
+        "b7f4aa0fad15f3221ff04fac03cc38c23f278eef678d9798e848f802dddf71c2",
         "250fd3b90774a1dbabd549546949dd6c0cc3837d5410896e1f487aee7f8b8163"),
     "sum-q3-n4-k2-l5": (
         "45083d2fc606879821c181cb9cb9c3be43bebcb26788fa2594709e5ae39ede4d",
-        "bf18d1ac6adcd5017c3b8f36d26560fc1e3d7da5e8a3a844db152494c85fa64a",
+        "80354f5c99011211a7e9b47c86601bec980160fedd7eacd287bbbcc7866e5257",
         "fdb7a5857f93b699b09b085115da8d291789a5aaa31da400675476b83a06d41d"),
     "dual-q3-n5-k3-l6": (
         "9d8af551815e2723542c66a1edd968d4c3d09038b39ba3c1a7652d9be1f840cd",
-        "1ed6e46889f91f97689f2e17c6eaab07423b6f33a85810a8338ab03904732ac4",
+        "ddba4caa71f1a9d6319be74e5c301efde9b6f0297e407b9a994191df8a61d2d1",
         "2ead998700eeccd88dce3d21d60ad4b9e73a4dfa454af2eab68b9dcbd406dc3c"),
     "sum-q4-n5-k2-l6": (
         "1f6165224f3417f67bdeeb93b10280555547e480ea5740a946c3a976895bf646",
-        "e30acbcc7591dd1c80a9c44cac2bd2811f9c271a377ba33841701715183a649d",
+        "5db95ea28ee4f30804bebe0bc05a51b5828b4bf89fdfb1a574e8f0d99c6f4e11",
         "bce157c4809bff7907ce1901b24f6e0910343bea1cfd53598a1eba6fb053522f"),
     "sum-q4-n5-k2-l6-frobenius": (
         "1f6165224f3417f67bdeeb93b10280555547e480ea5740a946c3a976895bf646",
-        "c705b62067a4ce5124bb87ee227c396e1b840002210f81f3cda702b1daea04c8",
+        "cad79cf6a58d64154dbec70ffb3e78b493710b6cbbc13fc6651f65cd8699ef3d",
         "525f335038acbe94bf0177cd06bc66578fe35e588b5e2df9c4cd34ba7c7a31c4"),
     "dual-q4-n4-k2-l5": (
         "71d69f0d0bed6c0e158568ecdc6c6ca0f5a71bab4f47d2145625091a53f15bc4",
-        "807dd32cc197fa1988a66fedd625fae30fb170d4ec37241613a452a09a14f3ef",
+        "0e7a1826180153dbf8c770d0e037f1ff7bfbad41b5c5b4371aa502b36d16fe95",
         "455ec3936608bef98d396b739df14ec75275d184bc39bdb187fac76d279b587b"),
     "sum-q2-n5-k2-l4": (
         "6c369db523b0bd01704cb1a7544f31cc60178d047c8bb802515c51eaea3316fd",
-        "57e011afbf0eecfc8704ab5e886d7209809724072780faa4617a217342f496b5",
+        "31b4d817f3a812ed60b33ba4d1dfc5e36affb3ad7bfed2b152552762d027fde2",
         "8d83b79844d8e86df70cd2a595982898bf6dfc250bba171226012bc8ac4f7a42"),
     "apartment-q2-n4-k2": (
         "51e8106074c788dfacac7ca82e4631228050d39348a90b5856667bc8c6d43898",
-        "29a18d3b1e2f5d012a9504771d5f5a78be3f8dae09ff95ebcd2dd0ab582c8129",
+        "fb147afd83147120ee886df81cf4c0fd991808330d5f833fd7ce54a18c107ac6",
         "261c6af7da6fa334d4f57d7a1925be02d052226d0bd419fbabfcec9607303545"),
     "apartment-q3-n5-k2": (
         "0f5ff8b8fae1a582d690790e1d6945a3e4f8668aa27d0a3c4d3c0c26e0cef01d",
-        "abaeed8436e20fb23228833b7bb7283abb66cac130601ff0fddc7380b85163e9",
+        "245b7801284d334c94c4af896d7f829fe7e3640e56c81c0202e00b9596eee118",
         "0ceb7477378dd66e2fd13c5c1d908da58030c9b3a9456f64f6e4f41c04d8e9de"),
     "apartment-q2-n5-k3": (
         "f248aee71aa5229a99143f518bdd93324f232f5b06c274d13bef80eb7839a55a",
-        "857a9f5c1152ba6c1e4a88ee9de3ea3d1c9d6632507c1c56c2d8051ec163a0a7",
+        "f2b9fd258e6e1c4fad88969e575e0f769cec2366d6363c04ee06afa11a041c0f",
         "d9d07fac5a3e43e8e02e1af380c4e0bac8a3c16211263f71f04b26c083b52258"),
     "simplex-faces-q2-n4-k2": (
         "fc30f499cb0e1cc2d976a1466a37fecdd4c3bb1cbcd777809330a9f9bacf073b",
-        "e08fca3e334251f44f2ed2480881ef3654aecb3729cfe41b4ae8e1e26a4e9154",
+        "cd815efc78cc06e767b4e207156cd30fe054ee5cc72d3952b6e371d5ce5c71a6",
         "57a029dde6ac1c825a3e30ba240082b8fe5efa5f51359c9e53989f106ee39479"),
     "simplex-faces-q4-n5-k3": (
         "09acf1053b411e3b17766034f547a87bb0f7c61e9e711dda535cc4b53c56cfe0",
-        "a7c9e7486b88181c0fe4975a7a84e09104834e7fb90b33e4befa5122b47ebabd",
+        "6de3a3f3f8a14cbc82cd44da9de89465855852d2a30880ee29b4f2b516edea5a",
         "7841e079051b1a29b6820cda2b5b89f7a1f58989a0612bd554dedd2219d17ded"),
     "sum-q3-n6-k3-l4": (
         "20526bc63c95eabb7af95e16c7ee698c85302bec088afa0d71ab609a2578e823",
-        "3e1353cec6c10683c045272e8906e58cba67ede7c486ef02e1ba07aa02c37f82",
+        "5e7e0a18cbd0f87f6affc4fbf55171bbbc4c5d0662093231b7196ad0f6784f58",
         "e33c92220ad28cce73e5d83182968688bf2d1165f8d5ea08b2a15ac4a803eec3"),
     "dual-q4-n6-k3-l4": (
         "07848ef141a730c59b036c7895f531894d92752bba6ae1763e591f013e50ab42",
-        "81f7d780fbc2ed3efaa3bf2c73d0e9b01a230756b25cc8b661f61e38f49e6653",
+        "b89aa10cbd2e0e1d78c75782679a69766dd4081cc3bdd97763e8d5794c613be0",
         "72306fef7f92c524c809f689caf1d2f007219dfb3b3322020725e48c87e442dd"),
     "apartment-q16-n6-k3": (
         "7b961e94fd7a52b35a8c000a4302033b851ca3890d49129deb9b7253589bd1c6",
-        "27d44bd818fd54de6011d3c3daeb4536bd624f8e69a030a3258e2b3a72309117",
+        "a787399a8d5369400ba29b0669e88ccea503e56713600d75044cb288d08d207d",
         "fa17e04689174749ece3112ff5a2b762b26b4f9e2182f8790eeeefaa159efbff"),
     "dual-q16-n6-k3-l4": (
         "d002521731367be773b7f9c937323f1627bd25c0202272e7a3d21677f61288a3",
-        "76454de9641562970a9dc12b7f3a71e8fd61f7f2c0b458c7320e81f18453e635",
+        "aff4ce7f2cf66d696ab3d52a976dc5301a8c32a07de497a8142c353afaa3bbd0",
         "45ad3896b1c1af43ab4ec387fec38ac21a546b5975b6bb2ea0df4e3c062ce6c3"),
     "dual-q9-n5-k3-l5": (
         "819912c53be12b0a0ba77c4b7fe9c16e84c01ea970e8eda79b39308fbebcf88a",
-        "f0e41b5ca9cead38e67429298f844c88f433b1071d6d6659a977b638e0d52955",
+        "3af2d17530096a43ba8a9c1407c1f24ee1c63b228dda963e26004a83f7064ce8",
         "6139fc5cc3c9e9ec382fa761690ac9386331c9b16f75d96375bce4a4bc1ac206"),
 }
 
@@ -144,17 +146,19 @@ def _twist(path, field: GF):
 def cli_digests(name: str, workdir) -> tuple[str, str, str]:
     """(build, classify, rigidity) digests for one request; asserts that
     rigidity on the classification document matches rigidity on the
-    embedding byte for byte."""
+    embedding byte for byte, and that classify re-emits that document."""
     argv, twist = REQUESTS[name]
     argv = [str(a) for a in argv]
-    emb, cls, rig, rig_cls = (workdir / f"{name}.{s}.json"
-                              for s in ("build", "cls", "rig", "rig-cls"))
+    emb, cls, cls_cls, rig, rig_cls = (workdir / f"{name}.{s}.json"
+                                       for s in ("build", "cls", "cls-cls", "rig", "rig-cls"))
     assert main(["build", *argv, "--output", str(emb)]) == 0
     build_digest = _sha256(emb)
     if twist:
         p, e = int(argv[argv.index("--p") + 1]), int(argv[argv.index("--e") + 1])
         _twist(emb, GF.get(p, e))
     assert main(["classify", "--input", str(emb), "--output", str(cls)]) == 0
+    assert main(["classify", "--input", str(cls), "--output", str(cls_cls)]) == 0
+    assert cls_cls.read_bytes() == cls.read_bytes()
     assert main(["rigidity", "--input", str(emb), "--dump-certificates",
                  "--output", str(rig)]) == 0
     assert main(["rigidity", "--input", str(cls), "--dump-certificates",
@@ -173,7 +177,7 @@ def test_cli_output_is_pinned(name, tmp_path):
 # 144 images, and no field that changes from run to run
 ORACLE_ARGV = ["oracle", "--l", "4", "--m", "2", "--n", "4", "--k", "2", "--p", "2",
                "--symmetry-reduction"]
-ORACLE_DIGEST = "0777c090889a1fe25303eea6871c39ea9d08c08f9981cd6ce8b32ef3c80338ca"
+ORACLE_DIGEST = "9130449e0941c9da2c1d2334a36289e26c2fc2ea23186347cf49b2ea21ddd56c"
 
 
 def test_oracle_stdout_is_pinned(capsys):

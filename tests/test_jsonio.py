@@ -85,6 +85,21 @@ def test_classification_from_json_rejects_garbage():
                                                                     "p": 2, "e": 1}})
 
 
+def test_classification_from_json_takes_exactly_the_fields_classify_writes():
+    # a star-type J(5, 2) has no top points: the null field may not be left
+    # out, and no field may be added
+    gens = [Subspace.line(F2, row) for row in canonical_simplex(4, 4)]
+    obj = jsonio.classification_to_json(classify(build_construction(
+        Subspace.zero(F2, 4), gens, 2, False)))
+    assert obj["top_points"] is None
+    for edit, message in ((lambda d: d.pop("top_points"), "missing field 'top_points'"),
+                          (lambda d: d.update(note=0), "classification.note: not a field")):
+        doc = dict(obj)
+        edit(doc)
+        with pytest.raises(SchemaError, match=message):
+            jsonio.classification_from_json(doc)
+
+
 def test_rigidity_report_json():
     inst = apartment_instance()
     report = is_rigid(inst)

@@ -319,8 +319,7 @@ def test_a_search_stopped_by_its_budget_classifies_nothing(monkeypatch):
     report = cross_validate(cfg, result)
     assert calls == []
     assert report.bfs_agrees is True
-    assert (report.all_classified, report.parabolic_dims_ok, report.apartment_match) == (
-        None, None, None)
+    assert (report.all_classified, report.apartment_match) == (None, None)
     assert report.tag_histogram == {} and report.failures == []
     assert report.ok is False
 
